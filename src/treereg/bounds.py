@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import TreeWitness, structural_invariants
 from .invariants import independence_number, induced_matching_number
-from .trees import canonical_code
+from .trees import canonical_code, graph_from_code
 
 ORACLE_ORDER_CAP = 10
 
@@ -23,10 +23,6 @@ CSV_HEADER = (
     "tree_code,n,p,d,im,alpha,reg,lb_tree,ub_tree_np,ub_tree_23,"
     "wub_d,wub_p,lb_tight,ub_tight,wub_tight"
 )
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -56,11 +52,11 @@ def evaluate_bounds(n: int, p: int, d: int) -> BoundSet:
         raise ValueError(f"p must be in 1..{n}, got {p}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must be in 1..{n - 1}, got {d}")
-    lb_tree = _floor_div(n - p + d + 5, 6)
+    lb_tree = (n - p + d + 5) // 6
     ub_tree_np = n - p
-    ub_tree_23 = _floor_div(2 * n - p, 3)
+    ub_tree_23 = (2 * n - p) // 3
     wub_d = _ceil_div(2 * n - d - 1, 2)
-    wub_p = _floor_div(2 * n + p - 2, 3)
+    wub_p = (2 * n + p - 2) // 3
     return BoundSet(
         lb_tree=lb_tree,
         ub_tree_np=ub_tree_np,
@@ -170,8 +166,50 @@ def bound_parameters(n: int, p: int) -> int:
     return 1 if n == 2 else p
 
 
+def _record(
+    tree_code: str,
+    n: int,
+    p: int,
+    d: int,
+    im: int,
+    alpha: int,
+    reg: Optional[int],
+    im_witness: tuple[tuple[int, int], ...],
+    alpha_witness: tuple[int, ...],
+) -> InvariantRecord:
+    """Evaluate the bounds at (n, p, d) and flag which ones im and alpha meet."""
+    if n >= 2:
+        bounds = evaluate_bounds(n, bound_parameters(n, p), d)
+        lb_tight = im == bounds.lb_tree
+        ub_tight = im == bounds.ub_tree
+        wub_tight = alpha == bounds.wub
+    else:
+        bounds = None
+        lb_tight = ub_tight = wub_tight = False
+    return InvariantRecord(
+        tree_code=tree_code,
+        n=n,
+        p=p,
+        d=d,
+        im=im,
+        alpha=alpha,
+        reg=reg,
+        bounds=bounds,
+        lb_tight=lb_tight,
+        ub_tight=ub_tight,
+        wub_tight=wub_tight,
+        im_witness=im_witness,
+        alpha_witness=alpha_witness,
+    )
+
+
 def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecord:
-    """Populate a full record; reg only when asked for and within the cap."""
+    """Populate a full record; reg only when asked for and within the cap.
+
+    This is the path for labeled input: witnesses stay in the caller's
+    vertex labels.  It is also the reference :func:`record_for_code` is
+    tested against.
+    """
     g = t.graph
     inv = structural_invariants(g)
     im, im_cert = induced_matching_number(g)
@@ -182,28 +220,137 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
         from .homology import regularity
 
         reg = regularity(g)
-    if inv.n >= 2:
-        bounds = evaluate_bounds(inv.n, bound_parameters(inv.n, inv.p), inv.d)
-        lb_tight = im == bounds.lb_tree
-        ub_tight = im == bounds.ub_tree
-        wub_tight = alpha == bounds.wub
-    else:
-        bounds = None
-        lb_tight = ub_tight = wub_tight = False
-    return InvariantRecord(
-        tree_code=code,
-        n=inv.n,
-        p=inv.p,
-        d=inv.d,
-        im=im,
-        alpha=alpha,
-        reg=reg,
-        bounds=bounds,
-        lb_tight=lb_tight,
-        ub_tight=ub_tight,
-        wub_tight=wub_tight,
-        im_witness=tuple(sorted(im_cert.edges)),
-        alpha_witness=tuple(sorted(alpha_cert.vertices)),
+    return _record(
+        code,
+        inv.n,
+        inv.p,
+        inv.d,
+        im,
+        alpha,
+        reg,
+        tuple(sorted(im_cert.edges)),
+        tuple(sorted(alpha_cert.vertices)),
+    )
+
+
+def record_for_code(
+    levels: Sequence[int], with_oracle: bool = False
+) -> InvariantRecord:
+    """The record of the tree a level sequence encodes, in O(n) and no Graph.
+
+    Vertex v is position v of the sequence, so the labels, and with them the
+    witnesses, are those of :func:`~treereg.trees.graph_from_code`.  For a
+    canonical code the record equals ``record_for_tree(tree_from_code(levels))``
+    byte for byte; ``tree_code`` is the input as text.  A Graph is built only
+    for the homology oracle (``with_oracle`` and n <= ORACLE_ORDER_CAP).
+    """
+    n = len(levels)
+    if not n or levels[0] != 0:
+        raise ValueError(f"level sequence must start at 0: {tuple(levels)}")
+    # Parents from the preorder depths, as graph_from_code's parent stack
+    # finds them: the parent is the latest vertex one level up.  A vertex is
+    # a leaf when the next one is no deeper; the root is a pendant when it
+    # has one child.
+    parent = [0] * n
+    latest = [0] * n
+    leaves = 1 if n > 1 else 0
+    root_children = 0
+    prev = 0
+    for v in range(1, n):
+        lvl = levels[v]
+        if not 1 <= lvl <= prev + 1:
+            raise ValueError(f"invalid level {lvl} at position {v}")
+        if lvl <= prev:
+            leaves += 1
+        if lvl == 1:
+            root_children += 1
+        parent[v] = latest[lvl - 1]
+        latest[lvl] = v
+        prev = lvl
+
+    # One reverse-preorder pass, so every child is final before its parent.
+    # s0/s1 sum the children's b1/b2 of the three-state matching DP of
+    # invariants._forest_induced_matching, and pick is the first child in
+    # preorder of largest gain b0 - b1, as there.  inc/exc is the in/out
+    # independence DP.  deep1/deep2 are the deepest levels reached through
+    # two different children, so a path bending at v has deep1 + deep2 - 2
+    # levels[v] edges.
+    s0 = [0] * n
+    s1 = [0] * n
+    gain = [-n] * n
+    pick = [-1] * n
+    inc = [1] * n
+    exc = [0] * n
+    deep1 = list(levels)
+    deep2 = list(levels)
+    d = 0
+    for v in range(n - 1, -1, -1):
+        b0 = s0[v]
+        b1 = s1[v]
+        b2 = 1 + b0 + gain[v]
+        if pick[v] < 0 or b2 <= b1:
+            b2 = b1
+            pick[v] = -1
+        bend = deep1[v] + deep2[v] - 2 * levels[v]
+        if bend > d:
+            d = bend
+        if not v:
+            break  # b2 is the root's, im of the whole tree
+        u = parent[v]
+        s0[u] += b1
+        s1[u] += b2
+        if b0 - b1 >= gain[u]:  # children arrive last first: >= keeps the first
+            gain[u] = b0 - b1
+            pick[u] = v
+        i = inc[v]
+        e = exc[v]
+        exc[u] += i if i > e else e
+        inc[u] += e
+        dv = deep1[v]
+        if dv > deep1[u]:
+            deep2[u] = deep1[u]
+            deep1[u] = dv
+        elif dv > deep2[u]:
+            deep2[u] = dv
+
+    # Witnesses, parent before child like the DPs' stack walks.  state 3 is
+    # state 2 with a pick (v matched to it); state 2 without one acts as 1.
+    state = [3 if pick[0] >= 0 else 1] + [0] * (n - 1)
+    take = [inc[0] >= exc[0]] + [False] * (n - 1)
+    matching = [(0, pick[0])] if state[0] == 3 else []
+    independent = [0] if take[0] else []
+    for v in range(1, n):
+        u = parent[v]
+        s = state[u]
+        if s == 3:
+            s = 0 if pick[u] == v else 1
+        elif s == 0:
+            s = 1
+        elif pick[v] >= 0:
+            s = 3
+            matching.append((v, pick[v]))
+        else:
+            s = 1
+        state[v] = s
+        if not take[u] and inc[v] >= exc[v]:
+            take[v] = True
+            independent.append(v)
+
+    reg = None
+    if with_oracle and n <= ORACLE_ORDER_CAP:
+        from .homology import regularity
+
+        reg = regularity(graph_from_code(levels))
+    return _record(
+        " ".join(map(str, levels)),
+        n,
+        leaves + (root_children == 1),
+        d,
+        b2,
+        max(inc[0], exc[0]),
+        reg,
+        tuple(matching),
+        tuple(independent),
     )
 
 

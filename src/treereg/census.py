@@ -3,9 +3,14 @@
 Trees stream in (order, code) order, so output is deterministic; with
 worker processes the per-batch results are collected in submission order,
 which keeps the emitted bytes identical to a serial run.  The checkpoint is
-a single JSON file written atomically after every batch; resuming truncates
-the records CSV back to the last checkpointed byte offset, so a resumed run
-finishes with byte-identical output.
+a single JSON file written atomically after every batch, and both it and
+the records it counts are fsynced first; so is the violations file before
+the final checkpoint marks the run complete.  Resuming truncates the records CSV
+back to the last checkpointed byte offset, so a resumed run finishes with
+byte-identical output; a CSV shorter than that offset is refused.
+
+Records come from the level sequence itself (:func:`record_for_code`), with
+no Graph built unless the homology oracle runs.
 """
 
 from __future__ import annotations
@@ -19,12 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .bounds import CSV_HEADER, record_for_tree, verify_record
-from .trees import enumerate_codes, max_order_cap, tree_from_code
+from .bounds import CSV_HEADER, ORACLE_ORDER_CAP, record_for_code, verify_record
+from .trees import enumerate_codes, max_order_cap
 
-VERIFY_MIN_ORDER = 1
-CENSUS_MIN_ORDER = 1
-ORACLE_UP_TO_MAX = 10
+MIN_ORDER = 1
 
 
 class CrashRequested(RuntimeError):
@@ -46,8 +49,8 @@ class VerifyConfig:
         cap = max_order_cap()
         if not 2 <= self.max_order <= cap:
             raise ValueError(f"--max-order must be in 2..{cap}")
-        if not 0 <= self.oracle_up_to <= ORACLE_UP_TO_MAX:
-            raise ValueError(f"--oracle-up-to must be in 0..{ORACLE_UP_TO_MAX}")
+        if not 0 <= self.oracle_up_to <= ORACLE_ORDER_CAP:
+            raise ValueError(f"--oracle-up-to must be in 0..{ORACLE_ORDER_CAP}")
         if self.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if self.checkpoint_every < 1:
@@ -100,7 +103,10 @@ class _Checkpoint:
 
     def dump(self, path: Path) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.__dict__, indent=1, sort_keys=True))
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(json.dumps(self.__dict__, indent=1, sort_keys=True))
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
 
     @classmethod
@@ -111,8 +117,7 @@ class _Checkpoint:
 def _verify_one(args: tuple[tuple[int, ...], int]) -> tuple[str, list[dict]]:
     """Worker: one tree code to its CSV row plus any violations."""
     levels, oracle_up_to = args
-    witness = tree_from_code(levels)
-    record = record_for_tree(witness, with_oracle=len(levels) <= oracle_up_to)
+    record = record_for_code(levels, with_oracle=len(levels) <= oracle_up_to)
     violations = [v.to_json_dict() for v in verify_record(record)]
     return record.csv_row(), violations
 
@@ -137,7 +142,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
             return VerifyReport(ck.records, ck.violations, ck.elapsed, True)
     header = (CSV_HEADER + "\n").encode()
     if ck is None:
-        ck = _Checkpoint.fresh(cfg.params(), VERIFY_MIN_ORDER)
+        ck = _Checkpoint.fresh(cfg.params(), MIN_ORDER)
         out = open(cfg.out_csv, "wb")
         out.write(header)
         out.flush()
@@ -148,6 +153,13 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
                 f"checkpoint {cfg.checkpoint} expects records at {cfg.out_csv}, "
                 "which is missing; delete the checkpoint to start over"
             )
+        size = cfg.out_csv.stat().st_size
+        if size < ck.csv_bytes:
+            raise ValueError(
+                f"checkpoint {cfg.checkpoint} expects {ck.csv_bytes} bytes of "
+                f"records in {cfg.out_csv}, which has only {size}; delete the "
+                "checkpoint to start over"
+            )
         with open(cfg.out_csv, "r+b") as trunc:
             trunc.truncate(ck.csv_bytes)
         out = open(cfg.out_csv, "ab")
@@ -157,7 +169,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     if cfg.jobs > 1:
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
     try:
-        for n in range(VERIFY_MIN_ORDER, cfg.max_order + 1):
+        for n in range(MIN_ORDER, cfg.max_order + 1):
             if n < ck.order:
                 continue
             codes = enumerate_codes(n)
@@ -185,6 +197,8 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
                 ck.csv_bytes = out.tell()
                 ck.elapsed = base_elapsed + (time.time() - started)
                 if cfg.checkpoint is not None:
+                    # the records must be on disk before the offset that names them
+                    os.fsync(out.fileno())
                     ck.dump(cfg.checkpoint)
     finally:
         out.close()
@@ -195,6 +209,11 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     with open(cfg.violations_out, "w", encoding="utf-8") as vf:
         for v in ck.violations:
             vf.write(json.dumps(v, sort_keys=True) + "\n")
+        if cfg.checkpoint is not None:
+            # a complete checkpoint is never resumed, so the violations it
+            # vouches for must be on disk first
+            vf.flush()
+            os.fsync(vf.fileno())
     ck.status = "complete"
     ck.elapsed = base_elapsed + (time.time() - started)
     if cfg.checkpoint is not None:
@@ -210,8 +229,8 @@ class CensusConfig:
 
     def validate(self) -> None:
         cap = max_order_cap()
-        if not CENSUS_MIN_ORDER <= self.max_order <= cap:
-            raise ValueError(f"--max-order must be in {CENSUS_MIN_ORDER}..{cap}")
+        if not MIN_ORDER <= self.max_order <= cap:
+            raise ValueError(f"--max-order must be in {MIN_ORDER}..{cap}")
         if self.fmt not in ("csv", "jsonl"):
             raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
 
@@ -239,10 +258,10 @@ def run_census(cfg: CensusConfig) -> dict:
     with out:
         if cfg.fmt == "csv":
             out.write(CSV_HEADER + "\n")
-        for n in range(CENSUS_MIN_ORDER, cfg.max_order + 1):
+        for n in range(MIN_ORDER, cfg.max_order + 1):
             bucket = _tight_bucket()
             for code in enumerate_codes(n):
-                record = record_for_tree(tree_from_code(code))
+                record = record_for_code(code.levels)
                 out.write(
                     (record.csv_row() if cfg.fmt == "csv" else record.to_jsonl())
                     + "\n"

@@ -167,6 +167,22 @@ class TestVerifyCommand:
                        "--checkpoint", str(ckpt), "--checkpoint-every", "5") == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_resume_with_short_csv_is_refused(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        csv = tmp_path / "x.csv"
+        common = ["--max-order", "10", "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "10"]
+        assert run_cli("verify", *common, "--crash-after", "120") == 3
+        expected = json.loads(ckpt.read_text())["csv_bytes"]
+        assert expected > 500
+        with open(csv, "r+b") as f:
+            f.truncate(500)
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert f"expects {expected} bytes" in err and "has only 500" in err
+        assert csv.read_bytes().count(b"\0") == 0
+
     def test_resume_refuses_mismatched_parameters(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         common = ["--out", str(tmp_path / "a.csv"),
@@ -185,6 +201,28 @@ class TestVerifyCommand:
         before = csv.read_bytes()
         assert run_cli("verify", "--max-order", "6", *common) == 0
         assert csv.read_bytes() == before
+
+    def test_outputs_are_fsynced_before_the_checkpoints_naming_them(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            events.append(("fsync", os.fstat(fd).st_ino)), real_fsync(fd)))
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            events.append(("replace", Path(dst).name)), real_replace(src, dst)))
+        csv, vio = tmp_path / "a.csv", tmp_path / "a.jsonl"
+        assert run_cli("verify", "--max-order", "6", "--out", str(csv),
+                       "--violations", str(vio),
+                       "--checkpoint", str(tmp_path / "ckpt.json")) == 0
+        replaces = [i for i, e in enumerate(events) if e == ("replace", "ckpt.json")]
+        assert len(replaces) >= 2
+        assert ("fsync", csv.stat().st_ino) in events[: replaces[0]]
+        # the violations file is fsynced after the records' last checkpoint
+        # and before the one that marks the run complete
+        assert ("fsync", vio.stat().st_ino) in events[replaces[-2] : replaces[-1]]
 
     def test_violations_flip_exit_code_and_fill_file(self, tmp_path, monkeypatch):
         import treereg.census as census_mod

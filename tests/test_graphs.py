@@ -89,6 +89,16 @@ class TestStructuralInvariants:
     def test_p2_has_two_pendants(self):
         assert structural_invariants(path_graph(2)).p == 2
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycle_diameter(self, n):
+        cycle = from_edge_list([(i, (i + 1) % n) for i in range(n)], n)
+        assert structural_invariants(cycle).d == n // 2
+
+    def test_cycle_with_tail_diameter(self):
+        # triangle 0-1-2 with the path 2-3-4 hanging off it
+        g = from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], 5)
+        assert structural_invariants(g).d == 3
+
 
 class TestDeletion:
     def test_delete_middle_of_p3(self):
