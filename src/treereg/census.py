@@ -1,4 +1,8 @@
-"""Exhaustive verification and census runs with checkpoint/resume.
+"""The one sweep behind `treereg verify` and `treereg census`.
+
+Every tree of orders 1..max_order goes enumeration -> record -> output
+line, plus its bound violations and, for a census, its tightness flags; the
+records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic; with
 worker processes the per-batch results are collected in submission order,
@@ -35,10 +39,18 @@ class CrashRequested(RuntimeError):
 
 
 @dataclass
-class VerifyConfig:
+class SweepConfig:
+    """One sweep over every tree of orders 1..max_order.
+
+    ``fmt`` picks CSV rows or JSONL records for ``out_csv``; the violations
+    file and the tightness summary are written only when their paths are set.
+    """
+
     max_order: int
     out_csv: Path
-    violations_out: Path
+    fmt: str = "csv"
+    violations_out: Optional[Path] = None
+    summary_out: Optional[Path] = None
     oracle_up_to: int = 0
     checkpoint: Optional[Path] = None
     jobs: int = 1
@@ -47,14 +59,21 @@ class VerifyConfig:
 
     def validate(self) -> None:
         cap = max_order_cap()
-        if not 2 <= self.max_order <= cap:
-            raise ValueError(f"--max-order must be in 2..{cap}")
+        if not MIN_ORDER <= self.max_order <= cap:
+            raise ValueError(f"--max-order must be in {MIN_ORDER}..{cap}")
+        if self.fmt not in ("csv", "jsonl"):
+            raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
         if not 0 <= self.oracle_up_to <= ORACLE_ORDER_CAP:
             raise ValueError(f"--oracle-up-to must be in 0..{ORACLE_ORDER_CAP}")
         if self.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("--checkpoint-every must be >= 1")
+        # a resume restores neither the tightness buckets nor the format
+        if self.checkpoint is not None and self.summary_out is not None:
+            raise ValueError("checkpoint cannot be combined with summary_out")
+        if self.checkpoint is not None and self.fmt != "csv":
+            raise ValueError(f"checkpoint cannot be combined with fmt={self.fmt!r}")
 
     def params(self) -> dict:
         return {
@@ -63,14 +82,6 @@ class VerifyConfig:
             "checkpoint_every": self.checkpoint_every,
             "out_csv": str(self.out_csv),
         }
-
-
-@dataclass
-class VerifyReport:
-    records: int
-    violations: list[dict]
-    elapsed: float
-    complete: bool
 
 
 @dataclass
@@ -114,19 +125,45 @@ class _Checkpoint:
         return cls(**json.loads(path.read_text()))
 
 
-def _verify_one(args: tuple[tuple[int, ...], int]) -> tuple[str, list[dict]]:
-    """Worker: one tree code to its CSV row plus any violations."""
-    levels, oracle_up_to = args
+_TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
+
+
+def _tight_bucket() -> dict:
+    return {
+        "trees": 0,
+        "lb_tight": 0,
+        "ub_tight": 0,
+        "wub_tight": 0,
+        "lb_tight_codes": [],
+        "ub_tight_codes": [],
+        "wub_tight_codes": [],
+    }
+
+
+def _verify_one(
+    args: tuple[tuple[int, ...], int, str],
+) -> tuple[str, list[dict], tuple[bool, bool, bool]]:
+    """Worker: one tree code to its output line, violations and tight flags."""
+    levels, oracle_up_to, fmt = args
     record = record_for_code(levels, with_oracle=len(levels) <= oracle_up_to)
     violations = [v.to_json_dict() for v in verify_record(record)]
-    return record.csv_row(), violations
+    line = record.csv_row() if fmt == "csv" else record.to_jsonl()
+    return line, violations, (record.lb_tight, record.ub_tight, record.wub_tight)
 
 
-def run_verify(cfg: VerifyConfig) -> VerifyReport:
+def _open_records(path: Path, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"output path {path} is not writable: {exc}") from exc
+
+
+def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     """Stream all trees of orders 1..max_order through the bound checks.
 
-    The one-vertex tree carries no bounds, so its checks are vacuous; every
-    order >= 2 exercises the full inequality set.
+    Returns the run's final checkpoint state (records, violations, elapsed)
+    and, when ``cfg.summary_out`` is set, the per-order tightness summary
+    written there: tree counts and the codes attaining each bound exactly.
     """
     cfg.validate()
     started = time.time()
@@ -139,12 +176,12 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
                 f"(checkpoint: {ck.params}, run: {cfg.params()})"
             )
         if ck.status == "complete":
-            return VerifyReport(ck.records, ck.violations, ck.elapsed, True)
-    header = (CSV_HEADER + "\n").encode()
+            return ck, None
     if ck is None:
         ck = _Checkpoint.fresh(cfg.params(), MIN_ORDER)
-        out = open(cfg.out_csv, "wb")
-        out.write(header)
+        out = _open_records(cfg.out_csv, "wb")
+        if cfg.fmt == "csv":
+            out.write((CSV_HEADER + "\n").encode())
         out.flush()
         ck.csv_bytes = out.tell()
     else:
@@ -162,8 +199,11 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
             )
         with open(cfg.out_csv, "r+b") as trunc:
             trunc.truncate(ck.csv_bytes)
-        out = open(cfg.out_csv, "ab")
+        out = _open_records(cfg.out_csv, "ab")
     base_elapsed = ck.elapsed
+    summary: Optional[dict] = None
+    if cfg.summary_out is not None:
+        summary = {"total": 0, "orders": {}}
 
     pool = None
     if cfg.jobs > 1:
@@ -173,18 +213,27 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
             if n < ck.order:
                 continue
             codes = enumerate_codes(n)
+            bucket = None
+            if summary is not None:
+                bucket = summary["orders"][str(n)] = _tight_bucket()
             i = ck.next_index if n == ck.order else 0
             while i < len(codes):
                 batch = codes[i : i + cfg.checkpoint_every]
-                args = [(c.levels, cfg.oracle_up_to) for c in batch]
+                args = [(c.levels, cfg.oracle_up_to, cfg.fmt) for c in batch]
                 if pool is not None:
                     results = pool.map(_verify_one, args)
                 else:
                     results = [_verify_one(a) for a in args]
-                for row, violations in results:
-                    out.write((row + "\n").encode())
+                for code, (line, violations, tight) in zip(batch, results):
+                    out.write((line + "\n").encode())
                     ck.records += 1
                     ck.violations.extend(violations)
+                    if bucket is not None:
+                        bucket["trees"] += 1
+                        for key, flag in zip(_TIGHT_KEYS, tight):
+                            if flag:
+                                bucket[key] += 1
+                                bucket[key + "_codes"].append(code.to_text())
                     if cfg.crash_after is not None and ck.records >= cfg.crash_after:
                         raise CrashRequested(
                             f"aborting after {ck.records} records as requested"
@@ -206,77 +255,20 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
             pool.close()
             pool.join()
 
-    with open(cfg.violations_out, "w", encoding="utf-8") as vf:
-        for v in ck.violations:
-            vf.write(json.dumps(v, sort_keys=True) + "\n")
-        if cfg.checkpoint is not None:
-            # a complete checkpoint is never resumed, so the violations it
-            # vouches for must be on disk first
-            vf.flush()
-            os.fsync(vf.fileno())
+    if cfg.violations_out is not None:
+        with open(cfg.violations_out, "w", encoding="utf-8") as vf:
+            for v in ck.violations:
+                vf.write(json.dumps(v, sort_keys=True) + "\n")
+            if cfg.checkpoint is not None:
+                # a complete checkpoint is never resumed, so the violations it
+                # vouches for must be on disk first
+                vf.flush()
+                os.fsync(vf.fileno())
+    if summary is not None:
+        summary["total"] = ck.records
+        cfg.summary_out.write_text(json.dumps(summary, indent=1, sort_keys=True))
     ck.status = "complete"
     ck.elapsed = base_elapsed + (time.time() - started)
     if cfg.checkpoint is not None:
         ck.dump(cfg.checkpoint)
-    return VerifyReport(ck.records, ck.violations, ck.elapsed, True)
-
-
-@dataclass
-class CensusConfig:
-    max_order: int
-    out_path: Path
-    fmt: str = "csv"
-
-    def validate(self) -> None:
-        cap = max_order_cap()
-        if not MIN_ORDER <= self.max_order <= cap:
-            raise ValueError(f"--max-order must be in {MIN_ORDER}..{cap}")
-        if self.fmt not in ("csv", "jsonl"):
-            raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
-
-
-def _tight_bucket() -> dict:
-    return {
-        "trees": 0,
-        "lb_tight": 0,
-        "ub_tight": 0,
-        "wub_tight": 0,
-        "lb_tight_codes": [],
-        "ub_tight_codes": [],
-        "wub_tight_codes": [],
-    }
-
-
-def run_census(cfg: CensusConfig) -> dict:
-    """Write one record per tree, sorted by (order, code); return the summary."""
-    cfg.validate()
-    summary: dict = {"total": 0, "orders": {}}
-    try:
-        out = open(cfg.out_path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ValueError(f"output path {cfg.out_path} is not writable: {exc}") from exc
-    with out:
-        if cfg.fmt == "csv":
-            out.write(CSV_HEADER + "\n")
-        for n in range(MIN_ORDER, cfg.max_order + 1):
-            bucket = _tight_bucket()
-            for code in enumerate_codes(n):
-                record = record_for_code(code.levels)
-                out.write(
-                    (record.csv_row() if cfg.fmt == "csv" else record.to_jsonl())
-                    + "\n"
-                )
-                bucket["trees"] += 1
-                summary["total"] += 1
-                for flag, key in (
-                    (record.lb_tight, "lb_tight"),
-                    (record.ub_tight, "ub_tight"),
-                    (record.wub_tight, "wub_tight"),
-                ):
-                    if flag:
-                        bucket[key] += 1
-                        bucket[key + "_codes"].append(record.tree_code)
-            summary["orders"][str(n)] = bucket
-    summary_path = Path(str(cfg.out_path) + ".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=1, sort_keys=True))
-    return summary
+    return ck, summary

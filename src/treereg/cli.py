@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from . import census as census_mod
+from . import trees
 from .bounds import ORACLE_ORDER_CAP, record_for_tree
 from .homology import betti_table
 from .graphs import (
@@ -19,7 +20,6 @@ from .graphs import (
     parse_edge_lines,
 )
 from .tables import build_table
-from .trees import canonical_code, enumerate_trees
 
 
 def _record_lines(label: str, record) -> list[str]:
@@ -89,7 +89,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = census_mod.VerifyConfig(
+    # the one-vertex tree carries no bounds, so a sweep that stops there
+    # would check nothing
+    cap = trees.max_order_cap()
+    if not 2 <= args.max_order <= cap:
+        raise ValueError(f"--max-order must be in 2..{cap}")
+    cfg = census_mod.SweepConfig(
         max_order=args.max_order,
         oracle_up_to=args.oracle_up_to,
         out_csv=Path(args.out),
@@ -99,21 +104,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         crash_after=args.crash_after,
     )
-    report = census_mod.run_verify(cfg)
+    ck, _ = census_mod.run_verify(cfg)
     print(
-        f"verified {report.records} trees up to order {args.max_order}: "
-        f"{len(report.violations)} violations ({report.elapsed:.1f}s)"
+        f"verified {ck.records} trees up to order {args.max_order}: "
+        f"{len(ck.violations)} violations ({ck.elapsed:.1f}s)"
     )
     print(f"records: {args.out}")
     print(f"violations: {args.violations}")
-    return 0 if not report.violations else 1
+    return 0 if not ck.violations else 1
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    cfg = census_mod.CensusConfig(
-        max_order=args.max_order, out_path=Path(args.out), fmt=args.format
+    cfg = census_mod.SweepConfig(
+        max_order=args.max_order,
+        out_csv=Path(args.out),
+        fmt=args.format,
+        summary_out=Path(args.out + ".summary.json"),
     )
-    summary = census_mod.run_census(cfg)
+    _, summary = census_mod.run_verify(cfg)
     for n_str, bucket in sorted(summary["orders"].items(), key=lambda kv: int(kv[0])):
         print(
             f"order {n_str}: {bucket['trees']} trees, "
@@ -126,13 +134,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for witness in enumerate_trees(args.order):
-        code = canonical_code(witness).to_text()
+    # enumerate_codes already yields canonical codes
+    for code in trees.enumerate_codes(args.order):
         if args.codes_only:
-            print(code)
+            print(code.to_text())
         else:
-            spec = ",".join(f"{u}-{v}" for u, v in witness.graph.edges())
-            print(f"{code}\t{spec}")
+            edges = trees.graph_from_code(code).edges()
+            spec = ",".join(f"{u}-{v}" for u, v in edges)
+            print(f"{code.to_text()}\t{spec}")
     return 0
 
 

@@ -186,10 +186,6 @@ class TreeWitness:
             raise ValueError("not a tree: graph is disconnected")
 
     @property
-    def is_tree(self) -> bool:
-        return True
-
-    @property
     def order(self) -> int:
         return self.graph.order
 

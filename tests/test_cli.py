@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, checkpoint/resume, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
+from treereg.trees import TreeCode, canonical_code, tree_from_code
 
 
 def run_cli(*argv) -> int:
@@ -83,6 +86,21 @@ class TestEnumerateCommand:
 
     def test_out_of_range(self, capsys):
         assert run_cli("enumerate", "--order", "0") == 2
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_codes_are_canonical_and_edges_rebuild_them(self, n, capsys):
+        assert run_cli("enumerate", "--order", str(n), "--codes-only") == 0
+        codes = capsys.readouterr().out.splitlines()
+        for code in codes:
+            tree = tree_from_code(TreeCode.from_text(code))
+            assert canonical_code(tree).to_text() == code
+        assert run_cli("enumerate", "--order", str(n)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == codes
+        for line in lines:
+            code, spec = line.split("\t")
+            edges = tree_from_code(TreeCode.from_text(code)).graph.edges()
+            assert spec == ",".join(f"{u}-{v}" for u, v in edges)
 
 
 class TestTablesCommand:
@@ -245,6 +263,12 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["check"] == "synthetic"
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "x.csv"
+        assert run_cli("verify", "--max-order", "3", "--out", str(target),
+                       "--violations", str(tmp_path / "v.jsonl")) == 2
+        assert "not writable" in capsys.readouterr().err
+
     def test_jobs_do_not_change_output(self, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
@@ -306,3 +330,39 @@ class TestCensusCommand:
         target = tmp_path / "missing_dir" / "census.csv"
         assert run_cli("census", "--max-order", "3", "--out", str(target)) == 2
         assert "not writable" in capsys.readouterr().err
+
+    def test_csv_equals_verify_csv(self, tmp_path):
+        census, verify = tmp_path / "census.csv", tmp_path / "verify.csv"
+        assert run_cli("census", "--max-order", "10", "--out", str(census)) == 0
+        assert run_cli("verify", "--max-order", "10", "--out", str(verify),
+                       "--violations", str(tmp_path / "v.jsonl")) == 0
+        assert census.read_bytes() == verify.read_bytes()
+
+    @pytest.mark.parametrize("fmt, records_sha256", [
+        ("csv", "5e3db0a870e8be294844a9407dccf356b28f83408b2b3dda81187c199dcbfe6c"),
+        ("jsonl", "a792ee6841c5e2ac4e40d21feebbad6b2c0c45ae71e656513361a1d0a6dd6101"),
+    ])
+    def test_order10_outputs_are_pinned(self, tmp_path, fmt, records_sha256):
+        out = tmp_path / f"census.{fmt}"
+        assert run_cli("census", "--max-order", "10", "--out", str(out),
+                       "--format", fmt) == 0
+        summary = Path(str(out) + ".summary.json")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == records_sha256
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+            "14ae36eaf48fa1b7790e258c6a8b2f63e3314c29901976f4b38d975b9b8e2cb1")
+
+
+class TestSweepConfig:
+    @pytest.mark.parametrize("extra, fields", [
+        ({"summary_out": Path("s.json")}, ("checkpoint", "summary_out")),
+        ({"fmt": "jsonl"}, ("checkpoint", "fmt")),
+    ])
+    def test_checkpoint_refuses_what_resume_cannot_restore(
+        self, tmp_path, extra, fields
+    ):
+        cfg = SweepConfig(max_order=4, out_csv=tmp_path / "r.out",
+                          checkpoint=tmp_path / "ckpt.json", **extra)
+        with pytest.raises(ValueError) as err:
+            run_verify(cfg)
+        assert all(field in str(err.value) for field in fields)
+        assert list(tmp_path.iterdir()) == []

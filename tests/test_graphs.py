@@ -283,7 +283,7 @@ class TestParsing:
 
 class TestTreeWitness:
     def test_valid_tree(self):
-        assert TreeWitness(path_graph(5)).is_tree
+        assert TreeWitness(path_graph(5)).order == 5
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not a tree"):
