@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import TreeWitness, structural_invariants
+from .homology import BETTI_ORDER_CAP, regularity
 from .invariants import independence_number, induced_matching_number
 from .trees import canonical_code, graph_from_code
-
-ORACLE_ORDER_CAP = 10
 
 CSV_HEADER = (
     "tree_code,n,p,d,im,alpha,reg,lb_tree,ub_tree_np,ub_tree_23,"
@@ -216,9 +215,7 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     alpha, alpha_cert = independence_number(g)
     code = canonical_code(t).to_text()
     reg = None
-    if with_oracle and g.order <= ORACLE_ORDER_CAP:
-        from .homology import regularity
-
+    if with_oracle and g.order <= BETTI_ORDER_CAP:
         reg = regularity(g)
     return _record(
         code,
@@ -242,7 +239,7 @@ def record_for_code(
     witnesses, are those of :func:`~treereg.trees.graph_from_code`.  For a
     canonical code the record equals ``record_for_tree(tree_from_code(levels))``
     byte for byte; ``tree_code`` is the input as text.  A Graph is built only
-    for the homology oracle (``with_oracle`` and n <= ORACLE_ORDER_CAP).
+    for the homology oracle (``with_oracle`` and n <= BETTI_ORDER_CAP).
     """
     n = len(levels)
     if not n or levels[0] != 0:
@@ -337,9 +334,7 @@ def record_for_code(
             independent.append(v)
 
     reg = None
-    if with_oracle and n <= ORACLE_ORDER_CAP:
-        from .homology import regularity
-
+    if with_oracle and n <= BETTI_ORDER_CAP:
         reg = regularity(graph_from_code(levels))
     return _record(
         " ".join(map(str, levels)),

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .bounds import CSV_HEADER, ORACLE_ORDER_CAP, record_for_code, verify_record
+from .bounds import CSV_HEADER, record_for_code, verify_record
+from .homology import BETTI_ORDER_CAP
 from .trees import enumerate_codes, max_order_cap
 
 MIN_ORDER = 1
@@ -63,8 +64,8 @@ class SweepConfig:
             raise ValueError(f"--max-order must be in {MIN_ORDER}..{cap}")
         if self.fmt not in ("csv", "jsonl"):
             raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
-        if not 0 <= self.oracle_up_to <= ORACLE_ORDER_CAP:
-            raise ValueError(f"--oracle-up-to must be in 0..{ORACLE_ORDER_CAP}")
+        if not 0 <= self.oracle_up_to <= BETTI_ORDER_CAP:
+            raise ValueError(f"--oracle-up-to must be in 0..{BETTI_ORDER_CAP}")
         if self.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if self.checkpoint_every < 1:

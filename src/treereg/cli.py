@@ -9,8 +9,8 @@ from pathlib import Path
 
 from . import census as census_mod
 from . import trees
-from .bounds import ORACLE_ORDER_CAP, record_for_tree
-from .homology import betti_table
+from .bounds import record_for_tree
+from .homology import BETTI_ORDER_CAP, betti_table
 from .graphs import (
     TreeWitness,
     WhiskerVector,
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-order", type=int, required=True)
     p_ver.add_argument("--oracle-up-to", type=int, default=0,
                        help="also run the homology oracle up to this order "
-                       f"(max {ORACLE_ORDER_CAP})")
+                       f"(max {BETTI_ORDER_CAP})")
     p_ver.add_argument("--checkpoint", help="JSON checkpoint file for resume")
     p_ver.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_ver.add_argument("--out", default="treereg_verify.csv",

@@ -23,57 +23,7 @@ from typing import Mapping, Sequence
 from . import gf2
 from .graphs import Graph
 
-INDEPENDENCE_COMPLEX_ORDER_CAP = 24
 BETTI_ORDER_CAP = 12
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Faces grouped by dimension; the empty face (dimension -1) is always present."""
-
-    vertex_count: int
-    faces_by_dim: Mapping[int, tuple[tuple[int, ...], ...]]
-
-    @property
-    def dim(self) -> int:
-        return max(self.faces_by_dim)
-
-    def validate(self) -> None:
-        """Raise on closure violations, bad sorting, or duplicate faces."""
-        if -1 not in self.faces_by_dim or self.faces_by_dim[-1] != ((),):
-            raise ValueError("complex must contain exactly the empty face in dim -1")
-        for d, faces in self.faces_by_dim.items():
-            if len(set(faces)) != len(faces):
-                raise ValueError(f"duplicate faces in dimension {d}")
-            for f in faces:
-                if len(f) != d + 1:
-                    raise ValueError(f"face {f} listed in dimension {d}")
-                if list(f) != sorted(set(f)):
-                    raise ValueError(f"face {f} is not a sorted vertex set")
-                for v in f:
-                    if not 0 <= v < self.vertex_count:
-                        raise ValueError(f"face {f} uses vertex {v} out of range")
-                if d >= 0:
-                    below = self.faces_by_dim.get(d - 1, ())
-                    for i in range(len(f)):
-                        if f[:i] + f[i + 1:] not in below:
-                            raise ValueError(
-                                f"closure violation: {f} present but "
-                                f"{f[:i] + f[i + 1:]} missing"
-                            )
-
-
-def _face_masks_by_size(c: SimplicialComplex) -> list[list[int]]:
-    """faces_by_dim re-encoded as bitmasks, indexed by face size (dim+1)."""
-    top = c.dim
-    out: list[list[int]] = [[] for _ in range(top + 2)]
-    for d, faces in c.faces_by_dim.items():
-        for f in faces:
-            m = 0
-            for v in f:
-                m |= 1 << v
-            out[d + 1].append(m)
-    return out
 
 
 def _reduced_ranks(masks_by_size: list[list[int]]) -> list[int]:
@@ -107,12 +57,6 @@ def _reduced_ranks(masks_by_size: list[list[int]]) -> list[int]:
     return ranks
 
 
-def reduced_homology_ranks(c: SimplicialComplex) -> list[int]:
-    """Reduced GF(2) homology ranks in dimensions -1..dim(c), in that order."""
-    c.validate()
-    return _reduced_ranks(_face_masks_by_size(c))
-
-
 def _independent_set_masks(neighbor_masks: Sequence[int]) -> list[int]:
     """All independent sets of the graph given by neighbor bitmasks."""
     n = len(neighbor_masks)
@@ -127,21 +71,18 @@ def _independent_set_masks(neighbor_masks: Sequence[int]) -> list[int]:
     return out
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose faces are exactly the independent sets of g."""
-    if g.order > INDEPENDENCE_COMPLEX_ORDER_CAP:
-        raise ValueError(
-            f"order {g.order} exceeds {INDEPENDENCE_COMPLEX_ORDER_CAP}"
-        )
-    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-    for mask in _independent_set_masks(g.neighbor_masks()):
-        if mask == 0:
-            continue
-        f = tuple(v for v in range(g.order) if mask >> v & 1)
-        faces.setdefault(len(f) - 1, []).append(f)
-    return SimplicialComplex(
-        g.order, {d: tuple(sorted(fs)) for d, fs in faces.items()}
-    )
+def _independence_ranks(neighbor_masks: Sequence[int]) -> list[int]:
+    """Reduced GF(2) homology ranks of the independence complex of a graph.
+
+    The graph is given by neighbor bitmasks; the ranks are for dimensions
+    -1..dim of the complex, in that order.
+    """
+    by_size: list[list[int]] = [[] for _ in range(len(neighbor_masks) + 1)]
+    for mask in _independent_set_masks(neighbor_masks):
+        by_size[mask.bit_count()].append(mask)
+    while not by_size[-1]:
+        by_size.pop()
+    return _reduced_ranks(by_size)
 
 
 @dataclass(frozen=True)
@@ -194,14 +135,7 @@ def _betti_entries(g: Graph) -> dict[tuple[int, int], int]:
                 s |= 1 << pos[bit.bit_length() - 1]
                 m ^= bit
             sub.append(s)
-        by_size: list[list[int]] = [[] for _ in range(j + 1)]
-        top = 0
-        for mask in _independent_set_masks(sub):
-            size = mask.bit_count()
-            by_size[size].append(mask)
-            top = max(top, size)
-        ranks = _reduced_ranks(by_size[: top + 1])
-        for s, r in enumerate(ranks):
+        for s, r in enumerate(_independence_ranks(sub)):
             if r:
                 k = s - 1  # homology dimension
                 i = j - k - 1

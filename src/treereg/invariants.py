@@ -71,32 +71,29 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count == g.order - len(connected_components(g))
 
 
-def _rooted_forest_order(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
-    """Per-component BFS order plus parent and children arrays."""
+def _rooted_forest_order(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+    """Per-component BFS order, children arrays, and the roots in BFS order."""
     n = g.order
-    parent = [-1] * n
+    seen = [False] * n
     order: list[int] = []
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots: list[int] = []
     for s in range(n):
-        if parent[s] >= 0:
+        if seen[s]:
             continue
-        parent[s] = s
+        seen[s] = True
+        roots.append(s)
         order.append(s)
         head = len(order) - 1
         while head < len(order):
             v = order[head]
             head += 1
             for u in g.adjacency[v]:
-                if parent[u] < 0:
-                    parent[u] = v
+                if not seen[u]:
+                    seen[u] = True
+                    children[v].append(u)
                     order.append(u)
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for v in order:
-        if parent[v] == v:
-            roots.append(v)
-        else:
-            children[parent[v]].append(v)
-    return order, parent, children
+    return order, children, roots
 
 
 def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
@@ -107,7 +104,7 @@ def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
       1 - v not matched, children unconstrained (parent may be matched);
       2 - unconstrained.
     """
-    order, _, children = _rooted_forest_order(g)
+    order, children, roots = _rooted_forest_order(g)
     n = g.order
     b0 = [0] * n
     b1 = [0] * n
@@ -128,11 +125,7 @@ def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
         b2[v] = best
         pick[v] = best_pick
     edges: list[tuple[int, int]] = []
-    seen_child = [False] * n
-    for v in order:
-        for c in children[v]:
-            seen_child[c] = True
-    stack = [(v, 2) for v in order if not seen_child[v]]
+    stack = [(v, 2) for v in roots]
     while stack:
         v, state = stack.pop()
         if state == 2 and pick[v] >= 0:
@@ -146,7 +139,7 @@ def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
         else:  # state 1, or state 2 resolved as state 1
             for c in children[v]:
                 stack.append((c, 2))
-    total = sum(b2[v] for v in order if not seen_child[v])
+    total = sum(b2[v] for v in roots)
     cert = MatchingCertificate(frozenset(edges), len(edges))
     assert cert.size == total
     return total, cert
@@ -154,19 +147,15 @@ def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
 
 def _forest_independence(g: Graph) -> tuple[int, IndependentSetCertificate]:
     """Classic in/out rooted DP with witness reconstruction."""
-    order, _, children = _rooted_forest_order(g)
+    order, children, roots = _rooted_forest_order(g)
     n = g.order
     inc = [0] * n
     exc = [0] * n
     for v in reversed(order):
         inc[v] = 1 + sum(exc[c] for c in children[v])
         exc[v] = sum(max(inc[c], exc[c]) for c in children[v])
-    seen_child = [False] * n
-    for v in order:
-        for c in children[v]:
-            seen_child[c] = True
     chosen: list[int] = []
-    stack = [(v, True) for v in order if not seen_child[v]]
+    stack = [(v, True) for v in roots]
     while stack:
         v, may_take = stack.pop()
         take = may_take and inc[v] >= exc[v]
@@ -174,7 +163,7 @@ def _forest_independence(g: Graph) -> tuple[int, IndependentSetCertificate]:
             chosen.append(v)
         for c in children[v]:
             stack.append((c, not take))
-    total = sum(max(inc[v], exc[v]) for v in order if not seen_child[v])
+    total = sum(max(inc[v], exc[v]) for v in roots)
     cert = IndependentSetCertificate(frozenset(chosen), len(chosen))
     assert cert.size == total
     return total, cert

@@ -70,6 +70,13 @@ class TestInvariantsCommand:
         assert run_cli("invariants", "--edges", "0-1,2-3") == 2
         assert "not a tree" in capsys.readouterr().err
 
+    def test_regularity_printed_up_to_the_oracle_cap(self, capsys):
+        # P11 has 11 vertices, above the old record cap of 10 but within
+        # the one oracle cap of 12; reg(P_n) = floor((n + 1) / 3).
+        edges = ",".join(f"{v}-{v + 1}" for v in range(10))
+        assert run_cli("invariants", "--edges", edges) == 0
+        assert "im=4 alpha=6 reg=4" in capsys.readouterr().out
+
 
 class TestEnumerateCommand:
     def test_codes_only(self, capsys):
@@ -268,6 +275,14 @@ class TestVerifyCommand:
         assert run_cli("verify", "--max-order", "3", "--out", str(target),
                        "--violations", str(tmp_path / "v.jsonl")) == 2
         assert "not writable" in capsys.readouterr().err
+
+    def test_oracle_up_to_beyond_the_cap_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run_cli("verify", "--max-order", "3", "--oracle-up-to", "13",
+                       "--out", str(out),
+                       "--violations", str(tmp_path / "v.jsonl")) == 2
+        assert "0..12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_do_not_change_output(self, tmp_path):
         serial = tmp_path / "serial.csv"

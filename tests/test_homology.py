@@ -19,11 +19,9 @@ from treereg.graphs import (
 )
 from treereg.homology import (
     BETTI_ORDER_CAP,
-    INDEPENDENCE_COMPLEX_ORDER_CAP,
-    SimplicialComplex,
+    _independence_ranks,
+    _independent_set_masks,
     betti_table,
-    independence_complex,
-    reduced_homology_ranks,
     regularity,
 )
 from treereg.invariants import brute_force_im, independence_number, induced_matching_number
@@ -63,35 +61,49 @@ class TestCalibration:
             betti_table(from_edge_list([], BETTI_ORDER_CAP + 1))
 
 
+def independent_sets(g: Graph) -> set[tuple[int, ...]]:
+    """The independent sets of g as sorted vertex tuples."""
+    return {
+        tuple(v for v in range(g.order) if mask >> v & 1)
+        for mask in _independent_set_masks(g.neighbor_masks())
+    }
+
+
+def random_graph(data) -> Graph:
+    n = data.draw(st.integers(1, 7))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(all_pairs), max_size=10)) if all_pairs else []
+    return from_edge_list(edges, n)
+
+
+def ranks(edges, n) -> list[int]:
+    return _independence_ranks(from_edge_list(edges, n).neighbor_masks())
+
+
 class TestIndependenceComplex:
     def test_single_edge(self):
-        c = independence_complex(path_graph(2))
-        assert c.faces_by_dim == {-1: ((),), 0: ((0,), (1,))}
+        assert independent_sets(path_graph(2)) == {(), (0,), (1,)}
 
     def test_edgeless_is_full_simplex(self):
-        c = independence_complex(from_edge_list([], 3))
-        assert c.faces_by_dim[2] == ((0, 1, 2),)
-        assert len(c.faces_by_dim[1]) == 3
+        faces = independent_sets(from_edge_list([], 3))
+        assert (0, 1, 2) in faces
+        assert sum(len(f) == 2 for f in faces) == 3
 
     def test_p3(self):
-        c = independence_complex(path_graph(3))
-        assert set(c.faces_by_dim[0]) == {(0,), (1,), (2,)}
-        assert c.faces_by_dim[1] == ((0, 2),)
+        faces = independent_sets(path_graph(3))
+        assert {f for f in faces if len(f) == 1} == {(0,), (1,), (2,)}
+        assert {f for f in faces if len(f) == 2} == {(0, 2)}
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            independence_complex(from_edge_list([], INDEPENDENCE_COMPLEX_ORDER_CAP + 1))
+    def test_each_set_listed_once(self):
+        masks = _independent_set_masks(path_graph(6).neighbor_masks())
+        assert len(masks) == len(set(masks)) == 21  # Fibonacci F(8)
 
     @given(st.data())
     @settings(max_examples=40)
     def test_faces_are_exactly_independent_sets(self, data):
-        n = data.draw(st.integers(1, 7))
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(all_pairs), max_size=10)) if all_pairs else []
-        g = from_edge_list(edges, n)
-        c = independence_complex(g)
-        c.validate()
-        faces = {f for fs in c.faces_by_dim.values() for f in fs}
+        g = random_graph(data)
+        n = g.order
+        faces = independent_sets(g)
         for subset in range(1 << n):
             verts = tuple(v for v in range(n) if subset >> v & 1)
             independent = all(
@@ -102,53 +114,36 @@ class TestIndependenceComplex:
 
 class TestReducedHomology:
     def test_two_points(self):
-        assert reduced_homology_ranks(independence_complex(path_graph(2))) == [0, 1]
+        assert ranks([(0, 1)], 2) == [0, 1]
 
     def test_full_simplex_contractible(self):
-        assert reduced_homology_ranks(independence_complex(from_edge_list([], 4))) == [0] * 5
+        assert ranks([], 4) == [0] * 5
 
     def test_hollow_square_is_circle(self):
-        sq = SimplicialComplex(
-            4,
-            {-1: ((),), 0: ((0,), (1,), (2,), (3,)), 1: ((0, 1), (0, 3), (1, 2), (2, 3))},
-        )
-        assert reduced_homology_ranks(sq) == [0, 0, 1]
+        # Ind(2K2) with edges 02 and 13 is the 4-cycle 0-1-2-3-0.
+        assert ranks([(0, 2), (1, 3)], 4) == [0, 0, 1]
 
     def test_empty_complex(self):
-        assert reduced_homology_ranks(SimplicialComplex(0, {-1: ((),)})) == [1]
+        assert _independence_ranks([]) == [1]
 
     def test_cone_has_no_homology(self):
-        # Coning the hollow square: add apex 4 to every face.
-        base = {(0, 1), (0, 3), (1, 2), (2, 3)}
-        faces = {
-            -1: ((),),
-            0: tuple((v,) for v in range(5)),
-            1: tuple(sorted(base)) + tuple((v, 4) for v in range(4)),
-            2: tuple(sorted((a, b, 4) for a, b in base)),
-        }
-        cone = SimplicialComplex(5, faces)
-        assert all(r == 0 for r in reduced_homology_ranks(cone))
+        # An isolated vertex 4 is in every facet: Ind is the cone over the
+        # hollow square.
+        assert ranks([(0, 2), (1, 3)], 5) == [0, 0, 0, 0]
 
-    def test_closure_violation_rejected(self):
-        broken = SimplicialComplex(3, {-1: ((),), 0: ((0,), (1,)), 1: ((0, 2),)})
-        with pytest.raises(ValueError, match="closure"):
-            reduced_homology_ranks(broken)
-
-    def test_missing_empty_face_rejected(self):
-        with pytest.raises(ValueError, match="empty face"):
-            reduced_homology_ranks(SimplicialComplex(1, {0: ((0,),)}))
+    def test_three_disjoint_edges_give_a_2_sphere(self):
+        # Ind(3K2) is the boundary of the octahedron.
+        assert ranks([(0, 1), (2, 3), (4, 5)], 6) == [0, 0, 0, 1]
 
     @given(st.data())
     @settings(max_examples=40)
     def test_euler_characteristic_consistency(self, data):
-        n = data.draw(st.integers(1, 7))
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(all_pairs), max_size=10)) if all_pairs else []
-        c = independence_complex(from_edge_list(edges, n))
-        ranks = reduced_homology_ranks(c)
-        face_counts = [len(c.faces_by_dim.get(k, ())) for k in range(-1, c.dim + 1)]
-        euler_faces = sum((-1) ** k * m for k, m in enumerate(face_counts))
-        euler_ranks = sum((-1) ** k * r for k, r in enumerate(ranks))
+        g = random_graph(data)
+        sizes = [m.bit_count() for m in _independent_set_masks(g.neighbor_masks())]
+        homology = _independence_ranks(g.neighbor_masks())
+        assert len(homology) == max(sizes) + 1
+        euler_faces = sum((-1) ** s for s in sizes)
+        euler_ranks = sum((-1) ** k * r for k, r in enumerate(homology))
         assert euler_faces == euler_ranks
 
 
