@@ -11,7 +11,9 @@ a single JSON file written atomically after every batch, and both it and
 the records it counts are fsynced first; so is the violations file before
 the final checkpoint marks the run complete.  Resuming truncates the records CSV
 back to the last checkpointed byte offset, so a resumed run finishes with
-byte-identical output; a CSV shorter than that offset is refused.
+byte-identical output; a CSV shorter than that offset is refused, and so
+is a checkpoint whose last completed code is not the one the enumeration
+puts just before its index, or that is not a well-formed checkpoint at all.
 
 Records come from the level sequence itself (:func:`record_for_code`), with
 no Graph built unless the homology oracle runs.
@@ -24,13 +26,13 @@ import multiprocessing
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from .bounds import CSV_HEADER, record_for_code, verify_record
 from .homology import BETTI_ORDER_CAP
-from .trees import enumerate_codes, max_order_cap
+from .trees import TreeCode, enumerate_codes, max_order_cap
 
 MIN_ORDER = 1
 
@@ -123,7 +125,35 @@ class _Checkpoint:
 
     @classmethod
     def load(cls, path: Path) -> "_Checkpoint":
-        return cls(**json.loads(path.read_text()))
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"checkpoint {path} must hold a JSON object, not {type(data).__name__}"
+            )
+        keys = {f.name for f in fields(cls)}
+        missing, unexpected = sorted(keys - data.keys()), sorted(data.keys() - keys)
+        if missing or unexpected:
+            raise ValueError(
+                f"checkpoint {path} is malformed (missing keys: {missing}, "
+                f"unexpected keys: {unexpected}); delete it to start over"
+            )
+        return cls(**data)
+
+    def check_place(self, path: Path, codes: list[TreeCode]) -> None:
+        """Refuse to resume unless ``codes`` (this order's enumeration) has
+        the checkpointed last completed code just before ``next_index``."""
+        i = self.next_index - 1
+        found = codes[i].to_text() if i < len(codes) else None
+        expected = self.last_completed_code.get(str(self.order))
+        if found != expected:
+            raise ValueError(
+                f"checkpoint {path} names code {expected!r} at order {self.order} "
+                f"index {i}, but the enumeration has {found!r} there; delete "
+                "the checkpoint to start over"
+            )
 
 
 _TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
@@ -169,6 +199,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     cfg.validate()
     started = time.time()
     ck: Optional[_Checkpoint] = None
+    # the resumed order's codes, enumerated once to check the checkpoint
+    resumed: dict[int, list[TreeCode]] = {}
     if cfg.checkpoint is not None and cfg.checkpoint.exists():
         ck = _Checkpoint.load(cfg.checkpoint)
         if ck.params != cfg.params():
@@ -198,6 +230,9 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 f"records in {cfg.out_csv}, which has only {size}; delete the "
                 "checkpoint to start over"
             )
+        if ck.next_index > 0:
+            resumed[ck.order] = enumerate_codes(ck.order)
+            ck.check_place(cfg.checkpoint, resumed[ck.order])
         with open(cfg.out_csv, "r+b") as trunc:
             trunc.truncate(ck.csv_bytes)
         out = _open_records(cfg.out_csv, "ab")
@@ -213,7 +248,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         for n in range(MIN_ORDER, cfg.max_order + 1):
             if n < ck.order:
                 continue
-            codes = enumerate_codes(n)
+            codes = resumed.pop(n, None) or enumerate_codes(n)
             bucket = None
             if summary is not None:
                 bucket = summary["orders"][str(n)] = _tight_bucket()

@@ -134,7 +134,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # enumerate_codes already yields canonical codes
+    # enumerate_codes returns canonical codes taken from the generator's
+    # level sequences, so only the edge specs need a Graph
     for code in trees.enumerate_codes(args.order):
         if args.codes_only:
             print(code.to_text())

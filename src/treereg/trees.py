@@ -9,8 +9,14 @@ deterministic total order every enumeration consumer relies on.
 Generation walks canonical rooted level sequences with the classical
 Beyer-Hedetniemi successor, restricted to free-tree representatives in the
 Wright-Richmond-Odlyzko-McKay style, so each isomorphism class appears
-exactly once without pairwise comparisons.  The all-Pruefer-sequences
-enumeration stays exponential and is kept in the test suite as an oracle.
+exactly once without pairwise comparisons.  Each layout the walk yields is
+already rooted at a center with its sibling blocks in descending order, so
+its code comes from the level sequence alone: a unicentral layout is its
+code, and a bicentral one is re-rooted at the other center in O(n) and the
+larger sequence kept.  No Graph is built during enumeration; the
+adjacency-based canonicalizer serves labeled input.  The
+all-Pruefer-sequences enumeration stays exponential and is kept in the test
+suite as an oracle.
 """
 
 from __future__ import annotations
@@ -168,15 +174,11 @@ def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
 
 def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
     """First root subtree (levels shifted down) and the rest with the root."""
-    m = len(seq)
-    seen_one = False
-    for i in range(1, len(seq)):
-        if seq[i] == 1:
-            if seen_one:
-                m = i
-                break
-            seen_one = True
-    return [seq[i] - 1 for i in range(1, m)], [0] + seq[m:]
+    try:
+        m = seq.index(1, 2)
+    except ValueError:
+        m = len(seq)
+    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
 
 
 def _free_tree_layouts(n: int) -> Iterator[list[int]]:
@@ -212,15 +214,48 @@ def _free_tree_layouts(n: int) -> Iterator[list[int]]:
             seq = nxt
 
 
+def _layout_code(layout: list[int]) -> list[int]:
+    """Canonical code of a layout from :func:`_free_tree_layouts`.
+
+    The layout is rooted at a center c0 and its sibling blocks descend, so
+    it is c0's canonical rooting.  The tree is bicentral exactly when the
+    first subtree (rooted at the other center c1) is as tall as the rest;
+    then c1's rooting is c1's child blocks plus the rest as one more block,
+    inserted in descending order, and the larger of the two rootings is
+    the code.
+    """
+    if len(layout) < 4:
+        return layout
+    m = layout.index(1, 2)
+    if max(layout[m:]) != max(layout[1:m]) - 1:
+        return layout
+    # Compare blocks at the depth c1's children have in the layout (level
+    # 2), then take one off every level to root the sequence at c1.
+    moved = [2] + [x + 2 for x in layout[m:]]
+    start = 2
+    for i in range(3, m):
+        if layout[i] == 2:
+            if moved > layout[start:i]:
+                break
+            start = i
+    else:
+        if moved <= layout[start:m]:
+            start = m
+    other = [0] + [x - 1 for x in layout[2:start] + moved + layout[start:m]]
+    return other if other > layout else layout
+
+
 def enumerate_codes(n: int) -> list[TreeCode]:
-    """Canonical codes of all non-isomorphic trees of order n, ascending."""
+    """Canonical codes of all non-isomorphic trees of order n, ascending.
+
+    Each code comes from its generator layout by :func:`_layout_code`,
+    re-rooted at the other center only for bicentral trees; no Graph is
+    built.
+    """
     cap = max_order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside 1..{cap}")
-    raw = [
-        bytes(_code_levels(graph_from_code(layout).adjacency))
-        for layout in _free_tree_layouts(n)
-    ]
+    raw = [bytes(_layout_code(layout)) for layout in _free_tree_layouts(n)]
     raw.sort()
     return [TreeCode(tuple(b)) for b in raw]
 

@@ -110,6 +110,18 @@ class TestEnumerateCommand:
             assert spec == ",".join(f"{u}-{v}" for u, v in edges)
 
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--order", "13", "--codes-only"),
+         "b9f0ddb4b3d6c8f4f759b81e3851ee5d9d45847e8e9fe929242faebb77302ca5"),
+        (("--order", "11"),
+         "8f1692b99af80399a5a9bf865aab0e5e017e1e979f673c093e24177f7b92bf0c"),
+    ])
+    def test_output_bytes_are_pinned(self, argv, sha256, capsys):
+        assert run_cli("enumerate", *argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == sha256
+
+
 class TestTablesCommand:
     def test_table_to_file(self, tmp_path, capsys):
         out = tmp_path / "t3.csv"
@@ -207,6 +219,49 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert f"expects {expected} bytes" in err and "has only 500" in err
         assert csv.read_bytes().count(b"\0") == 0
+
+    def test_resume_refuses_a_checkpoint_out_of_place(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        csv = tmp_path / "x.csv"
+        common = ["--max-order", "9", "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "10"]
+        # orders 1..8 hold 48 trees, so the crash comes 12 trees into order
+        # 9, after the checkpoint at index 10 and with two rows past it
+        assert run_cli("verify", *common, "--crash-after", "60") == 3
+        state = json.loads(ckpt.read_text())
+        order, index = state["order"], state["next_index"]
+        assert (order, index) == (9, 10)
+        assert csv.stat().st_size > state["csv_bytes"]
+        real = state["last_completed_code"][str(order)]
+        wrong = "0 " + " ".join(["1"] * (order - 1))  # the star, never last here
+        assert wrong != real
+        state["last_completed_code"][str(order)] = wrong
+        ckpt.write_text(json.dumps(state))
+        before = csv.read_bytes()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert f"order {order} index {index - 1}" in err
+        assert repr(wrong) in err and repr(real) in err
+        assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("content, names", [
+        ('{"run_id": "x"}', ("missing keys", "next_index", "csv_bytes")),
+        ('{"run_id": "x", "bogus": 1}', ("unexpected keys", "bogus")),
+        ("[1, 2]", ("JSON object", "list")),
+        ("{not json", ("not valid JSON",)),
+    ])
+    def test_malformed_checkpoint_is_refused(self, tmp_path, capsys, content, names):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(content)
+        csv = tmp_path / "x.csv"
+        assert run_cli("verify", "--max-order", "5", "--out", str(csv),
+                       "--violations", str(tmp_path / "x.jsonl"),
+                       "--checkpoint", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert all(name in err for name in names)
+        assert not csv.exists()
 
     def test_resume_refuses_mismatched_parameters(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from treereg.graphs import TreeWitness, from_edge_list, path_graph, star_graph
 from treereg.trees import (
     TreeCode,
+    _code_levels,
+    _free_tree_layouts,
+    _layout_code,
     canonical_code,
     count_trees,
     enumerate_codes,
@@ -82,9 +85,22 @@ class TestEnumeration:
         assert count_trees(n) == count
 
     def test_strictly_increasing_codes(self):
-        for n in (6, 7, 8):
+        for n in range(1, 15):
             codes = enumerate_codes(n)
-            assert all(a < b for a, b in zip(codes, codes[1:]))
+            assert all(a < b for a, b in zip(codes, codes[1:])), f"n={n}"
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_layout_code_matches_the_adjacency_canonicalizer(self, n):
+        rerooted = 0
+        for layout in _free_tree_layouts(n):
+            code = _layout_code(layout)
+            assert tuple(code) == _code_levels(graph_from_code(layout).adjacency)
+            rerooted += code != layout
+        # the other center's rooting first wins at order 5
+        assert (rerooted > 0) == (n >= 5)
+
+    def test_bicentral_layout_is_rerooted(self):
+        assert _layout_code([0, 1, 2, 1, 1]) == [0, 1, 2, 2, 1]
 
     def test_witness_orders(self):
         assert all(t.order == 7 for t in enumerate_trees(7))
