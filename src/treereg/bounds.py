@@ -5,6 +5,10 @@ Field and CSV column names follow the census schema: ``lb_tree`` is
 floor((n-p+d+5)/6), ``ub_tree_np`` is n-p, ``ub_tree_23`` is
 floor((2n-p)/3), ``wub_d`` is ceil((2n-d-1)/2), ``wub_p`` is
 floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
+
+A tree given as a level sequence gets its invariants from
+:func:`code_kernel` and its full record, witnesses included, from
+:func:`record_for_code`; a labeled tree takes :func:`record_for_tree`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional, Sequence
 from .graphs import TreeWitness, structural_invariants
 from .homology import BETTI_ORDER_CAP, regularity
 from .invariants import independence_number, induced_matching_number
-from .trees import canonical_code, graph_from_code
+from .trees import canonical_code, code_text, graph_from_code
 
 CSV_HEADER = (
     "tree_code,n,p,d,im,alpha,reg,lb_tree,ub_tree_np,ub_tree_23,"
@@ -230,16 +234,13 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     )
 
 
-def record_for_code(
-    levels: Sequence[int], with_oracle: bool = False
-) -> InvariantRecord:
-    """The record of the tree a level sequence encodes, in O(n) and no Graph.
+def code_kernel(levels: Sequence[int]) -> tuple:
+    """n, p, d, im and alpha of the tree a level sequence encodes, in O(n).
 
-    Vertex v is position v of the sequence, so the labels, and with them the
-    witnesses, are those of :func:`~treereg.trees.graph_from_code`.  For a
-    canonical code the record equals ``record_for_tree(tree_from_code(levels))``
-    byte for byte; ``tree_code`` is the input as text.  A Graph is built only
-    for the homology oracle (``with_oracle`` and n <= BETTI_ORDER_CAP).
+    Returns ``(n, p, d, im, alpha, parent, pick, inc, exc)``: the five
+    invariants, then the arrays :func:`record_for_code`'s witness pass reads.
+    ``levels`` may be a tuple or ``bytes``; vertex v is position v, as in
+    :func:`~treereg.trees.graph_from_code`, whose errors it raises.
     """
     n = len(levels)
     if not n or levels[0] != 0:
@@ -309,7 +310,24 @@ def record_for_code(
             deep1[u] = dv
         elif dv > deep2[u]:
             deep2[u] = dv
+    alpha = inc[0] if inc[0] > exc[0] else exc[0]
+    return n, leaves + (root_children == 1), d, b2, alpha, parent, pick, inc, exc
 
+
+def record_for_code(
+    levels: Sequence[int], with_oracle: bool = False
+) -> InvariantRecord:
+    """The record of the tree a level sequence encodes, in O(n) and no Graph.
+
+    :func:`code_kernel` gives the invariants; one more pass builds the
+    witnesses.  Vertex v is position v of the sequence, so the labels, and
+    with them the witnesses, are those of
+    :func:`~treereg.trees.graph_from_code`.  For a canonical code the record
+    equals ``record_for_tree(tree_from_code(levels))`` byte for byte;
+    ``tree_code`` is the input as text.  A Graph is built only for the
+    homology oracle (``with_oracle`` and n <= BETTI_ORDER_CAP).
+    """
+    n, p, d, im, alpha, parent, pick, inc, exc = code_kernel(levels)
     # Witnesses, parent before child like the DPs' stack walks.  state 3 is
     # state 2 with a pick (v matched to it); state 2 without one acts as 1.
     state = [3 if pick[0] >= 0 else 1] + [0] * (n - 1)
@@ -337,12 +355,12 @@ def record_for_code(
     if with_oracle and n <= BETTI_ORDER_CAP:
         reg = regularity(graph_from_code(levels))
     return _record(
-        " ".join(map(str, levels)),
+        code_text(levels),
         n,
-        leaves + (root_children == 1),
+        p,
         d,
-        b2,
-        max(inc[0], exc[0]),
+        im,
+        alpha,
         reg,
         tuple(matching),
         tuple(independent),

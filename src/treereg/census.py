@@ -15,8 +15,14 @@ byte-identical output; a CSV shorter than that offset is refused, and so
 is a checkpoint whose last completed code is not the one the enumeration
 puts just before its index, or that is not a well-formed checkpoint at all.
 
-Records come from the level sequence itself (:func:`record_for_code`), with
-no Graph built unless the homology oracle runs.
+Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
+level sequence itself, with no Graph built unless the homology oracle runs.
+A CSV row above the oracle's orders is the code text plus a tail that
+depends only on the kernel's (n, p, d, im, alpha) (:func:`code_kernel`);
+each distinct tail, with its violations and tight flags, is built once per
+run from a record by :func:`_record`, ``csv_row`` and :func:`verify_record`,
+so the row format and the inequalities each stay in one place.  JSONL
+records and oracle rows take the full :func:`record_for_code` path.
 """
 
 from __future__ import annotations
@@ -28,11 +34,18 @@ import time
 import uuid
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_origin, get_type_hints
 
-from .bounds import CSV_HEADER, record_for_code, verify_record
+from .bounds import (
+    CSV_HEADER,
+    Violation,
+    _record,
+    code_kernel,
+    record_for_code,
+    verify_record,
+)
 from .homology import BETTI_ORDER_CAP
-from .trees import TreeCode, enumerate_codes, max_order_cap
+from .trees import code_bytes, code_text, max_order_cap
 
 MIN_ORDER = 1
 
@@ -140,13 +153,24 @@ class _Checkpoint:
                 f"checkpoint {path} is malformed (missing keys: {missing}, "
                 f"unexpected keys: {unexpected}); delete it to start over"
             )
+        for key, hint in get_type_hints(cls).items():
+            expected = get_origin(hint) or hint
+            value = data[key]
+            # an int stands for a float, as in JSON; a bool is no int here
+            ok = isinstance(value, (int, float) if expected is float else expected)
+            if not ok or isinstance(value, bool):
+                raise ValueError(
+                    f"checkpoint {path} is malformed (key {key!r} must be "
+                    f"{expected.__name__}, found {type(value).__name__}); "
+                    "delete it to start over"
+                )
         return cls(**data)
 
-    def check_place(self, path: Path, codes: list[TreeCode]) -> None:
+    def check_place(self, path: Path, codes: list[bytes]) -> None:
         """Refuse to resume unless ``codes`` (this order's enumeration) has
         the checkpointed last completed code just before ``next_index``."""
         i = self.next_index - 1
-        found = codes[i].to_text() if i < len(codes) else None
+        found = code_text(codes[i]) if i < len(codes) else None
         expected = self.last_completed_code.get(str(self.order))
         if found != expected:
             raise ValueError(
@@ -171,11 +195,36 @@ def _tight_bucket() -> dict:
     }
 
 
+# A CSV row after its code, the row's violations as (check, detail) pairs,
+# and its tight flags.
+_Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
+
+# (n, p, d, im, alpha) -> its _Tail.  run_verify empties it before any
+# worker forks, so no run reuses what another run's verify_record found;
+# each worker fills its own copy.
+_ROW_TAILS: dict[tuple, _Tail] = {}
+
+
+def _row_tail(key: tuple) -> _Tail:
+    record = _record("", *key, None, (), ())
+    checks = [(v.check, v.detail) for v in verify_record(record)]
+    return record.csv_row(), checks, (record.lb_tight, record.ub_tight, record.wub_tight)
+
+
 def _verify_one(
-    args: tuple[tuple[int, ...], int, str],
+    args: tuple[bytes, int, str],
 ) -> tuple[str, list[dict], tuple[bool, bool, bool]]:
     """Worker: one tree code to its output line, violations and tight flags."""
     levels, oracle_up_to, fmt = args
+    if fmt == "csv" and len(levels) > oracle_up_to:
+        key = code_kernel(levels)[:5]
+        tail = _ROW_TAILS.get(key)
+        if tail is None:
+            tail = _ROW_TAILS[key] = _row_tail(key)
+        row, checks, tight = tail
+        code = code_text(levels)
+        violations = [Violation(code, c, detail).to_json_dict() for c, detail in checks]
+        return code + row, violations, tight
     record = record_for_code(levels, with_oracle=len(levels) <= oracle_up_to)
     violations = [v.to_json_dict() for v in verify_record(record)]
     line = record.csv_row() if fmt == "csv" else record.to_jsonl()
@@ -197,10 +246,11 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     written there: tree counts and the codes attaining each bound exactly.
     """
     cfg.validate()
+    _ROW_TAILS.clear()
     started = time.time()
     ck: Optional[_Checkpoint] = None
     # the resumed order's codes, enumerated once to check the checkpoint
-    resumed: dict[int, list[TreeCode]] = {}
+    resumed: dict[int, list[bytes]] = {}
     if cfg.checkpoint is not None and cfg.checkpoint.exists():
         ck = _Checkpoint.load(cfg.checkpoint)
         if ck.params != cfg.params():
@@ -231,7 +281,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 "checkpoint to start over"
             )
         if ck.next_index > 0:
-            resumed[ck.order] = enumerate_codes(ck.order)
+            resumed[ck.order] = code_bytes(ck.order)
             ck.check_place(cfg.checkpoint, resumed[ck.order])
         with open(cfg.out_csv, "r+b") as trunc:
             trunc.truncate(ck.csv_bytes)
@@ -248,14 +298,14 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         for n in range(MIN_ORDER, cfg.max_order + 1):
             if n < ck.order:
                 continue
-            codes = resumed.pop(n, None) or enumerate_codes(n)
+            codes = resumed.pop(n, None) or code_bytes(n)
             bucket = None
             if summary is not None:
                 bucket = summary["orders"][str(n)] = _tight_bucket()
             i = ck.next_index if n == ck.order else 0
             while i < len(codes):
                 batch = codes[i : i + cfg.checkpoint_every]
-                args = [(c.levels, cfg.oracle_up_to, cfg.fmt) for c in batch]
+                args = [(c, cfg.oracle_up_to, cfg.fmt) for c in batch]
                 if pool is not None:
                     results = pool.map(_verify_one, args)
                 else:
@@ -269,7 +319,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                         for key, flag in zip(_TIGHT_KEYS, tight):
                             if flag:
                                 bucket[key] += 1
-                                bucket[key + "_codes"].append(code.to_text())
+                                bucket[key + "_codes"].append(code_text(code))
                     if cfg.crash_after is not None and ck.records >= cfg.crash_after:
                         raise CrashRequested(
                             f"aborting after {ck.records} records as requested"
@@ -278,7 +328,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 i += len(batch)
                 ck.order = n
                 ck.next_index = i
-                ck.last_completed_code[str(n)] = batch[-1].to_text()
+                ck.last_completed_code[str(n)] = code_text(batch[-1])
                 ck.csv_bytes = out.tell()
                 ck.elapsed = base_elapsed + (time.time() - started)
                 if cfg.checkpoint is not None:

@@ -134,15 +134,16 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # enumerate_codes returns canonical codes taken from the generator's
-    # level sequences, so only the edge specs need a Graph
-    for code in trees.enumerate_codes(args.order):
+    # code_bytes returns canonical codes taken from the generator's level
+    # sequences, so only the edge specs need a Graph
+    for code in trees.code_bytes(args.order):
+        text = trees.code_text(code)
         if args.codes_only:
-            print(code.to_text())
+            print(text)
         else:
             edges = trees.graph_from_code(code).edges()
             spec = ",".join(f"{u}-{v}" for u, v in edges)
-            print(f"{code.to_text()}\t{spec}")
+            print(f"{text}\t{spec}")
     return 0
 
 

@@ -13,10 +13,11 @@ exactly once without pairwise comparisons.  Each layout the walk yields is
 already rooted at a center with its sibling blocks in descending order, so
 its code comes from the level sequence alone: a unicentral layout is its
 code, and a bicentral one is re-rooted at the other center in O(n) and the
-larger sequence kept.  No Graph is built during enumeration; the
-adjacency-based canonicalizer serves labeled input.  The
-all-Pruefer-sequences enumeration stays exponential and is kept in the test
-suite as an oracle.
+larger sequence kept.  No Graph is built during enumeration, and the
+sweeps take the codes as sorted ``bytes`` (:func:`code_bytes`) with no
+:class:`TreeCode` per tree; the adjacency-based canonicalizer serves
+labeled input.  The all-Pruefer-sequences enumeration stays exponential and
+is kept in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, TreeWitness, from_edge_list
 
@@ -57,11 +58,16 @@ class TreeCode:
 
     def to_text(self) -> str:
         """Space-separated levels; the stable primary key in all output files."""
-        return " ".join(str(x) for x in self.levels)
+        return code_text(self.levels)
 
     @classmethod
     def from_text(cls, text: str) -> "TreeCode":
         return cls(tuple(int(tok) for tok in text.split()))
+
+
+def code_text(levels: Iterable[int]) -> str:
+    """A level sequence (tuple or ``bytes``) as its space-separated text."""
+    return " ".join(map(str, levels))
 
 
 def _tree_centers(adj: Sequence[Sequence[int]]) -> list[int]:
@@ -245,24 +251,30 @@ def _layout_code(layout: list[int]) -> list[int]:
     return other if other > layout else layout
 
 
-def enumerate_codes(n: int) -> list[TreeCode]:
-    """Canonical codes of all non-isomorphic trees of order n, ascending.
+def code_bytes(n: int) -> list[bytes]:
+    """Canonical codes of all non-isomorphic trees of order n, ascending, as
+    ``bytes`` (one level per byte; bytes order is the code order).
 
     Each code comes from its generator layout by :func:`_layout_code`,
-    re-rooted at the other center only for bicentral trees; no Graph is
-    built.
+    re-rooted at the other center only for bicentral trees; no Graph and
+    no :class:`TreeCode` is built.
     """
     cap = max_order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside 1..{cap}")
     raw = [bytes(_layout_code(layout)) for layout in _free_tree_layouts(n)]
     raw.sort()
-    return [TreeCode(tuple(b)) for b in raw]
+    return raw
+
+
+def enumerate_codes(n: int) -> list[TreeCode]:
+    """Canonical codes of all non-isomorphic trees of order n, ascending."""
+    return [TreeCode(tuple(b)) for b in code_bytes(n)]
 
 
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:
     """One witness per isomorphism class of order-n trees, ascending code order."""
-    for code in enumerate_codes(n):
+    for code in code_bytes(n):
         yield tree_from_code(code)
 
 

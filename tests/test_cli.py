@@ -263,6 +263,32 @@ class TestVerifyCommand:
         assert all(name in err for name in names)
         assert not csv.exists()
 
+    @pytest.mark.parametrize("key, value, expected, found", [
+        ("next_index", "10", "int", "str"),
+        ("csv_bytes", None, "int", "NoneType"),
+        ("violations", {}, "list", "dict"),
+        ("last_completed_code", [], "dict", "list"),
+        ("records", True, "int", "bool"),
+    ])
+    def test_checkpoint_value_of_the_wrong_type_is_refused(
+        self, tmp_path, capsys, key, value, expected, found
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        csv = tmp_path / "x.csv"
+        common = ["--max-order", "8", "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
+        assert run_cli("verify", *common, "--crash-after", "10") == 3
+        state = json.loads(ckpt.read_text())
+        state[key] = value
+        ckpt.write_text(json.dumps(state))
+        before = csv.read_bytes()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert f"key {key!r} must be {expected}, found {found}" in err
+        assert csv.read_bytes() == before
+
     def test_resume_refuses_mismatched_parameters(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         common = ["--out", str(tmp_path / "a.csv"),
@@ -324,6 +350,30 @@ class TestVerifyCommand:
         lines = vio.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["check"] == "synthetic"
+
+    def test_a_second_run_in_one_process_checks_afresh(self, tmp_path, monkeypatch):
+        # rows are cached per invariant tuple; a cache that outlived the first
+        # run would replay its clean verdict for the star
+        import treereg.census as census_mod
+        from treereg.bounds import Violation
+
+        common = ["--max-order", "5", "--out", str(tmp_path / "r.csv")]
+        first = tmp_path / "a.jsonl"
+        assert run_cli("verify", *common, "--violations", str(first)) == 0
+        real = census_mod.verify_record
+
+        def inject(record):
+            found = list(real(record))
+            if record.n == 5 and record.p == 4:  # the 4-leaf star
+                found.append(Violation(record.tree_code, "synthetic", "forced"))
+            return found
+
+        monkeypatch.setattr(census_mod, "verify_record", inject)
+        vio = tmp_path / "b.jsonl"
+        assert run_cli("verify", *common, "--violations", str(vio)) == 1
+        lines = [json.loads(line) for line in vio.read_text().splitlines()]
+        assert lines == [{"tree_code": "0 1 1 1 1", "check": "synthetic",
+                          "detail": "forced"}]
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "x.csv"

@@ -1,12 +1,17 @@
 """The level-sequence record kernel against the Graph path it replaces."""
 
+import json
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treereg.bounds import record_for_code, record_for_tree
+import treereg.census as census_mod
+from treereg.bounds import Violation, code_kernel, record_for_code, record_for_tree
 from treereg.cli import main
 from treereg.trees import (
     canonical_code,
+    code_bytes,
     enumerate_codes,
     graph_from_code,
     random_tree,
@@ -68,3 +73,79 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
         for code in enumerate_codes(n)
     )
     assert out.read_bytes() == expected.encode()
+
+
+def assert_fast_row_matches_the_record_path(levels):
+    slow = record_for_tree(tree_from_code(levels))
+    line, violations, tight = census_mod._verify_one((bytes(levels), 0, "csv"))
+    assert line == slow.csv_row()
+    assert violations == [v.to_json_dict() for v in census_mod.verify_record(slow)]
+    assert tight == (slow.lb_tight, slow.ub_tight, slow.wub_tight)
+
+
+@pytest.fixture(params=["verify_record", "probe"])
+def checker(request, monkeypatch):
+    """The sweep's checker as it is, or with a probe violation on about half
+    the trees whose detail carries every field the row cache keys on and
+    the tight flags.  The row cache starts empty, as run_verify starts it."""
+    real = census_mod.verify_record
+
+    def probe(record):
+        found = list(real(record))
+        if (record.im + record.alpha + record.d) % 2:
+            found.append(Violation(
+                record.tree_code,
+                "probe",
+                f"n={record.n} p={record.p} d={record.d} im={record.im} "
+                f"alpha={record.alpha} tight={record.lb_tight},"
+                f"{record.ub_tight},{record.wub_tight}",
+            ))
+        return found
+
+    if request.param == "probe":
+        monkeypatch.setattr(census_mod, "verify_record", probe)
+    monkeypatch.setattr(census_mod, "_ROW_TAILS", {})
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_fast_rows_match_the_record_path(n, checker):
+    for code in code_bytes(n):
+        assert_fast_row_matches_the_record_path(code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_random_fast_rows_match_the_record_path(n, seed):
+    census_mod._ROW_TAILS.clear()
+    assert_fast_row_matches_the_record_path(canonical_code(random_tree(n, seed)).levels)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_code_bytes_are_the_enumerated_codes(n):
+    raw = code_bytes(n)
+    assert all(type(b) is bytes for b in raw)
+    assert [tuple(b) for b in raw] == [c.levels for c in enumerate_codes(n)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_cached_violation_names_each_tree(tmp_path, monkeypatch, jobs):
+    by_key = defaultdict(list)
+    for code in code_bytes(8):
+        by_key[code_kernel(code)[:5]].append(" ".join(map(str, code)))
+    key, codes = next((k, c) for k, c in by_key.items() if len(c) >= 2)
+    real = census_mod.verify_record
+
+    def inject(record):
+        found = list(real(record))
+        if (record.n, record.p, record.d, record.im, record.alpha) == key:
+            found.append(Violation(record.tree_code, "synthetic", "forced"))
+        return found
+
+    monkeypatch.setattr(census_mod, "verify_record", inject)
+    vio = tmp_path / "v.jsonl"
+    assert main(["verify", "--max-order", "8", "--jobs", jobs,
+                 "--out", str(tmp_path / "r.csv"), "--violations", str(vio)]) == 1
+    lines = [json.loads(line) for line in vio.read_text().splitlines()]
+    assert lines == [
+        {"tree_code": code, "check": "synthetic", "detail": "forced"} for code in codes
+    ]
