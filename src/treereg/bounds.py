@@ -7,14 +7,18 @@ floor((2n-p)/3), ``wub_d`` is ceil((2n-d-1)/2), ``wub_p`` is
 floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
 A tree given as a level sequence gets its invariants from
-:func:`code_kernel` and its full record, witnesses included, from
-:func:`record_for_code`; a labeled tree takes :func:`record_for_tree`.
+:func:`code_kernel`, a fold that visits each distinct rooted subtree once
+per sweep and feeds the sweep's CSV rows, and its full record, witnesses
+included, from :func:`record_for_code`, whose array pass over the parents
+is also the fold's reference; a labeled tree takes
+:func:`record_for_tree`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .graphs import TreeWitness, structural_invariants
@@ -234,8 +238,75 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     )
 
 
-def code_kernel(levels: Sequence[int]) -> tuple:
-    """n, p, d, im and alpha of the tree a level sequence encodes, in O(n).
+# The summary of a rooted subtree the fold needs: the three-state matching
+# DP's b0/b1/b2 (invariants._forest_induced_matching), the in/out
+# independence DP, the height, the longest path inside it and its leaves.
+# A leaf, at any depth:
+_LEAF = (0, 0, 0, 1, 0, 0, 0, 1)
+
+
+def _fold(blocks: list[bytes]) -> tuple:
+    """A vertex's summary from its children's blocks (at least one)."""
+    s0 = s1 = exc = leaves = h1 = h2 = dia = 0
+    inc = 1
+    gain = None
+    for c0, c1, c2, ci, ce, ch, cd, cl in map(_subtree, blocks):
+        s0 += c1
+        s1 += c2
+        if gain is None or c0 - c1 > gain:
+            gain = c0 - c1
+        inc += ce
+        exc += ci if ci > ce else ce
+        ch += 1
+        if ch > h1:
+            h1, h2 = ch, h1
+        elif ch > h2:
+            h2 = ch
+        if cd > dia:
+            dia = cd
+        leaves += cl
+    b2 = 1 + s0 + gain
+    if h1 + h2 > dia:
+        dia = h1 + h2
+    return s0, s1, b2 if b2 > s1 else s1, inc, exc, h1, dia, leaves
+
+
+@cache
+def _subtree(block: bytes) -> tuple:
+    """The summary of the vertex whose descendants are ``block``.
+
+    ``block`` holds the descendants' levels as they stand in the code, so a
+    non-empty block's bytes fix its depth and equal blocks are equal rooted
+    subtrees; the empty block is a leaf, whose summary is the same at every
+    depth.  Each child's own block runs from one byte equal to the block's
+    first to the next.
+    """
+    if not block:
+        return _LEAF
+    return _fold(block.split(block[:1])[1:])
+
+
+def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
+    """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence encodes.
+
+    A memoized fold over rooted subtrees: the blocks after each level-1 byte
+    are the root's children, and :func:`_subtree` folds each distinct block
+    once until its cache is cleared (``census.run_verify`` clears it at the
+    start of every sweep).  The recurrences are those of
+    :func:`record_for_code`'s array pass, which stays the reference and the
+    witness path.  Nothing is validated: the input must be a level sequence
+    such as :func:`~treereg.trees.code_bytes` returns.
+    """
+    n = len(code)
+    if n == 1:
+        return 1, 0, 0, 0, 1
+    blocks = code.split(b"\x01")[1:]
+    _, _, im, inc, exc, _, d, leaves = _fold(blocks)
+    return n, leaves + (len(blocks) == 1), d, im, inc if inc > exc else exc
+
+
+def _array_pass(levels: Sequence[int]) -> tuple:
+    """:func:`record_for_code`'s pass: n, p, d, im and alpha, in O(n).
 
     Returns ``(n, p, d, im, alpha, parent, pick, inc, exc)``: the five
     invariants, then the arrays :func:`record_for_code`'s witness pass reads.
@@ -319,7 +390,8 @@ def record_for_code(
 ) -> InvariantRecord:
     """The record of the tree a level sequence encodes, in O(n) and no Graph.
 
-    :func:`code_kernel` gives the invariants; one more pass builds the
+    :func:`_array_pass` validates the sequence and gives the invariants, by
+    the recurrences :func:`code_kernel` folds, and one more pass builds the
     witnesses.  Vertex v is position v of the sequence, so the labels, and
     with them the witnesses, are those of
     :func:`~treereg.trees.graph_from_code`.  For a canonical code the record
@@ -327,7 +399,7 @@ def record_for_code(
     ``tree_code`` is the input as text.  A Graph is built only for the
     homology oracle (``with_oracle`` and n <= BETTI_ORDER_CAP).
     """
-    n, p, d, im, alpha, parent, pick, inc, exc = code_kernel(levels)
+    n, p, d, im, alpha, parent, pick, inc, exc = _array_pass(levels)
     # Witnesses, parent before child like the DPs' stack walks.  state 3 is
     # state 2 with a pick (v matched to it); state 2 without one acts as 1.
     state = [3 if pick[0] >= 0 else 1] + [0] * (n - 1)

@@ -18,11 +18,12 @@ puts just before its index, or that is not a well-formed checkpoint at all.
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built unless the homology oracle runs.
 A CSV row above the oracle's orders is the code text plus a tail that
-depends only on the kernel's (n, p, d, im, alpha) (:func:`code_kernel`);
-each distinct tail, with its violations and tight flags, is built once per
-run from a record by :func:`_record`, ``csv_row`` and :func:`verify_record`,
-so the row format and the inequalities each stay in one place.  JSONL
-records and oracle rows take the full :func:`record_for_code` path.
+depends only on (n, p, d, im, alpha), which :func:`code_kernel` folds from
+the tree's rooted subtrees, each distinct one once per run; each distinct
+tail, with its violations and tight flags, is built once per run from a
+record by :func:`_record`, ``csv_row`` and :func:`verify_record`, so the
+row format and the inequalities each stay in one place.  JSONL records and
+oracle rows take the full :func:`record_for_code` path, witnesses included.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .bounds import (
     CSV_HEADER,
     Violation,
     _record,
+    _subtree,
     code_kernel,
     record_for_code,
     verify_record,
@@ -166,6 +168,23 @@ class _Checkpoint:
                 )
         return cls(**data)
 
+    def check_ranges(self, path: Path, max_order: int) -> None:
+        """Refuse an order outside this sweep's and a negative count."""
+        limits = {
+            "order": (MIN_ORDER, max_order),
+            "next_index": (0, None),
+            "csv_bytes": (0, None),
+            "records": (0, None),
+        }
+        for key, (low, high) in limits.items():
+            value = getattr(self, key)
+            if value < low or (high is not None and value > high):
+                allowed = f"{low}..{high}" if high is not None else f">= {low}"
+                raise ValueError(
+                    f"checkpoint {path} is malformed (key {key!r} is {value}, "
+                    f"must be {allowed}); delete it to start over"
+                )
+
     def check_place(self, path: Path, codes: list[bytes]) -> None:
         """Refuse to resume unless ``codes`` (this order's enumeration) has
         the checkpointed last completed code just before ``next_index``."""
@@ -199,9 +218,10 @@ def _tight_bucket() -> dict:
 # and its tight flags.
 _Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
 
-# (n, p, d, im, alpha) -> its _Tail.  run_verify empties it before any
-# worker forks, so no run reuses what another run's verify_record found;
-# each worker fills its own copy.
+# (n, p, d, im, alpha) -> its _Tail.  run_verify empties it, and the
+# kernel's subtree cache, before any worker forks, so no run reuses what
+# another run's verify_record found and neither cache outlives its run;
+# each worker fills its own copies.
 _ROW_TAILS: dict[tuple, _Tail] = {}
 
 
@@ -217,7 +237,7 @@ def _verify_one(
     """Worker: one tree code to its output line, violations and tight flags."""
     levels, oracle_up_to, fmt = args
     if fmt == "csv" and len(levels) > oracle_up_to:
-        key = code_kernel(levels)[:5]
+        key = code_kernel(levels)
         tail = _ROW_TAILS.get(key)
         if tail is None:
             tail = _ROW_TAILS[key] = _row_tail(key)
@@ -247,6 +267,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     """
     cfg.validate()
     _ROW_TAILS.clear()
+    _subtree.cache_clear()
     started = time.time()
     ck: Optional[_Checkpoint] = None
     # the resumed order's codes, enumerated once to check the checkpoint
@@ -258,6 +279,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 "checkpoint parameters do not match this run; refusing to resume "
                 f"(checkpoint: {ck.params}, run: {cfg.params()})"
             )
+        ck.check_ranges(cfg.checkpoint, cfg.max_order)
         if ck.status == "complete":
             return ck, None
     if ck is None:

@@ -136,14 +136,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # code_bytes returns canonical codes taken from the generator's level
     # sequences, so only the edge specs need a Graph
+    write = sys.stdout.write
     for code in trees.code_bytes(args.order):
         text = trees.code_text(code)
         if args.codes_only:
-            print(text)
+            write(text + "\n")
         else:
             edges = trees.graph_from_code(code).edges()
             spec = ",".join(f"{u}-{v}" for u, v in edges)
-            print(f"{text}\t{spec}")
+            write(f"{text}\t{spec}\n")
     return 0
 
 

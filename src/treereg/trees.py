@@ -65,8 +65,14 @@ class TreeCode:
         return cls(tuple(int(tok) for tok in text.split()))
 
 
+# The text of every level a byte can hold.
+_LEVEL_TEXT = tuple(map(str, range(256)))
+
+
 def code_text(levels: Iterable[int]) -> str:
     """A level sequence (tuple or ``bytes``) as its space-separated text."""
+    if type(levels) is bytes:
+        return " ".join([_LEVEL_TEXT[x] for x in levels])
     return " ".join(map(str, levels))
 
 

@@ -289,6 +289,34 @@ class TestVerifyCommand:
         assert f"key {key!r} must be {expected}, found {found}" in err
         assert csv.read_bytes() == before
 
+    @pytest.mark.parametrize("key, value, allowed", [
+        ("next_index", -3, ">= 0"),
+        ("order", 99, "1..8"),
+        ("order", 0, "1..8"),
+        ("csv_bytes", -1, ">= 0"),
+        ("records", -1, ">= 0"),
+    ])
+    def test_checkpoint_value_out_of_range_is_refused(
+        self, tmp_path, capsys, key, value, allowed
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        csv = tmp_path / "x.csv"
+        common = ["--max-order", "8", "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
+        assert run_cli("verify", *common, "--crash-after", "10") == 3
+        state = json.loads(ckpt.read_text())
+        state[key] = value
+        if key == "order":
+            state["next_index"] = 0
+        ckpt.write_text(json.dumps(state))
+        before = csv.read_bytes()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert f"key {key!r} is {value}, must be {allowed}" in err
+        assert csv.read_bytes() == before
+
     def test_resume_refuses_mismatched_parameters(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
         common = ["--out", str(tmp_path / "a.csv"),

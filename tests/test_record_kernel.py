@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treereg.census as census_mod
-from treereg.bounds import Violation, code_kernel, record_for_code, record_for_tree
+from treereg.bounds import (
+    Violation,
+    _array_pass,
+    _subtree,
+    code_kernel,
+    record_for_code,
+    record_for_tree,
+)
 from treereg.cli import main
 from treereg.trees import (
+    _rooted_levels,
     canonical_code,
     code_bytes,
     enumerate_codes,
@@ -37,6 +45,33 @@ def test_oracle_records_match_the_graph_path(n):
     for code in enumerate_codes(n):
         assert_same_record(code.levels, with_oracle=True)
         assert record_for_code(code.levels, with_oracle=True).reg is not None
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fold_matches_the_array_pass(n):
+    _subtree.cache_clear()
+    for code in code_bytes(n):
+        assert code_kernel(code) == _array_pass(code)[:5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.integers(0, 19))
+def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
+    # rooted at any vertex, not only a center: deep, non-canonical sequences
+    levels = _rooted_levels(random_tree(n, seed).graph.adjacency, root % n)
+    assert code_kernel(bytes(levels)) == _array_pass(levels)[:5]
+
+
+def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
+    # a path rooted at one end: of its blocks, only the leaf's occurs in a
+    # tree of order <= 4, so the other 10 are folded again after the sweep
+    path = bytes(range(12))
+    code_kernel(path)
+    census_mod.run_verify(census_mod.SweepConfig(
+        max_order=4, out_csv=tmp_path / "r.csv"))
+    misses = _subtree.cache_info().misses
+    code_kernel(path)
+    assert _subtree.cache_info().misses == misses + 10
 
 
 @settings(max_examples=200, deadline=None)

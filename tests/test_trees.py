@@ -10,6 +10,8 @@ from treereg.trees import (
     _free_tree_layouts,
     _layout_code,
     canonical_code,
+    code_bytes,
+    code_text,
     count_trees,
     enumerate_codes,
     enumerate_trees,
@@ -98,6 +100,14 @@ class TestEnumeration:
             rerooted += code != layout
         # the other center's rooting first wins at order 5
         assert (rerooted > 0) == (n >= 5)
+
+    def test_code_text_of_bytes_joins_every_level(self):
+        # the order-20 path is the one cap-order code with a two-digit level
+        path20 = bytes(canonical_code(path_graph(20)).levels)
+        assert max(path20) == 10
+        for code in [path20] + [c for n in range(1, 15) for c in code_bytes(n)]:
+            assert code_text(code) == " ".join(map(str, code))
+            assert code_text(tuple(code)) == code_text(code)
 
     def test_bicentral_layout_is_rerooted(self):
         assert _layout_code([0, 1, 2, 1, 1]) == [0, 1, 2, 2, 1]
