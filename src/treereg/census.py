@@ -166,6 +166,25 @@ class _Checkpoint:
                     f"{expected.__name__}, found {type(value).__name__}); "
                     "delete it to start over"
                 )
+        # Resume writes each violation back as a JSONL line and compares
+        # each last code as text, so entries must have the shapes it wrote.
+        # (JSON object keys are always strings.)
+        violation_keys = Violation("", "", "").to_json_dict().keys()
+        for i, v in enumerate(data["violations"]):
+            if not (isinstance(v, dict) and v.keys() == violation_keys
+                    and all(isinstance(x, str) for x in v.values())):
+                raise ValueError(
+                    f"checkpoint {path} is malformed (key 'violations' entry {i} "
+                    f"is {json.dumps(v)}, must be an object of strings with keys "
+                    f"{sorted(violation_keys)}); delete it to start over"
+                )
+        for order, code in data["last_completed_code"].items():
+            if not isinstance(code, str):
+                raise ValueError(
+                    f"checkpoint {path} is malformed (key 'last_completed_code' "
+                    f"entry {order!r} is {json.dumps(code)}, must be a code "
+                    "string); delete it to start over"
+                )
         return cls(**data)
 
     def check_ranges(self, path: Path, max_order: int) -> None:

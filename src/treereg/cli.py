@@ -134,8 +134,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # code_bytes returns canonical codes taken from the generator's level
-    # sequences, so only the edge specs need a Graph
+    # code_bytes joins the canonical codes as bytes, so only the edge specs
+    # need a Graph
     write = sys.stdout.write
     for code in trees.code_bytes(args.order):
         text = trees.code_text(code)

@@ -6,26 +6,29 @@ take the lexicographically larger of the two center-rooted sequences.  Equal
 codes mean isomorphic trees, and the lexicographic order on codes is the
 deterministic total order every enumeration consumer relies on.
 
-Generation walks canonical rooted level sequences with the classical
-Beyer-Hedetniemi successor, restricted to free-tree representatives in the
-Wright-Richmond-Odlyzko-McKay style, so each isomorphism class appears
-exactly once without pairwise comparisons.  Each layout the walk yields is
-already rooted at a center with its sibling blocks in descending order, so
-its code comes from the level sequence alone: a unicentral layout is its
-code, and a bicentral one is re-rooted at the other center in O(n) and the
-larger sequence kept.  No Graph is built during enumeration, and the
-sweeps take the codes as sorted ``bytes`` (:func:`code_bytes`) with no
-:class:`TreeCode` per tree; the adjacency-based canonicalizer serves
-labeled input.  The all-Pruefer-sequences enumeration stays exponential and
-is kept in the test suite as an oracle.
+Generation composes each code from canonical rooted subtrees (Otter 1948):
+a free tree is a center with rooted subtrees hanging off it, or a central
+edge joining two rooted halves of equal height.  :func:`code_bytes` builds
+ascending tables of rooted subtrees and the forests they make, once per
+call, and joins each code from them as ``bytes``: a unicentral tree is its
+center over two tallest subtrees and a forest no larger than the second,
+and a bicentral tree is rooted at the smaller half's root with the larger
+half first.  So each isomorphism class appears exactly once without
+pairwise comparisons, and no Graph is built during enumeration.  The sweeps
+take the codes as sorted ``bytes`` with no :class:`TreeCode` per tree; the
+adjacency-based canonicalizer serves labeled input.  The
+all-Pruefer-sequences enumeration stays exponential and is kept in the test
+suite as an oracle.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, TreeWitness, from_edge_list
@@ -164,113 +167,85 @@ def tree_from_code(code: TreeCode | Sequence[int]) -> TreeWitness:
     return TreeWitness(graph_from_code(code))
 
 
-# --- successor generation of canonical level sequences ---------------------
+# --- free trees composed from canonical rooted subtrees --------------------
+
+# Adds one to every level of a ``bytes`` code: a block one level deeper.
+_DEEPER = bytes(range(1, 256)) + b"\xff"
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
-    """Beyer-Hedetniemi successor of a canonical rooted level sequence."""
-    if p is None:
-        p = len(seq) - 1
-        while seq[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    out = list(seq)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+def _forests(m: int, h: int, tables: dict) -> list[bytes]:
+    """Ascending forests of m vertices whose blocks have height <= h."""
+    got = tables.get((m, h))
+    if got is None:
+        got = [b""] if m == 0 else []
+        for s in range(1, m + 1) if h >= 0 else ():
+            rest = _forests(m - s, h, tables)
+            for y in _blocks(s, h, tables):
+                # A forest led by y or a smaller block sorts below y + 2: after
+                # y comes the next root (1) or nothing, while a larger block
+                # that extends y goes on with a level of at least 2.
+                got.extend(map(y.__add__, islice(rest, bisect_left(rest, y + b"\2"))))
+        got.sort()
+        tables[m, h] = got
+    return got
 
 
-def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
-    """First root subtree (levels shifted down) and the rest with the root."""
-    try:
-        m = seq.index(1, 2)
-    except ValueError:
-        m = len(seq)
-    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
-
-
-def _free_tree_layouts(n: int) -> Iterator[list[int]]:
-    """All canonical free-tree level sequences of the given order."""
-    if n == 1:
-        yield [0]
-        return
-    if n == 2:
-        yield [0, 1]
-        return
-    # Start from the path rooted at its center; walk successors, keeping
-    # exactly the sequences whose first subtree is no taller (and no bigger,
-    # and no later lexicographically) than the remainder.
-    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while seq is not None:
-        left, rest = _split_first_subtree(seq)
-        left_h, rest_h = max(left), max(rest)
-        valid = rest_h > left_h or (
-            rest_h == left_h
-            and len(left) <= len(rest)
-            and not (len(left) == len(rest) and left > rest)
-        )
-        if valid:
-            yield seq
-            seq = _next_rooted(seq)
-        else:
-            p = len(left)
-            nxt = _next_rooted(seq, p)
-            if seq[p] > 2 and nxt is not None:
-                new_left, _ = _split_first_subtree(nxt)
-                suffix = list(range(1, max(new_left) + 2))
-                nxt[len(nxt) - len(suffix):] = suffix
-            seq = nxt
-
-
-def _layout_code(layout: list[int]) -> list[int]:
-    """Canonical code of a layout from :func:`_free_tree_layouts`.
-
-    The layout is rooted at a center c0 and its sibling blocks descend, so
-    it is c0's canonical rooting.  The tree is bicentral exactly when the
-    first subtree (rooted at the other center c1) is as tall as the rest;
-    then c1's rooting is c1's child blocks plus the rest as one more block,
-    inserted in descending order, and the larger of the two rootings is
-    the code.
-    """
-    if len(layout) < 4:
-        return layout
-    m = layout.index(1, 2)
-    if max(layout[m:]) != max(layout[1:m]) - 1:
-        return layout
-    # Compare blocks at the depth c1's children have in the layout (level
-    # 2), then take one off every level to root the sequence at c1.
-    moved = [2] + [x + 2 for x in layout[m:]]
-    start = 2
-    for i in range(3, m):
-        if layout[i] == 2:
-            if moved > layout[start:i]:
-                break
-            start = i
-    else:
-        if moved <= layout[start:m]:
-            start = m
-    other = [0] + [x - 1 for x in layout[2:start] + moved + layout[start:m]]
-    return other if other > layout else layout
+def _blocks(s: int, h: int, tables: dict) -> list[bytes]:
+    """Ascending blocks of s vertices and height <= h: each is a root one
+    level deep over a forest one level deeper."""
+    return [b"\1" + f.translate(_DEEPER) for f in _forests(s - 1, h - 1, tables)]
 
 
 def code_bytes(n: int) -> list[bytes]:
     """Canonical codes of all non-isomorphic trees of order n, ascending, as
     ``bytes`` (one level per byte; bytes order is the code order).
 
-    Each code comes from its generator layout by :func:`_layout_code`,
-    re-rooted at the other center only for bicentral trees; no Graph and
-    no :class:`TreeCode` is built.
+    A block is a canonical rooted tree written one level deep, and a forest
+    is blocks joined in descending order: a root's child sequence.  A taller
+    rooted tree has the larger code, since its code starts 0, 1, ...,
+    height; so in an ascending table the blocks of height at most h come
+    first, and ``bisect`` finds every bound.  A unicentral tree of radius r
+    is ``0``, two blocks b1 >= b2 of height exactly r - 1, then a forest of
+    blocks <= b2.  A bicentral tree with halves A >= B of height r is
+    rooted at B's root with A as its first block, the larger of the two
+    rootings: ``0``, A one level deep, then B's forest.  The forest tables
+    live for one call; no Graph and no :class:`TreeCode` is built.
     """
     cap = max_order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside 1..{cap}")
-    raw = [bytes(_layout_code(layout)) for layout in _free_tree_layouts(n)]
-    raw.sort()
-    return raw
+    if n < 3:
+        return [bytes(range(n))]
+    tables: dict[tuple[int, int], list[bytes]] = {}
+    codes: list[bytes] = []
+    for r in range(1, (n - 1) // 2 + 1):
+        # A block, or a forest it leads, at or above this path (the least
+        # block of height r - 1) has height exactly r - 1.
+        path = bytes(range(1, r + 1))
+        tallest = {}  # size -> the blocks of that size and height r - 1
+        for s in range(r, n - r):
+            ys = _blocks(s, r - 1, tables)
+            tallest[s] = ys[bisect_left(ys, path) :]
+        for s1, firsts in tallest.items():
+            for b1 in firsts:
+                for s2 in range(r, n - s1):
+                    seconds = tallest[s2]
+                    rest = _forests(n - 1 - s1 - s2, r - 1, tables)
+                    for b2 in islice(seconds, bisect_right(seconds, b1)):
+                        cut = bisect_left(rest, b2 + b"\2")
+                        codes.extend(map((b"\0" + b1 + b2).__add__, islice(rest, cut)))
+        # bicentral: the forests of halves A of a vertices and B <= A of
+        # n - a vertices, each half of height exactly r
+        for a in range(r + 1, n - r):
+            larger = _forests(a - 1, r - 1, tables)
+            smaller = _forests(n - a - 1, r - 1, tables)
+            low = bisect_left(smaller, path)
+            for top in islice(larger, bisect_left(larger, path), None):
+                high = bisect_right(smaller, top)
+                head = b"\0\1" + top.translate(_DEEPER)
+                codes.extend(map(head.__add__, islice(smaller, low, high)))
+    codes.sort()
+    return codes
 
 
 def enumerate_codes(n: int) -> list[TreeCode]:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
 from treereg.graphs import Graph, TreeWitness, from_edge_list
-from treereg.trees import _code_levels, prufer_to_edges
+from treereg.trees import _code_levels, graph_from_code, prufer_to_edges
 
 
 def spider(leg_lengths: tuple[int, ...]) -> Graph:
@@ -59,7 +60,7 @@ def prufer_dedup_codes(n: int) -> set[tuple[int, ...]]:
     """Canonical codes of every labeled tree on n vertices, deduplicated.
 
     Exhaustive over all n^(n-2) Pruefer sequences; the independent oracle
-    for the successor-based enumeration (feasible up to n = 9).
+    for the generator (feasible up to n = 9).
     """
     if n == 1:
         return {(0,)}
@@ -69,6 +70,28 @@ def prufer_dedup_codes(n: int) -> set[tuple[int, ...]]:
         _code_levels(_decode_adjacency(seq, n))
         for seq in product(range(n), repeat=n - 2)
     }
+
+
+@cache
+def leaf_extension_codes(n: int) -> frozenset[tuple[int, ...]]:
+    """Canonical codes of every tree of order n, grown from order n - 1.
+
+    Every tree of order n >= 2 is a tree of order n - 1 with one more leaf,
+    so a leaf hung at each vertex of each smaller tree, canonicalized by
+    ``_code_levels``, finds them all; the oracle uses no generator code.
+    """
+    if n == 1:
+        return frozenset({(0,)})
+    out = set()
+    for code in leaf_extension_codes(n - 1):
+        adj = [list(a) for a in graph_from_code(code).adjacency] + [[]]
+        for v in range(n - 1):
+            adj[v].append(n - 1)
+            adj[n - 1].append(v)
+            out.add(_code_levels(adj))
+            adj[v].pop()
+            adj[n - 1].pop()
+    return frozenset(out)
 
 
 @st.composite

@@ -289,6 +289,35 @@ class TestVerifyCommand:
         assert f"key {key!r} must be {expected}, found {found}" in err
         assert csv.read_bytes() == before
 
+    @pytest.mark.parametrize("key, value, names", [
+        ("violations", [1, "x"], ("entry 0 is 1", "tree_code", "detail")),
+        ("violations", [{"tree_code": "0 1", "check": "lb"}], ("entry 0 is {",)),
+        ("violations", [{"tree_code": "0 1", "check": "lb", "detail": 2}],
+         ("entry 0 is {", "object of strings")),
+        ("last_completed_code", {"8": 5}, ("entry '8' is 5", "code string")),
+        ("last_completed_code", {"8": None}, ("entry '8' is null",)),
+    ])
+    def test_malformed_checkpoint_entry_is_refused(
+        self, tmp_path, capsys, key, value, names
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        csv = tmp_path / "x.csv"
+        jsonl = tmp_path / "x.jsonl"
+        common = ["--max-order", "8", "--out", str(csv),
+                  "--violations", str(jsonl),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
+        assert run_cli("verify", *common, "--crash-after", "10") == 3
+        state = json.loads(ckpt.read_text())
+        state[key] = value
+        ckpt.write_text(json.dumps(state))
+        before = csv.read_bytes()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"key {key!r}" in err
+        assert all(name in err for name in names)
+        assert csv.read_bytes() == before
+        assert not jsonl.exists()
+
     @pytest.mark.parametrize("key, value, allowed", [
         ("next_index", -3, ">= 0"),
         ("order", 99, "1..8"),

@@ -7,8 +7,6 @@ from treereg.graphs import TreeWitness, from_edge_list, path_graph, star_graph
 from treereg.trees import (
     TreeCode,
     _code_levels,
-    _free_tree_layouts,
-    _layout_code,
     canonical_code,
     code_bytes,
     code_text,
@@ -23,7 +21,7 @@ from treereg.trees import (
 )
 from treereg.tables import TABLE4_TREES
 
-from conftest import prufer_dedup_codes, relabel, tree_witnesses
+from conftest import leaf_extension_codes, prufer_dedup_codes, relabel, tree_witnesses
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
@@ -91,15 +89,22 @@ class TestEnumeration:
             codes = enumerate_codes(n)
             assert all(a < b for a, b in zip(codes, codes[1:])), f"n={n}"
 
-    @pytest.mark.parametrize("n", range(1, 16))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_layout_code_matches_the_adjacency_canonicalizer(self, n):
-        rerooted = 0
-        for layout in _free_tree_layouts(n):
-            code = _layout_code(layout)
-            assert tuple(code) == _code_levels(graph_from_code(layout).adjacency)
-            rerooted += code != layout
-        # the other center's rooting first wins at order 5
-        assert (rerooted > 0) == (n >= 5)
+        # each code laid out from rooted blocks is the adjacency
+        # canonicalizer's code of the tree it spells
+        for code in code_bytes(n):
+            assert _code_levels(graph_from_code(code).adjacency) == tuple(code)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_code_bytes_are_strictly_ascending_and_counted(self, n):
+        codes = code_bytes(n)
+        assert len(codes) == count_trees(n)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_leaf_extension_oracle(self, n):
+        assert {tuple(c) for c in code_bytes(n)} == leaf_extension_codes(n)
 
     def test_code_text_of_bytes_joins_every_level(self):
         # the order-20 path is the one cap-order code with a two-digit level
@@ -110,7 +115,10 @@ class TestEnumeration:
             assert code_text(tuple(code)) == code_text(code)
 
     def test_bicentral_layout_is_rerooted(self):
-        assert _layout_code([0, 1, 2, 1, 1]) == [0, 1, 2, 2, 1]
+        # the fork's centers root it as 0 1 2 1 1 and 0 1 2 2 1; the code is
+        # the larger, with the other half as the first block
+        star, path, fork = (0, 1, 1, 1, 1), (0, 1, 2, 1, 2), (0, 1, 2, 2, 1)
+        assert code_bytes(5) == [bytes(star), bytes(path), bytes(fork)]
 
     def test_witness_orders(self):
         assert all(t.order == 7 for t in enumerate_trees(7))
