@@ -4,16 +4,21 @@ Every tree of orders 1..max_order goes enumeration -> record -> output
 line, plus its bound violations and, for a census, its tightness flags; the
 records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
-Trees stream in (order, code) order, so output is deterministic; with
-worker processes the per-batch results are collected in submission order,
-which keeps the emitted bytes identical to a serial run.  The checkpoint is
-a single JSON file written atomically after every batch, and both it and
-the records it counts are fsynced first; so is the violations file before
-the final checkpoint marks the run complete.  Resuming truncates the records CSV
-back to the last checkpointed byte offset, so a resumed run finishes with
-byte-identical output; a CSV shorter than that offset is refused, and so
-is a checkpoint whose last completed code is not the one the enumeration
-puts just before its index, or that is not a well-formed checkpoint at all.
+Trees stream in (order, code) order, so output is deterministic.  One
+stream of batches of ``checkpoint_every`` codes, each within one order,
+runs across every order, and :func:`_verify_batch` turns a batch into its
+joined output lines, violations and tight flags.  Without workers it runs
+in process; with ``jobs`` workers at most ``2 * jobs`` batches are in
+flight and their results are taken in submission order, so the workers
+carry on while a batch is written and the bytes equal a serial run's.  The
+checkpoint is a single JSON file written atomically after every batch, and
+both it and the records it counts are fsynced first; so is the violations
+file before the final checkpoint marks the run complete.  Resuming
+truncates the records CSV back to the last checkpointed byte offset, so a
+resumed run finishes with byte-identical output; a CSV shorter than that
+offset is refused, and so is a checkpoint whose last completed code is not
+the one the enumeration puts just before its index, or that is not a
+well-formed checkpoint at all.
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built unless the homology oracle runs.
@@ -33,13 +38,15 @@ import multiprocessing
 import os
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, get_origin, get_type_hints
+from typing import Iterator, Optional, get_origin, get_type_hints
 
 from .bounds import (
     CSV_HEADER,
     Violation,
+    _fold,
     _record,
     _subtree,
     code_kernel,
@@ -47,7 +54,7 @@ from .bounds import (
     verify_record,
 )
 from .homology import BETTI_ORDER_CAP
-from .trees import code_bytes, code_text, max_order_cap
+from .trees import _LEVEL_TEXT, code_bytes, code_text, max_order_cap
 
 MIN_ORDER = 1
 
@@ -83,8 +90,10 @@ class SweepConfig:
             raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
         if not 0 <= self.oracle_up_to <= BETTI_ORDER_CAP:
             raise ValueError(f"--oracle-up-to must be in 0..{BETTI_ORDER_CAP}")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+        # checked before any worker forks; more workers than CPUs gain nothing
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.jobs <= cpus:
+            raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
         if self.checkpoint_every < 1:
             raise ValueError("--checkpoint-every must be >= 1")
         # a resume restores neither the tightness buckets nor the format
@@ -250,24 +259,91 @@ def _row_tail(key: tuple) -> _Tail:
     return record.csv_row(), checks, (record.lb_tight, record.ub_tight, record.wub_tight)
 
 
-def _verify_one(
-    args: tuple[bytes, int, str],
-) -> tuple[str, list[dict], tuple[bool, bool, bool]]:
-    """Worker: one tree code to its output line, violations and tight flags."""
-    levels, oracle_up_to, fmt = args
-    if fmt == "csv" and len(levels) > oracle_up_to:
-        key = code_kernel(levels)
-        tail = _ROW_TAILS.get(key)
-        if tail is None:
-            tail = _ROW_TAILS[key] = _row_tail(key)
-        row, checks, tight = tail
-        code = code_text(levels)
-        violations = [Violation(code, c, detail).to_json_dict() for c, detail in checks]
-        return code + row, violations, tight
-    record = record_for_code(levels, with_oracle=len(levels) <= oracle_up_to)
-    violations = [v.to_json_dict() for v in verify_record(record)]
-    line = record.csv_row() if fmt == "csv" else record.to_jsonl()
-    return line, violations, (record.lb_tight, record.ub_tight, record.wub_tight)
+def _verify_batch(
+    args: tuple[list[bytes], int, str],
+) -> tuple[bytes, list[dict], list[tuple[bool, bool, bool]]]:
+    """Worker step: one batch of codes, all of one order, to its output
+    lines (joined, each ending in a newline), its violations and each
+    tree's tight flags.
+
+    The path is picked once per batch: CSV rows above the oracle's orders
+    are the code text plus the row tail cached per kernel key, with
+    :func:`code_kernel` and :func:`code_text` inlined; everything else
+    takes :func:`record_for_code`.
+    """
+    codes, oracle_up_to, fmt = args
+    n = len(codes[0])
+    lines: list[str] = []
+    violations: list[dict] = []
+    tights: list[tuple[bool, bool, bool]] = []
+    if fmt == "csv" and n > oracle_up_to:
+        for levels in codes:
+            if n == 1:
+                key = code_kernel(levels)
+            else:
+                blocks = levels.split(b"\x01")[1:]
+                _, _, im, inc, exc, _, d, leaves = _fold(blocks)
+                key = (n, leaves + (len(blocks) == 1), d, im, inc if inc > exc else exc)
+            tail = _ROW_TAILS.get(key)
+            if tail is None:
+                tail = _ROW_TAILS[key] = _row_tail(key)
+            row, checks, tight = tail
+            code = " ".join([_LEVEL_TEXT[x] for x in levels])
+            lines.append(code + row)
+            for check, detail in checks:
+                violations.append(Violation(code, check, detail).to_json_dict())
+            tights.append(tight)
+    else:
+        for levels in codes:
+            record = record_for_code(levels, with_oracle=n <= oracle_up_to)
+            violations.extend(v.to_json_dict() for v in verify_record(record))
+            lines.append(record.csv_row() if fmt == "csv" else record.to_jsonl())
+            tights.append((record.lb_tight, record.ub_tight, record.wub_tight))
+    lines.append("")
+    return "\n".join(lines).encode(), violations, tights
+
+
+def _batches(
+    cfg: SweepConfig, order: int, index: int, resumed: dict[int, list[bytes]]
+) -> Iterator[tuple[int, int, list[bytes]]]:
+    """``(order, next_index, batch)`` for every batch of the sweep from
+    ``index`` of ``order`` on, across orders; each order's code list lives
+    only while its own batches are cut."""
+    for n in range(order, cfg.max_order + 1):
+        codes = resumed.pop(n, None) or code_bytes(n)
+        i = index if n == order else 0
+        while i < len(codes):
+            batch = codes[i : i + cfg.checkpoint_every]
+            i += len(batch)
+            yield n, i, batch
+        del codes
+
+
+def _results(
+    cfg: SweepConfig,
+    pool: Optional[multiprocessing.pool.Pool],
+    batches: Iterator[tuple[int, int, list[bytes]]],
+) -> Iterator[tuple[int, int, list[bytes], tuple]]:
+    """Each batch with its :func:`_verify_batch` result, in batch order.
+
+    In process without a pool; with one, at most two batches per worker are
+    in flight, so the workers carry on while the caller writes a result and
+    only a few batches' codes are held at a time.
+    """
+    if pool is None:
+        for n, i, batch in batches:
+            yield n, i, batch, _verify_batch((batch, cfg.oracle_up_to, cfg.fmt))
+        return
+    window: deque = deque()
+    for n, i, batch in batches:
+        task = pool.apply_async(_verify_batch, ((batch, cfg.oracle_up_to, cfg.fmt),))
+        window.append((n, i, batch, task))
+        if len(window) >= 2 * cfg.jobs:
+            n, i, batch, task = window.popleft()
+            yield n, i, batch, task.get()
+    while window:
+        n, i, batch, task = window.popleft()
+        yield n, i, batch, task.get()
 
 
 def _open_records(path: Path, mode: str):
@@ -335,47 +411,47 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     pool = None
     if cfg.jobs > 1:
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
+    bucket = None
     try:
-        for n in range(MIN_ORDER, cfg.max_order + 1):
-            if n < ck.order:
-                continue
-            codes = resumed.pop(n, None) or code_bytes(n)
-            bucket = None
-            if summary is not None:
+        batches = _batches(cfg, ck.order, ck.next_index, resumed)
+        for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
+            if summary is not None and str(n) not in summary["orders"]:
                 bucket = summary["orders"][str(n)] = _tight_bucket()
-            i = ck.next_index if n == ck.order else 0
-            while i < len(codes):
-                batch = codes[i : i + cfg.checkpoint_every]
-                args = [(c, cfg.oracle_up_to, cfg.fmt) for c in batch]
-                if pool is not None:
-                    results = pool.map(_verify_one, args)
-                else:
-                    results = [_verify_one(a) for a in args]
-                for code, (line, violations, tight) in zip(batch, results):
-                    out.write((line + "\n").encode())
-                    ck.records += 1
-                    ck.violations.extend(violations)
-                    if bucket is not None:
-                        bucket["trees"] += 1
-                        for key, flag in zip(_TIGHT_KEYS, tight):
-                            if flag:
-                                bucket[key] += 1
-                                bucket[key + "_codes"].append(code_text(code))
-                    if cfg.crash_after is not None and ck.records >= cfg.crash_after:
-                        raise CrashRequested(
-                            f"aborting after {ck.records} records as requested"
-                        )
-                out.flush()
-                i += len(batch)
-                ck.order = n
-                ck.next_index = i
-                ck.last_completed_code[str(n)] = code_text(batch[-1])
-                ck.csv_bytes = out.tell()
-                ck.elapsed = base_elapsed + (time.time() - started)
-                if cfg.checkpoint is not None:
-                    # the records must be on disk before the offset that names them
-                    os.fsync(out.fileno())
-                    ck.dump(cfg.checkpoint)
+            if cfg.crash_after is not None:
+                # the crash comes right after the record that reaches the
+                # count, so only the rows up to it are written
+                crash_at = max(cfg.crash_after - ck.records, 1)
+                if crash_at <= len(batch):
+                    out.write(b"".join(text.splitlines(keepends=True)[:crash_at]))
+                    ck.records += crash_at
+                    raise CrashRequested(
+                        f"aborting after {ck.records} records as requested"
+                    )
+            out.write(text)
+            out.flush()
+            ck.records += len(batch)
+            ck.violations.extend(violations)
+            if bucket is not None:
+                bucket["trees"] += len(batch)
+                for code, tight in zip(batch, tights):
+                    for key, flag in zip(_TIGHT_KEYS, tight):
+                        if flag:
+                            bucket[key] += 1
+                            bucket[key + "_codes"].append(code_text(code))
+            ck.order = n
+            ck.next_index = i
+            ck.last_completed_code[str(n)] = code_text(batch[-1])
+            ck.csv_bytes = out.tell()
+            ck.elapsed = base_elapsed + (time.time() - started)
+            if cfg.checkpoint is not None:
+                # the records must be on disk before the offset that names them
+                os.fsync(out.fileno())
+                ck.dump(cfg.checkpoint)
+    except BaseException:
+        # workers may still hold queued batches; stop them rather than wait
+        if pool is not None:
+            pool.terminate()
+        raise
     finally:
         out.close()
         if pool is not None:

@@ -457,6 +457,126 @@ class TestVerifyCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestWorkerPool:
+    """``--jobs 2`` against one process, with batches of 7 trees so that
+    batches of the next order are in flight while an order's last ones are
+    written."""
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """A violation on about half the trees, so the violations compared
+        are not empty; forked workers inherit it."""
+        import treereg.census as census_mod
+        from treereg.bounds import Violation
+
+        real = census_mod.verify_record
+
+        def probe(record):
+            found = list(real(record))
+            if (record.im + record.alpha + record.d) % 2:
+                found.append(Violation(record.tree_code, "probe", f"p={record.p}"))
+            return found
+
+        monkeypatch.setattr(census_mod, "verify_record", probe)
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle-up-to", "8"]])
+    def test_verify_bytes_match_one_process(self, tmp_path, probe, oracle):
+        outputs = {}
+        for jobs in ("1", "2"):
+            csv, vio = tmp_path / f"r{jobs}.csv", tmp_path / f"v{jobs}.jsonl"
+            assert run_cli("verify", "--max-order", "10", "--jobs", jobs,
+                           "--checkpoint-every", "7", *oracle,
+                           "--checkpoint", str(tmp_path / f"ck{jobs}.json"),
+                           "--out", str(csv), "--violations", str(vio)) == 1
+            outputs[jobs] = csv.read_bytes(), vio.read_bytes()
+        assert outputs["1"] == outputs["2"]
+        assert outputs["1"][1].count(b"\n") > 50
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_census_bytes_match_one_process(self, tmp_path, fmt):
+        outputs = {}
+        for jobs in (1, 2):
+            out, summary = tmp_path / f"r{jobs}.{fmt}", tmp_path / f"s{jobs}.json"
+            run_verify(SweepConfig(max_order=10, out_csv=out, fmt=fmt,
+                                   summary_out=summary, jobs=jobs,
+                                   checkpoint_every=7))
+            outputs[jobs] = out.read_bytes(), summary.read_bytes()
+        assert outputs[1] == outputs[2]
+        assert json.loads(outputs[1][1])["orders"]["10"]["lb_tight_codes"]
+
+    def test_crash_leaves_no_worker_and_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+        import time
+
+        import treereg.census as census_mod
+
+        ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
+        assert run_cli("verify", "--max-order", "9", "--out", str(ref_csv),
+                       "--violations", str(ref_vio)) == 0
+        csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
+        common = ["--max-order", "9", "--jobs", "2", "--out", str(csv),
+                  "--violations", str(vio), "--checkpoint", str(tmp_path / "ck.json"),
+                  "--checkpoint-every", "5"]
+        real = census_mod.verify_record
+
+        def stalls_on_order_8(record):
+            # order 8's first batches are in flight when the crash comes at
+            # record 23, in order 7; a pool that waited for them would stall
+            if record.n == 8:
+                time.sleep(30)
+            return real(record)
+
+        with monkeypatch.context() as m:
+            m.setattr(census_mod, "verify_record", stalls_on_order_8)
+            started = time.monotonic()
+            assert run_cli("verify", *common, "--crash-after", "23") == 3
+            assert time.monotonic() - started < 15
+        assert multiprocessing.active_children() == []
+        # the rows up to the crash record are written, and none past it
+        lines = csv.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 23
+        assert b"".join(lines) == b"".join(ref_csv.read_bytes().splitlines(
+            keepends=True)[:24])
+        assert run_cli("verify", *common) == 0
+        assert csv.read_bytes() == ref_csv.read_bytes()
+        assert vio.read_bytes() == ref_vio.read_bytes()
+
+    def test_worker_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        import treereg.census as census_mod
+
+        def broken(record):
+            raise ValueError(f"broken check at n={record.n}")
+
+        monkeypatch.setattr(census_mod, "verify_record", broken)
+        assert run_cli("verify", "--max-order", "9", "--jobs", "2",
+                       "--checkpoint-every", "5", "--out", str(tmp_path / "x.csv"),
+                       "--violations", str(tmp_path / "x.jsonl")) == 2
+        assert "broken check at n=" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("excess", [1, 100000])
+    def test_more_jobs_than_cpus_is_refused_before_any_fork(
+        self, tmp_path, monkeypatch, capsys, excess
+    ):
+        import multiprocessing
+        import os
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cpus = os.cpu_count() or 1
+        out = tmp_path / "x.csv"
+        assert run_cli("verify", "--max-order", "5", "--jobs", str(cpus + excess),
+                       "--out", str(out), "--violations", str(tmp_path / "x.jsonl")) == 2
+        assert f"--jobs must be in 1..{cpus}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCensusCommand:
     def test_order4_record_count(self, tmp_path, capsys):
         out = tmp_path / "census.csv"

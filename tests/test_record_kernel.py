@@ -112,10 +112,10 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
 
 def assert_fast_row_matches_the_record_path(levels):
     slow = record_for_tree(tree_from_code(levels))
-    line, violations, tight = census_mod._verify_one((bytes(levels), 0, "csv"))
-    assert line == slow.csv_row()
+    text, violations, tights = census_mod._verify_batch(([bytes(levels)], 0, "csv"))
+    assert text == (slow.csv_row() + "\n").encode()
     assert violations == [v.to_json_dict() for v in census_mod.verify_record(slow)]
-    assert tight == (slow.lb_tight, slow.ub_tight, slow.wub_tight)
+    assert tights == [(slow.lb_tight, slow.ub_tight, slow.wub_tight)]
 
 
 @pytest.fixture(params=["verify_record", "probe"])
