@@ -46,7 +46,6 @@ from typing import Iterator, Optional, get_origin, get_type_hints
 from .bounds import (
     CSV_HEADER,
     Violation,
-    _fold,
     _record,
     _subtree,
     code_kernel,
@@ -54,9 +53,20 @@ from .bounds import (
     verify_record,
 )
 from .homology import BETTI_ORDER_CAP
-from .trees import _LEVEL_TEXT, code_bytes, code_text, max_order_cap
+from .trees import code_bytes, code_text, max_order_cap
 
 MIN_ORDER = 1
+
+
+def _max_jobs() -> int:
+    """The largest ``--jobs`` a sweep accepts: the CPUs this process may
+    run on (its affinity mask where the platform has one), but never below
+    2, so a ``--jobs 2`` run works on any host."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    return max(2, usable)
 
 
 class CrashRequested(RuntimeError):
@@ -90,10 +100,12 @@ class SweepConfig:
             raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
         if not 0 <= self.oracle_up_to <= BETTI_ORDER_CAP:
             raise ValueError(f"--oracle-up-to must be in 0..{BETTI_ORDER_CAP}")
-        # checked before any worker forks; more workers than CPUs gain nothing
-        cpus = os.cpu_count() or 1
-        if not 1 <= self.jobs <= cpus:
-            raise ValueError(f"--jobs must be in 1..{cpus}, the CPU count")
+        # checked before any worker forks
+        limit = _max_jobs()
+        if not 1 <= self.jobs <= limit:
+            raise ValueError(
+                f"--jobs must be in 1..{limit}, the usable CPU count (at least 2)"
+            )
         if self.checkpoint_every < 1:
             raise ValueError("--checkpoint-every must be >= 1")
         # a resume restores neither the tightness buckets nor the format
@@ -267,9 +279,8 @@ def _verify_batch(
     tree's tight flags.
 
     The path is picked once per batch: CSV rows above the oracle's orders
-    are the code text plus the row tail cached per kernel key, with
-    :func:`code_kernel` and :func:`code_text` inlined; everything else
-    takes :func:`record_for_code`.
+    are the code text plus the row tail cached per :func:`code_kernel` key;
+    everything else takes :func:`record_for_code`.
     """
     codes, oracle_up_to, fmt = args
     n = len(codes[0])
@@ -278,17 +289,12 @@ def _verify_batch(
     tights: list[tuple[bool, bool, bool]] = []
     if fmt == "csv" and n > oracle_up_to:
         for levels in codes:
-            if n == 1:
-                key = code_kernel(levels)
-            else:
-                blocks = levels.split(b"\x01")[1:]
-                _, _, im, inc, exc, _, d, leaves = _fold(blocks)
-                key = (n, leaves + (len(blocks) == 1), d, im, inc if inc > exc else exc)
+            key = code_kernel(levels)
             tail = _ROW_TAILS.get(key)
             if tail is None:
                 tail = _ROW_TAILS[key] = _row_tail(key)
             row, checks, tight = tail
-            code = " ".join([_LEVEL_TEXT[x] for x in levels])
+            code = code_text(levels)
             lines.append(code + row)
             for check, detail in checks:
                 violations.append(Violation(code, check, detail).to_json_dict())

@@ -563,18 +563,34 @@ class TestWorkerPool:
         self, tmp_path, monkeypatch, capsys, excess
     ):
         import multiprocessing
-        import os
+
+        from treereg.census import _max_jobs
 
         def no_fork(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        cpus = os.cpu_count() or 1
+        limit = _max_jobs()
         out = tmp_path / "x.csv"
-        assert run_cli("verify", "--max-order", "5", "--jobs", str(cpus + excess),
+        assert run_cli("verify", "--max-order", "5", "--jobs", str(limit + excess),
                        "--out", str(out), "--violations", str(tmp_path / "x.jsonl")) == 2
-        assert f"--jobs must be in 1..{cpus}" in capsys.readouterr().err
+        assert f"--jobs must be in 1..{limit}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("usable, limit", [({0}, 2), ({0, 1, 2}, 3)])
+    def test_jobs_limit_is_the_usable_cpus_but_never_below_two(
+        self, tmp_path, monkeypatch, usable, limit
+    ):
+        import os
+
+        from treereg.census import SweepConfig
+
+        # the affinity mask, not the host's CPU count, sets the limit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        SweepConfig(max_order=5, out_csv=tmp_path / "x.csv", jobs=limit).validate()
+        with pytest.raises(ValueError, match=f"--jobs must be in 1..{limit},"):
+            SweepConfig(max_order=5, out_csv=tmp_path / "x.csv", jobs=limit + 1).validate()
 
 
 class TestCensusCommand:
