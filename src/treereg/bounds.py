@@ -22,7 +22,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .graphs import TreeWitness, structural_invariants
-from .homology import BETTI_ORDER_CAP, regularity
+from .homology import FOREST_BETTI_ORDER_CAP, regularity
 from .invariants import independence_number, induced_matching_number
 from .trees import canonical_code, code_text, graph_from_code
 
@@ -223,7 +223,7 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     alpha, alpha_cert = independence_number(g)
     code = canonical_code(t).to_text()
     reg = None
-    if with_oracle and g.order <= BETTI_ORDER_CAP:
+    if with_oracle and g.order <= FOREST_BETTI_ORDER_CAP:
         reg = regularity(g)
     return _record(
         code,
@@ -397,7 +397,7 @@ def record_for_code(
     :func:`~treereg.trees.graph_from_code`.  For a canonical code the record
     equals ``record_for_tree(tree_from_code(levels))`` byte for byte;
     ``tree_code`` is the input as text.  A Graph is built only for the
-    homology oracle (``with_oracle`` and n <= BETTI_ORDER_CAP).
+    homology oracle (``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP).
     """
     n, p, d, im, alpha, parent, pick, inc, exc = _array_pass(levels)
     # Witnesses, parent before child like the DPs' stack walks.  state 3 is
@@ -424,7 +424,7 @@ def record_for_code(
             independent.append(v)
 
     reg = None
-    if with_oracle and n <= BETTI_ORDER_CAP:
+    if with_oracle and n <= FOREST_BETTI_ORDER_CAP:
         reg = regularity(graph_from_code(levels))
     return _record(
         code_text(levels),

@@ -52,7 +52,7 @@ from .bounds import (
     record_for_code,
     verify_record,
 )
-from .homology import BETTI_ORDER_CAP
+from .homology import FOREST_BETTI_ORDER_CAP
 from .trees import code_bytes, code_text, max_order_cap
 
 MIN_ORDER = 1
@@ -98,8 +98,8 @@ class SweepConfig:
             raise ValueError(f"--max-order must be in {MIN_ORDER}..{cap}")
         if self.fmt not in ("csv", "jsonl"):
             raise ValueError(f"--format must be csv or jsonl, got {self.fmt}")
-        if not 0 <= self.oracle_up_to <= BETTI_ORDER_CAP:
-            raise ValueError(f"--oracle-up-to must be in 0..{BETTI_ORDER_CAP}")
+        if not 0 <= self.oracle_up_to <= FOREST_BETTI_ORDER_CAP:
+            raise ValueError(f"--oracle-up-to must be in 0..{FOREST_BETTI_ORDER_CAP}")
         # checked before any worker forks
         limit = _max_jobs()
         if not 1 <= self.jobs <= limit:

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import census as census_mod
 from . import trees
 from .bounds import record_for_tree
-from .homology import BETTI_ORDER_CAP, betti_table
+from .homology import FOREST_BETTI_ORDER_CAP, betti_table
 from .graphs import (
     TreeWitness,
     WhiskerVector,
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-order", type=int, required=True)
     p_ver.add_argument("--oracle-up-to", type=int, default=0,
                        help="also run the homology oracle up to this order "
-                       f"(max {BETTI_ORDER_CAP})")
+                       f"(max {FOREST_BETTI_ORDER_CAP}, the forest route's cap)")
     p_ver.add_argument("--checkpoint", help="JSON checkpoint file for resume")
     p_ver.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_ver.add_argument("--out", default="treereg_verify.csv",

@@ -141,7 +141,10 @@ def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
                 stack.append((c, 2))
     total = sum(b2[v] for v in roots)
     cert = MatchingCertificate(frozenset(edges), len(edges))
-    assert cert.size == total
+    if cert.size != total:
+        raise AssertionError(
+            f"matching witness has {cert.size} edges, the DP value is {total}"
+        )
     return total, cert
 
 
@@ -165,7 +168,10 @@ def _forest_independence(g: Graph) -> tuple[int, IndependentSetCertificate]:
             stack.append((c, not take))
     total = sum(max(inc[v], exc[v]) for v in roots)
     cert = IndependentSetCertificate(frozenset(chosen), len(chosen))
-    assert cert.size == total
+    if cert.size != total:
+        raise AssertionError(
+            f"independent-set witness has {cert.size} vertices, the DP value is {total}"
+        )
     return total, cert
 
 

@@ -13,7 +13,7 @@ from treereg.bounds import (
     verify_record,
 )
 from treereg.graphs import Graph, TreeWitness, from_edge_list, path_graph, star_graph
-from treereg.homology import BETTI_ORDER_CAP
+from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.trees import enumerate_trees
 
 from conftest import spider
@@ -132,7 +132,7 @@ class TestRecords:
         assert verify_record(r) == []
 
     def test_oracle_cap_leaves_reg_unset(self):
-        r = record_for_tree(TreeWitness(path_graph(BETTI_ORDER_CAP + 1)), with_oracle=True)
+        r = record_for_tree(TreeWitness(path_graph(FOREST_BETTI_ORDER_CAP + 1)), with_oracle=True)
         assert r.reg is None
 
     def test_witnesses_present(self):

@@ -8,6 +8,7 @@ import pytest
 
 from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
+from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.trees import TreeCode, canonical_code, tree_from_code
 
 
@@ -71,11 +72,11 @@ class TestInvariantsCommand:
         assert "not a tree" in capsys.readouterr().err
 
     def test_regularity_printed_up_to_the_oracle_cap(self, capsys):
-        # P11 has 11 vertices, above the old record cap of 10 but within
-        # the one oracle cap of 12; reg(P_n) = floor((n + 1) / 3).
-        edges = ",".join(f"{v}-{v + 1}" for v in range(10))
+        # A tree at the forest route's cap of 16, above the GF(2) route's
+        # cap of 12; reg(P_n) = floor((n + 1) / 3).
+        edges = ",".join(f"{v}-{v + 1}" for v in range(FOREST_BETTI_ORDER_CAP - 1))
         assert run_cli("invariants", "--edges", edges) == 0
-        assert "im=4 alpha=6 reg=4" in capsys.readouterr().out
+        assert "im=5 alpha=8 reg=5" in capsys.readouterr().out
 
 
 class TestEnumerateCommand:
@@ -143,6 +144,19 @@ class TestVerifyCommand:
         lines = csv.read_text().splitlines()
         assert lines[0].startswith("tree_code,n,p,d,im,alpha,reg")
         assert len(lines) == 1 + (1 + 1 + 1 + 2 + 3 + 6 + 11)  # orders 1..7
+        assert vio.read_text() == ""
+
+    def test_oracle_past_the_gf2_cap_is_clean(self, tmp_path):
+        # The forest route checks reg = im on all 2,288 trees of order <= 13.
+        csv = tmp_path / "rec.csv"
+        vio = tmp_path / "vio.jsonl"
+        assert run_cli(
+            "verify", "--max-order", "13", "--oracle-up-to", "13",
+            "--out", str(csv), "--violations", str(vio),
+        ) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert len(rows) == 2288
+        assert all(row[6] == row[4] for row in rows)  # reg == im, none empty
         assert vio.read_text() == ""
 
     def test_resume_is_byte_identical(self, tmp_path):
@@ -440,10 +454,10 @@ class TestVerifyCommand:
 
     def test_oracle_up_to_beyond_the_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
-        assert run_cli("verify", "--max-order", "3", "--oracle-up-to", "13",
-                       "--out", str(out),
+        assert run_cli("verify", "--max-order", "3", "--oracle-up-to",
+                       str(FOREST_BETTI_ORDER_CAP + 1), "--out", str(out),
                        "--violations", str(tmp_path / "v.jsonl")) == 2
-        assert "0..12" in capsys.readouterr().err
+        assert f"0..{FOREST_BETTI_ORDER_CAP}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jobs_do_not_change_output(self, tmp_path):

@@ -13,19 +13,23 @@ from treereg.graphs import (
     delete_vertex,
     disjoint_union,
     from_edge_list,
+    induced_subgraph,
     multi_whisker,
     path_graph,
     star_graph,
 )
 from treereg.homology import (
     BETTI_ORDER_CAP,
+    FOREST_BETTI_ORDER_CAP,
+    _betti_entries,
+    _forest_betti_entries,
     _independence_ranks,
     _independent_set_masks,
     betti_table,
     regularity,
 )
 from treereg.invariants import brute_force_im, independence_number, induced_matching_number
-from treereg.trees import enumerate_trees, prufer_to_edges, random_tree
+from treereg.trees import _code_levels, enumerate_trees, prufer_to_edges, random_tree
 
 from conftest import spider, tree_witnesses
 
@@ -57,8 +61,95 @@ class TestCalibration:
         assert payload["reg"] == 1 and payload["pdim"] == 2
 
     def test_order_cap(self):
+        forest = path_graph(FOREST_BETTI_ORDER_CAP + 1)
         with pytest.raises(ValueError, match="exceeds"):
-            betti_table(from_edge_list([], BETTI_ORDER_CAP + 1))
+            betti_table(forest)
+        n = BETTI_ORDER_CAP + 1
+        cycle = from_edge_list([(v, (v + 1) % n) for v in range(n)], n)
+        with pytest.raises(ValueError, match="exceeds"):
+            betti_table(cycle)
+
+    def test_each_route_at_its_cap(self):
+        # reg(P_n) = reg(C_n) = floor((n + 1) / 3), and reg adds over
+        # components; a cycle is never a forest.
+        half = FOREST_BETTI_ORDER_CAP // 2
+        assert regularity(disjoint_union(path_graph(half), path_graph(half))) == 6
+        n = BETTI_ORDER_CAP
+        cycle = from_edge_list([(v, (v + 1) % n) for v in range(n)], n)
+        assert regularity(cycle) == 4
+
+
+def _components(masks: list[int], w: int) -> list[int]:
+    """The connected components of the subgraph induced by w, as bitmasks."""
+    comps = []
+    while w:
+        comp = frontier = w & -w
+        while frontier:
+            grow = 0
+            while frontier:
+                bit = frontier & -frontier
+                grow |= masks[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grow & w & ~comp
+            comp |= frontier
+        comps.append(comp)
+        w &= ~comp
+    return comps
+
+
+def induced_subforests(max_order: int) -> list[Graph]:
+    """One induced subgraph of a tree of order <= max_order per isomorphism
+    class, keyed by the sorted canonical codes of its components."""
+    seen: dict[tuple, Graph] = {}
+    for n in range(1, max_order + 1):
+        for t in enumerate_trees(n):
+            g = t.graph
+            masks = g.neighbor_masks()
+            codes: dict[int, tuple[int, ...]] = {}
+            for w in range(1, 1 << n):
+                key = []
+                for comp in _components(masks, w):
+                    if comp not in codes:
+                        verts = [v for v in range(n) if comp >> v & 1]
+                        codes[comp] = _code_levels(induced_subgraph(g, verts).adjacency)
+                    key.append(codes[comp])
+                key = tuple(sorted(key))
+                if key not in seen:
+                    seen[key] = induced_subgraph(g, [v for v in range(n) if w >> v & 1])
+    return list(seen.values())
+
+
+def whiskered_trees(max_order: int) -> list[Graph]:
+    """Each multi-whiskered tree of order <= max_order once up to isomorphism."""
+    from itertools import product as iproduct
+
+    seen: dict[tuple, Graph] = {}
+    for n in range(1, max_order // 2 + 1):
+        spare = max_order - 2 * n  # whiskers beyond one per vertex
+        for t in enumerate_trees(n):
+            for extra in iproduct(range(spare + 1), repeat=n):
+                if sum(extra) <= spare:
+                    w = multi_whisker(t.graph, [1 + a for a in extra])
+                    seen.setdefault(_code_levels(w.adjacency), w)
+    return list(seen.values())
+
+
+class TestForestRoute:
+    """The forest route against GF(2) elimination, its independent oracle."""
+
+    def test_matches_gf2_on_every_induced_subforest_to_order_10(self):
+        forests = induced_subforests(10)
+        # every forest of order <= 9 (an extra vertex joins the components
+        # into a tree) and every tree of order 10
+        assert len(forests) == sum((1, 2, 3, 6, 10, 20, 37, 76, 153)) + 106
+        for g in forests:
+            assert _forest_betti_entries(g) == _betti_entries(g), g
+
+    def test_matches_gf2_on_whiskered_trees_to_order_12(self):
+        trees = whiskered_trees(12)
+        assert len(trees) == 191
+        for g in trees:
+            assert _forest_betti_entries(g) == _betti_entries(g), g
 
 
 def independent_sets(g: Graph) -> set[tuple[int, ...]]:
