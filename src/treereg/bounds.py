@@ -7,11 +7,11 @@ floor((2n-p)/3), ``wub_d`` is ceil((2n-d-1)/2), ``wub_p`` is
 floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
 A tree given as a level sequence gets its invariants from
-:func:`code_kernel`, a fold that visits each distinct rooted subtree once
-per sweep and feeds the sweep's CSV rows, and its full record, witnesses
-included, from :func:`record_for_code`, whose array pass over the parents
-is also the fold's reference; a labeled tree takes
-:func:`record_for_tree`.
+:func:`code_kernel`, a fold that visits each distinct rooted subtree and
+each distinct run of siblings once per sweep and feeds the sweep's CSV
+rows, and its full record, witnesses included, from
+:func:`record_for_code`, whose array pass over the parents is also the
+fold's reference; a labeled tree takes :func:`record_for_tree`.
 """
 
 from __future__ import annotations
@@ -243,32 +243,65 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
 # independence DP, the height, the longest path inside it and its leaves.
 # A leaf, at any depth:
 _LEAF = (0, 0, 0, 1, 0, 0, 0, 1)
+# The fold's state over a vertex's children: the sums of their b1 and b2,
+# the largest gain b0 - b1 (None before any child), the in/out independence
+# sums, the two largest heights one level up, the longest path inside a
+# child and the leaf sum.  No children yet:
+_NO_CHILD = (0, 0, None, 1, 0, 0, 0, 0, 0)
 
 
-def _fold(blocks: list[bytes]) -> tuple:
-    """A vertex's summary from its children's blocks (at least one)."""
-    s0 = s1 = exc = leaves = h1 = h2 = dia = 0
-    inc = 1
-    gain = None
-    for c0, c1, c2, ci, ce, ch, cd, cl in map(_subtree, blocks):
-        s0 += c1
-        s1 += c2
-        if gain is None or c0 - c1 > gain:
-            gain = c0 - c1
-        inc += ce
-        exc += ci if ci > ce else ce
-        ch += 1
-        if ch > h1:
-            h1, h2 = ch, h1
-        elif ch > h2:
-            h2 = ch
-        if cd > dia:
-            dia = cd
-        leaves += cl
+def _step(state: tuple, child: tuple) -> tuple:
+    """The fold's state with one more child, given by its summary."""
+    s0, s1, gain, inc, exc, h1, h2, dia, leaves = state
+    c0, c1, c2, ci, ce, ch, cd, cl = child
+    if gain is None or c0 - c1 > gain:
+        gain = c0 - c1
+    ch += 1
+    if ch > h1:
+        h1, h2 = ch, h1
+    elif ch > h2:
+        h2 = ch
+    return (
+        s0 + c1,
+        s1 + c2,
+        gain,
+        inc + ce,
+        exc + (ci if ci > ce else ce),
+        h1,
+        h2,
+        cd if cd > dia else dia,
+        leaves + cl,
+    )
+
+
+def _finish(state: tuple) -> tuple:
+    """A vertex's summary from the fold's state over its (one or more)
+    children."""
+    s0, s1, gain, inc, exc, h1, h2, dia, leaves = state
     b2 = 1 + s0 + gain
     if h1 + h2 > dia:
         dia = h1 + h2
     return s0, s1, b2 if b2 > s1 else s1, inc, exc, h1, dia, leaves
+
+
+def _forest(forest: bytes) -> tuple:
+    """The fold's state over a non-empty forest: its first child's summary
+    folded onto its siblings' cached state.
+
+    A forest is children's blocks as they stand in the code, each one byte
+    at the children's level, then that child's descendants.
+    """
+    end = forest.find(forest[0], 1)
+    if end < 0:
+        end = len(forest)
+    return _step(_siblings(forest[end:]), _subtree(forest[1:end]))
+
+
+@cache
+def _siblings(forest: bytes) -> tuple:
+    """The fold's state over ``forest``, what follows a first child: built
+    one sibling at a time, each suffix once until the cache is cleared."""
+    return _forest(forest) if forest else _NO_CHILD
 
 
 @cache
@@ -278,31 +311,41 @@ def _subtree(block: bytes) -> tuple:
     ``block`` holds the descendants' levels as they stand in the code, so a
     non-empty block's bytes fix its depth and equal blocks are equal rooted
     subtrees; the empty block is a leaf, whose summary is the same at every
-    depth.  Each child's own block runs from one byte equal to the block's
-    first to the next.
+    depth.
     """
-    if not block:
-        return _LEAF
-    return _fold(block.split(block[:1])[1:])
+    return _finish(_forest(block)) if block else _LEAF
 
 
 def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence encodes.
 
-    A memoized fold over rooted subtrees: the blocks after each level-1 byte
-    are the root's children, and :func:`_subtree` folds each distinct block
-    once until its cache is cleared (``census.run_verify`` clears it at the
-    start of every sweep).  The recurrences are those of
-    :func:`record_for_code`'s array pass, which stays the reference and the
-    witness path.  Nothing is validated: the input must be a level sequence
-    such as :func:`~treereg.trees.code_bytes` returns.
+    A memoized fold over rooted subtrees that folds only the root's first
+    child per tree: the bytes after the first level-1 byte, up to the next,
+    are that child's block, whose summary :func:`_subtree` caches, and the
+    rest of the code is the other children, whose fold state
+    :func:`_siblings` caches, keyed by that suffix and built one sibling at
+    a time.  Each distinct block and suffix is folded once until the caches
+    are cleared (``census.run_verify`` clears both at the start of every
+    sweep).  The recurrences are those of :func:`record_for_code`'s array
+    pass, which stays the reference and the witness path.  Nothing is
+    validated: the input must be a level sequence such as
+    :func:`~treereg.trees.code_bytes` returns.  The fold recurses once per
+    level and once per sibling, which suits every order a sweep reaches; a
+    vertex with more than about 300 children passes Python's default
+    recursion limit, and :func:`record_for_code` takes such a tree.
     """
     n = len(code)
     if n == 1:
         return 1, 0, 0, 0, 1
-    blocks = code.split(b"\x01")[1:]
-    _, _, im, inc, exc, _, d, leaves = _fold(blocks)
-    return n, leaves + (len(blocks) == 1), d, im, inc if inc > exc else exc
+    # _forest(code[1:]) split here, which spares a copy and a call per tree
+    # and tells whether the root has one child, and so is a pendant
+    end = code.find(1, 2)
+    one_child = end < 0
+    if one_child:
+        end = n
+    state = _step(_siblings(code[end:]), _subtree(code[2:end]))
+    _, _, im, inc, exc, _, d, leaves = _finish(state)
+    return n, leaves + one_child, d, im, inc if inc > exc else exc
 
 
 def _array_pass(levels: Sequence[int]) -> tuple:

@@ -23,37 +23,43 @@ well-formed checkpoint at all.
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built unless the homology oracle runs.
 A CSV row above the oracle's orders is the code text plus a tail that
-depends only on (n, p, d, im, alpha), which :func:`code_kernel` folds from
-the tree's rooted subtrees, each distinct one once per run; each distinct
-tail, with its violations and tight flags, is built once per run from a
-record by :func:`_record`, ``csv_row`` and :func:`verify_record`, so the
-row format and the inequalities each stay in one place.  JSONL records and
-oracle rows take the full :func:`record_for_code` path, witnesses included.
+depends only on (n, p, d, im, alpha).  :func:`code_texts` gives a whole
+batch's texts in a few C-level byte operations (a batch with a two-digit
+level joins each code's level strings instead), and :func:`code_kernel`
+folds the key from the tree's first rooted subtree and the cached state of
+its siblings, each distinct subtree and sibling suffix once per run; each
+distinct tail, with its violations and tight flags, is built once per run
+from a record by :func:`_record`, ``csv_row`` and :func:`verify_record`, so
+the row format and the inequalities each stay in one place.  JSONL records
+and oracle rows take the full :func:`record_for_code` path, witnesses
+included.  ``multiprocessing`` is imported only when a sweep starts a pool.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Optional, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
 from .bounds import (
     CSV_HEADER,
     Violation,
     _record,
+    _siblings,
     _subtree,
     code_kernel,
     record_for_code,
     verify_record,
 )
 from .homology import FOREST_BETTI_ORDER_CAP
-from .trees import code_bytes, code_text, max_order_cap
+from .trees import code_bytes, code_text, code_texts, max_order_cap
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 MIN_ORDER = 1
 
@@ -139,7 +145,7 @@ class _Checkpoint:
     @classmethod
     def fresh(cls, params: dict, order: int) -> "_Checkpoint":
         return cls(
-            run_id=uuid.uuid4().hex,
+            run_id=os.urandom(16).hex(),
             params=params,
             status="running",
             order=order,
@@ -259,9 +265,9 @@ def _tight_bucket() -> dict:
 _Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
 
 # (n, p, d, im, alpha) -> its _Tail.  run_verify empties it, and the
-# kernel's subtree cache, before any worker forks, so no run reuses what
-# another run's verify_record found and neither cache outlives its run;
-# each worker fills its own copies.
+# kernel's subtree and sibling caches, before any worker forks, so no run
+# reuses what another run's verify_record found and no cache outlives its
+# run; each worker fills its own copies.
 _ROW_TAILS: dict[tuple, _Tail] = {}
 
 
@@ -288,13 +294,12 @@ def _verify_batch(
     violations: list[dict] = []
     tights: list[tuple[bool, bool, bool]] = []
     if fmt == "csv" and n > oracle_up_to:
-        for levels in codes:
+        for levels, code in zip(codes, code_texts(codes)):
             key = code_kernel(levels)
             tail = _ROW_TAILS.get(key)
             if tail is None:
                 tail = _ROW_TAILS[key] = _row_tail(key)
             row, checks, tight = tail
-            code = code_text(levels)
             lines.append(code + row)
             for check, detail in checks:
                 violations.append(Violation(code, check, detail).to_json_dict())
@@ -327,7 +332,7 @@ def _batches(
 
 def _results(
     cfg: SweepConfig,
-    pool: Optional[multiprocessing.pool.Pool],
+    pool: Optional[Pool],
     batches: Iterator[tuple[int, int, list[bytes]]],
 ) -> Iterator[tuple[int, int, list[bytes], tuple]]:
     """Each batch with its :func:`_verify_batch` result, in batch order.
@@ -369,6 +374,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     cfg.validate()
     _ROW_TAILS.clear()
     _subtree.cache_clear()
+    _siblings.cache_clear()
     started = time.time()
     ck: Optional[_Checkpoint] = None
     # the resumed order's codes, enumerated once to check the checkpoint
@@ -416,6 +422,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
 
     pool = None
     if cfg.jobs > 1:
+        import multiprocessing  # only a pool needs it; it slows start-up
+
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
     bucket = None
     try:
@@ -439,11 +447,10 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             ck.violations.extend(violations)
             if bucket is not None:
                 bucket["trees"] += len(batch)
-                for code, tight in zip(batch, tights):
-                    for key, flag in zip(_TIGHT_KEYS, tight):
-                        if flag:
-                            bucket[key] += 1
-                            bucket[key + "_codes"].append(code_text(code))
+                for k, key in enumerate(_TIGHT_KEYS):
+                    tight = [code for code, flags in zip(batch, tights) if flags[k]]
+                    bucket[key] += len(tight)
+                    bucket[key + "_codes"].extend(code_texts(tight))
             ck.order = n
             ck.next_index = i
             ck.last_completed_code[str(n)] = code_text(batch[-1])

@@ -133,18 +133,25 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+# Codes per write of `treereg enumerate`.
+_ENUMERATE_BATCH = 4096
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # code_bytes joins the canonical codes as bytes, so only the edge specs
-    # need a Graph
+    # code_bytes joins the canonical codes as bytes, and code_texts writes a
+    # whole batch of them at once, so only the edge specs need a Graph
     write = sys.stdout.write
-    for code in trees.code_bytes(args.order):
-        text = trees.code_text(code)
-        if args.codes_only:
-            write(text + "\n")
-        else:
-            edges = trees.graph_from_code(code).edges()
-            spec = ",".join(f"{u}-{v}" for u, v in edges)
-            write(f"{text}\t{spec}\n")
+    codes = trees.code_bytes(args.order)
+    for i in range(0, len(codes), _ENUMERATE_BATCH):
+        batch = codes[i : i + _ENUMERATE_BATCH]
+        texts = trees.code_texts(batch)
+        if not args.codes_only:
+            edge_lists = (trees.graph_from_code(code).edges() for code in batch)
+            texts = [
+                text + "\t" + ",".join(f"{u}-{v}" for u, v in edges)
+                for text, edges in zip(texts, edge_lists)
+            ]
+        write("\n".join(texts) + "\n")
     return 0
 
 

@@ -71,11 +71,36 @@ class TreeCode:
 # The text of every level a byte can hold.
 _LEVEL_TEXT = tuple(map(str, range(256)))
 
+# code_texts joins codes on this byte; its hex is the "ee" the texts split at.
+_SEP = b"\xee"
+# A one-digit level k becomes the byte 0xkF, whose hex less its "f" is k;
+# every longer level becomes the separator, so a surplus of separators
+# marks a batch that needs the per-level join.
+_HEX_LEVEL = bytes(16 * k + 15 if k < 10 else _SEP[0] for k in range(256))
+
+
+def code_texts(codes: Sequence[bytes]) -> list[str]:
+    """The space-separated texts of non-empty ``bytes`` level sequences.
+
+    A batch whose levels all have one digit takes a few C-level calls
+    whatever its size: join on the separator, translate each level k to
+    the byte 0xkF, write the hex with a space between bytes, drop every
+    "f", and split at the separators' "ee".  A batch with a level of two
+    or more digits (at the default cap only the order-20 path, which
+    reaches level 10) joins each code's level strings instead.
+    """
+    joined = _SEP.join(codes).translate(_HEX_LEVEL)
+    # an empty batch also lands here: it has no separator, not -1 of them
+    if joined.count(_SEP) != len(codes) - 1:
+        return [" ".join([_LEVEL_TEXT[x] for x in code]) for code in codes]
+    return joined.hex(" ").replace("f", "").split(" ee ")
+
 
 def code_text(levels: Iterable[int]) -> str:
-    """A level sequence (tuple or ``bytes``) as its space-separated text."""
+    """A level sequence (tuple or ``bytes``) as its space-separated text;
+    ``bytes`` go through :func:`code_texts` as a batch of one."""
     if type(levels) is bytes:
-        return " ".join([_LEVEL_TEXT[x] for x in levels])
+        return code_texts((levels,))[0]
     return " ".join(map(str, levels))
 
 

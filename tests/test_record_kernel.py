@@ -10,6 +10,7 @@ import treereg.census as census_mod
 from treereg.bounds import (
     Violation,
     _array_pass,
+    _siblings,
     _subtree,
     code_kernel,
     record_for_code,
@@ -50,6 +51,7 @@ def test_oracle_records_match_the_graph_path(n):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fold_matches_the_array_pass(n):
     _subtree.cache_clear()
+    _siblings.cache_clear()
     for code in code_bytes(n):
         assert code_kernel(code) == _array_pass(code)[:5]
 
@@ -63,15 +65,22 @@ def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
 
 
 def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
-    # a path rooted at one end: of its blocks, only the leaf's occurs in a
-    # tree of order <= 4, so the other 10 are folded again after the sweep
+    # A path rooted at one end: of its blocks, only the leaf's occurs in a
+    # tree of order <= 4, so the other 10 are folded again after the sweep;
+    # its one sibling state, that of no sibling, occurs there too.  A spider
+    # of three 5-vertex legs rooted at its center: the root's other two legs
+    # and its last leg alone are sibling states, and a leg's blocks below
+    # level 1 are four blocks, all too deep for order <= 4.
     path = bytes(range(12))
-    code_kernel(path)
-    census_mod.run_verify(census_mod.SweepConfig(
-        max_order=4, out_csv=tmp_path / "r.csv"))
-    misses = _subtree.cache_info().misses
-    code_kernel(path)
-    assert _subtree.cache_info().misses == misses + 10
+    spider = bytes([0] + [1, 2, 3, 4, 5] * 3)
+    for code, blocks, states in ((path, 10, 0), (spider, 4, 2)):
+        code_kernel(code)
+        census_mod.run_verify(census_mod.SweepConfig(
+            max_order=4, out_csv=tmp_path / "r.csv"))
+        misses = _subtree.cache_info().misses, _siblings.cache_info().misses
+        assert code_kernel(code) == _array_pass(code)[:5]
+        assert _subtree.cache_info().misses == misses[0] + blocks
+        assert _siblings.cache_info().misses == misses[1] + states
 
 
 @settings(max_examples=200, deadline=None)

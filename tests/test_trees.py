@@ -10,6 +10,7 @@ from treereg.trees import (
     canonical_code,
     code_bytes,
     code_text,
+    code_texts,
     count_trees,
     enumerate_codes,
     enumerate_trees,
@@ -113,6 +114,25 @@ class TestEnumeration:
         for code in [path20] + [c for n in range(1, 15) for c in code_bytes(n)]:
             assert code_text(code) == " ".join(map(str, code))
             assert code_text(tuple(code)) == code_text(code)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_code_texts_join_every_level(self, n):
+        codes = code_bytes(n)
+        assert code_texts(codes) == [" ".join(map(str, c)) for c in codes]
+
+    def test_code_texts_fall_back_for_a_two_digit_level(self):
+        # the order-20 path, alone and amid one-digit codes, whose batch
+        # would otherwise come out as hex
+        path20 = bytes(canonical_code(path_graph(20)).levels)
+        assert max(path20) == 10
+        batch = code_bytes(7)[:5] + [path20] + code_bytes(9)[-5:]
+        for codes in ([path20], batch):
+            assert code_texts(codes) == [" ".join(map(str, c)) for c in codes]
+
+    def test_code_texts_of_one_code_and_of_none(self):
+        assert code_texts([bytes([0, 1, 2, 1, 1])]) == ["0 1 2 1 1"]
+        assert code_texts([b"\0"]) == ["0"]
+        assert code_texts([]) == []
 
     def test_bicentral_layout_is_rerooted(self):
         # the fork's centers root it as 0 1 2 1 1 and 0 1 2 2 1; the code is
