@@ -13,14 +13,9 @@ from .graphs import (
     StructuralInvariants,
     TreeWitness,
     WhiskerVector,
-    delete_closed_neighborhood,
-    delete_vertex,
-    disjoint_union,
     from_edge_list,
-    induced_subgraph,
     multi_whisker,
     path_graph,
-    star_graph,
     structural_invariants,
 )
 from .homology import (
@@ -31,20 +26,14 @@ from .homology import (
 from .invariants import (
     IndependentSetCertificate,
     MatchingCertificate,
-    brute_force_alpha,
-    brute_force_im,
     independence_number,
     induced_matching_number,
 )
 from .trees import (
-    TreeCode,
     canonical_code,
     count_trees,
-    enumerate_codes,
     enumerate_trees,
     graph_from_code,
-    prufer_to_edges,
-    random_tree,
     tree_from_code,
 )
 
@@ -56,33 +45,22 @@ __all__ = [
     "InvariantRecord",
     "MatchingCertificate",
     "StructuralInvariants",
-    "TreeCode",
     "TreeWitness",
     "Violation",
     "WhiskerVector",
     "betti_table",
-    "brute_force_alpha",
-    "brute_force_im",
     "canonical_code",
     "count_trees",
-    "delete_closed_neighborhood",
-    "delete_vertex",
-    "disjoint_union",
-    "enumerate_codes",
     "enumerate_trees",
     "evaluate_bounds",
     "from_edge_list",
     "graph_from_code",
     "independence_number",
     "induced_matching_number",
-    "induced_subgraph",
     "multi_whisker",
     "path_graph",
-    "prufer_to_edges",
-    "random_tree",
     "record_for_tree",
     "regularity",
-    "star_graph",
     "structural_invariants",
     "tree_from_code",
     "verify_record",

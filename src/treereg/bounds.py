@@ -17,7 +17,7 @@ fold's reference; a labeled tree takes :func:`record_for_tree`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Optional, Sequence
 
@@ -129,7 +129,7 @@ class InvariantRecord:
         return ",".join(cells)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "tree_code": self.tree_code,
             "n": self.n,
             "p": self.p,
@@ -142,22 +142,8 @@ class InvariantRecord:
             "wub_tight": self.wub_tight,
             "im_witness": [list(e) for e in self.im_witness],
             "alpha_witness": list(self.alpha_witness),
+            "bounds": None if self.bounds is None else asdict(self.bounds),
         }
-        if self.bounds is not None:
-            out["bounds"] = {
-                "lb_tree": self.bounds.lb_tree,
-                "ub_tree_np": self.bounds.ub_tree_np,
-                "ub_tree_23": self.bounds.ub_tree_23,
-                "ub_tree": self.bounds.ub_tree,
-                "wub_d": self.bounds.wub_d,
-                "wub_p": self.bounds.wub_p,
-                "wub": self.bounds.wub,
-                "w_lb": self.bounds.w_lb,
-                "w_ub_triv": self.bounds.w_ub_triv,
-            }
-        else:
-            out["bounds"] = None
-        return out
 
     def to_jsonl(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
@@ -221,7 +207,7 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     inv = structural_invariants(g)
     im, im_cert = induced_matching_number(g)
     alpha, alpha_cert = independence_number(g)
-    code = canonical_code(t).to_text()
+    code = code_text(canonical_code(t))
     reg = None
     if with_oracle and g.order <= FOREST_BETTI_ORDER_CAP:
         reg = regularity(g)

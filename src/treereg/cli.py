@@ -14,6 +14,7 @@ from .homology import FOREST_BETTI_ORDER_CAP, betti_table
 from .graphs import (
     TreeWitness,
     WhiskerVector,
+    edge_spec,
     from_edge_list,
     graph_from_edge_spec,
     multi_whisker,
@@ -146,11 +147,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         batch = codes[i : i + _ENUMERATE_BATCH]
         texts = trees.code_texts(batch)
         if not args.codes_only:
-            edge_lists = (trees.graph_from_code(code).edges() for code in batch)
-            texts = [
-                text + "\t" + ",".join(f"{u}-{v}" for u, v in edges)
-                for text, edges in zip(texts, edge_lists)
-            ]
+            specs = (edge_spec(trees.graph_from_code(code)) for code in batch)
+            texts = [text + "\t" + spec for text, spec in zip(texts, specs)]
         write("\n".join(texts) + "\n")
     return 0
 

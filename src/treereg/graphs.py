@@ -1,10 +1,11 @@
-"""Labeled simple undirected graphs and the surgery used by every other module.
+"""Labeled simple undirected graphs, the multi-whisker construction, and
+edge specs.
 
 Vertices are always ``0..order-1``.  Values are immutable; every operation
-returns a fresh :class:`Graph`, relabeling compactly by rank whenever
-vertices disappear.  Isolated vertices are allowed (deletions produce them),
-but :func:`structural_invariants` insists on a connected input because the
-diameter is undefined otherwise.
+returns a fresh :class:`Graph`.  Isolated vertices are allowed, but
+:func:`structural_invariants` insists on a connected input because the
+diameter is undefined otherwise.  The vertex deletions and disjoint unions
+of the regularity identities are test helpers (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class Graph:
             for u in nbrs:
                 if v not in self.adjacency[u]:
                     raise ValueError(f"edge {v}-{u} present only on one side")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -94,11 +92,6 @@ def path_graph(n: int) -> Graph:
     return from_edge_list([(i, i + 1) for i in range(n - 1)], n)
 
 
-def star_graph(leaves: int) -> Graph:
-    """Star with center 0 and the given number of leaves."""
-    return from_edge_list([(0, i) for i in range(1, leaves + 1)], leaves + 1)
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, in order of minimum."""
     seen = [False] * g.order
@@ -139,20 +132,18 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
 
 @dataclass(frozen=True)
 class StructuralInvariants:
-    """Order, pendant count, diameter, and the pendant/support vertex sets."""
+    """Order, pendant count and diameter."""
 
     n: int
     p: int
     d: int
-    pendant_set: frozenset[int]
-    support_set: frozenset[int]
 
 
 def structural_invariants(g: Graph) -> StructuralInvariants:
-    """Exact n, p, d plus pendant and support sets for a connected graph.
+    """Exact n, p, d for a connected graph.
 
-    Pendants are the degree-1 vertices; supports are their neighbors; the
-    diameter is the maximum BFS distance over all vertex pairs.
+    Pendants are the degree-1 vertices; the diameter is the maximum BFS
+    distance over all vertex pairs.
     """
     comps = connected_components(g)
     if len(comps) > 1:
@@ -160,12 +151,11 @@ def structural_invariants(g: Graph) -> StructuralInvariants:
         raise ValueError(
             f"graph is disconnected: vertices {a} and {b} lie in different components"
         )
-    pendants = frozenset(v for v in range(g.order) if g.degree(v) == 1)
-    supports = frozenset(u for v in pendants for u in g.adjacency[v])
+    pendants = sum(1 for v in range(g.order) if g.degree(v) == 1)
     diameter = 0
     for v in range(g.order):
         diameter = max(diameter, max(_bfs_distances(g, v)))
-    return StructuralInvariants(g.order, len(pendants), diameter, pendants, supports)
+    return StructuralInvariants(g.order, pendants, diameter)
 
 
 @dataclass(frozen=True)
@@ -188,43 +178,6 @@ class TreeWitness:
     @property
     def order(self) -> int:
         return self.graph.order
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Induced subgraph on the given vertex set, relabeled by rank within it."""
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} out of range")
-    rank = {v: i for i, v in enumerate(kept)}
-    adj = tuple(
-        tuple(rank[u] for u in g.adjacency[v] if u in rank) for v in kept
-    )
-    return Graph(len(kept), adj)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Graph with v removed and the rest relabeled 0..order-2 preserving order."""
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range")
-    return induced_subgraph(g, (u for u in range(g.order) if u != v))
-
-
-def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
-    """Induced subgraph on the complement of N[v], relabeled by rank."""
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range")
-    banned = set(g.adjacency[v]) | {v}
-    return induced_subgraph(g, (u for u in range(g.order) if u not in banned))
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Both graphs side by side; g2's labels are shifted by g1's order."""
-    shift = g1.order
-    adj = g1.adjacency + tuple(
-        tuple(u + shift for u in nbrs) for nbrs in g2.adjacency
-    )
-    return Graph(g1.order + g2.order, adj)
 
 
 @dataclass(frozen=True)
@@ -327,5 +280,6 @@ def graph_from_edge_spec(text: str, order: int | None = None) -> Graph:
 
 
 def edge_spec(g: Graph) -> str:
-    """Inverse of parse_edge_spec for display purposes."""
+    """The ``u-v`` spec parse_edge_spec reads, one token per edge in sorted
+    order; ``treereg enumerate`` prints it beside each code."""
     return ",".join(f"{u}-{v}" for u, v in g.edges())

@@ -103,7 +103,6 @@ class BettiTable:
     """Sparse graded Betti numbers of the quotient by an edge ideal."""
 
     entries: Mapping[tuple[int, int], int]
-    module: str = "S/I"
 
     def regularity(self) -> int:
         return max(j - i for (i, j), b in self.entries.items() if b)

@@ -1,9 +1,10 @@
 """Exact induced matching number and independence number with certificates.
 
 Forests get linear-time rooted dynamic programs; small general graphs fall
-back to an exact branch-and-bound.  The plain subset-search oracles
-(:func:`brute_force_im`, :func:`brute_force_alpha`) are deliberately separate
-code paths so the DPs can be validated against them.
+back to an exact branch-and-bound, capped at :data:`BRUTE_FORCE_EDGE_CAP`
+edges for im and :data:`BRUTE_FORCE_ORDER_CAP` vertices for alpha.  The
+plain subset-search oracles that validate both live in the test suite, as
+separate code paths under the same caps.
 """
 
 from __future__ import annotations
@@ -230,8 +231,7 @@ def induced_matching_number(g: Graph) -> tuple[int, MatchingCertificate]:
     if g.edge_count > BRUTE_FORCE_EDGE_CAP:
         raise ValueError(
             f"graph is not a forest and has {g.edge_count} edges; exact "
-            f"computation is only available up to {BRUTE_FORCE_EDGE_CAP} "
-            "edges (see brute_force_im)"
+            f"computation is only available up to {BRUTE_FORCE_EDGE_CAP} edges"
         )
     edges, conflicts = _edge_conflict_masks(g)
     size, mask = _mis_branch(conflicts, (1 << len(edges)) - 1)
@@ -246,61 +246,9 @@ def independence_number(g: Graph) -> tuple[int, IndependentSetCertificate]:
     if g.order > BRUTE_FORCE_ORDER_CAP:
         raise ValueError(
             f"graph is not a forest and has order {g.order}; exact "
-            f"computation is only available up to order {BRUTE_FORCE_ORDER_CAP} "
-            "(see brute_force_alpha)"
+            f"computation is only available up to order {BRUTE_FORCE_ORDER_CAP}"
         )
     size, mask = _mis_branch(g.neighbor_masks(), (1 << g.order) - 1)
     chosen = frozenset(v for v in range(g.order) if mask >> v & 1)
     return size, IndependentSetCertificate(chosen, size)
 
-
-def brute_force_im(g: Graph) -> int:
-    """Largest edge subset passing the induced-matching predicate.
-
-    Plain ordered include/exclude search over edges, pruned only by the
-    count of edges still available; test oracle, capped at 24 edges.
-    """
-    if g.edge_count > BRUTE_FORCE_EDGE_CAP:
-        raise ValueError(f"edge count {g.edge_count} exceeds {BRUTE_FORCE_EDGE_CAP}")
-    edges, conflicts = _edge_conflict_masks(g)
-    m = len(edges)
-    best = 0
-
-    def search(i: int, chosen: int, blocked: int) -> None:
-        nonlocal best
-        count = chosen.bit_count()
-        if count + (m - i) <= best:
-            return
-        if i == m:
-            best = max(best, count)
-            return
-        if not blocked >> i & 1:
-            search(i + 1, chosen | (1 << i), blocked | conflicts[i])
-        search(i + 1, chosen, blocked)
-
-    search(0, 0, 0)
-    return best
-
-
-def brute_force_alpha(g: Graph) -> int:
-    """Largest independent set by ordered subset search; capped at order 24."""
-    if g.order > BRUTE_FORCE_ORDER_CAP:
-        raise ValueError(f"order {g.order} exceeds {BRUTE_FORCE_ORDER_CAP}")
-    masks = g.neighbor_masks()
-    n = g.order
-    best = 0
-
-    def search(i: int, chosen: int, excluded: int) -> None:
-        nonlocal best
-        count = chosen.bit_count()
-        if count + (n - i) <= best:
-            return
-        if i == n:
-            best = max(best, count)
-            return
-        if not excluded >> i & 1:
-            search(i + 1, chosen | (1 << i), excluded | masks[i])
-        search(i + 1, chosen, excluded)
-
-    search(0, 0, 0)
-    return best

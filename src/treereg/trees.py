@@ -15,18 +15,18 @@ center over two tallest subtrees and a forest no larger than the second,
 and a bicentral tree is rooted at the smaller half's root with the larger
 half first.  So each isomorphism class appears exactly once without
 pairwise comparisons, and no Graph is built during enumeration.  The sweeps
-take the codes as sorted ``bytes`` with no :class:`TreeCode` per tree; the
-adjacency-based canonicalizer serves labeled input.  The
-all-Pruefer-sequences enumeration stays exponential and is kept in the test
-suite as an oracle.
+take the codes as sorted ``bytes``; labeled input goes through the
+adjacency-based canonicalizer, :func:`canonical_code`, which returns the
+same level sequence as a tuple of ints.  :func:`code_text`,
+:func:`graph_from_code` and :func:`tree_from_code` take either form.
+Pruefer decoding, random trees and the exponential all-Pruefer enumeration
+are oracles of the test suite and live there.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -48,24 +48,6 @@ def max_order_cap() -> int:
     if cap < 1:
         raise ValueError(f"TREEREG_MAX_ORDER must be >= 1, got {cap}")
     return cap
-
-
-@dataclass(frozen=True, order=True)
-class TreeCode:
-    """Isomorphism-invariant level sequence of a free tree."""
-
-    levels: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def to_text(self) -> str:
-        """Space-separated levels; the stable primary key in all output files."""
-        return code_text(self.levels)
-
-    @classmethod
-    def from_text(cls, text: str) -> "TreeCode":
-        return cls(tuple(int(tok) for tok in text.split()))
 
 
 # The text of every level a byte can hold.
@@ -164,15 +146,15 @@ def _code_levels(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return best
 
 
-def canonical_code(t: TreeWitness | Graph) -> TreeCode:
-    """Canonical code; equal codes iff the trees are isomorphic."""
+def canonical_code(t: TreeWitness | Graph) -> tuple[int, ...]:
+    """Canonical level sequence; equal codes iff the trees are isomorphic."""
     witness = t if isinstance(t, TreeWitness) else TreeWitness(t)
-    return TreeCode(_code_levels(witness.graph.adjacency))
+    return _code_levels(witness.graph.adjacency)
 
 
-def graph_from_code(code: TreeCode | Sequence[int]) -> Graph:
+def graph_from_code(code: Sequence[int]) -> Graph:
     """Rebuild a tree from a level sequence via the parent stack."""
-    levels = code.levels if isinstance(code, TreeCode) else tuple(code)
+    levels = tuple(code)
     if not levels or levels[0] != 0:
         raise ValueError(f"level sequence must start at 0: {levels}")
     edges = []
@@ -188,7 +170,7 @@ def graph_from_code(code: TreeCode | Sequence[int]) -> Graph:
     return from_edge_list(edges, len(levels))
 
 
-def tree_from_code(code: TreeCode | Sequence[int]) -> TreeWitness:
+def tree_from_code(code: Sequence[int]) -> TreeWitness:
     return TreeWitness(graph_from_code(code))
 
 
@@ -234,7 +216,7 @@ def code_bytes(n: int) -> list[bytes]:
     blocks <= b2.  A bicentral tree with halves A >= B of height r is
     rooted at B's root with A as its first block, the larger of the two
     rootings: ``0``, A one level deep, then B's forest.  The forest tables
-    live for one call; no Graph and no :class:`TreeCode` is built.
+    live for one call; no Graph is built.
     """
     cap = max_order_cap()
     if not 1 <= n <= cap:
@@ -273,11 +255,6 @@ def code_bytes(n: int) -> list[bytes]:
     return codes
 
 
-def enumerate_codes(n: int) -> list[TreeCode]:
-    """Canonical codes of all non-isomorphic trees of order n, ascending."""
-    return [TreeCode(tuple(b)) for b in code_bytes(n)]
-
-
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:
     """One witness per isomorphism class of order-n trees, ascending code order."""
     for code in code_bytes(n):
@@ -307,44 +284,3 @@ def count_trees(n: int) -> int:
         paired -= _rooted_count(n // 2)
     return _rooted_count(n) - paired // 2
 
-
-def prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2."""
-    if n < 2:
-        raise ValueError("Pruefer decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length {len(seq)} != n-2 = {n - 2}")
-    degree = [1] * n
-    for x in seq:
-        if not 0 <= x < n:
-            raise ValueError(f"sequence entry {x} out of range")
-        degree[x] += 1
-    edges = []
-    # ptr scans for leaves in increasing order; leaf tracks the current one.
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
-
-
-def random_tree(n: int, seed: int) -> TreeWitness:
-    """Uniform labeled tree from a random Pruefer sequence; fixed by seed."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n == 1:
-        return TreeWitness(Graph(1, ((),)))
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return TreeWitness(from_edge_list(prufer_to_edges(seq, n), n))

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import random
 from functools import cache
 from itertools import product
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from treereg.graphs import Graph, TreeWitness, from_edge_list
-from treereg.trees import _code_levels, graph_from_code, prufer_to_edges
+from treereg.invariants import (
+    BRUTE_FORCE_EDGE_CAP,
+    BRUTE_FORCE_ORDER_CAP,
+    _edge_conflict_masks,
+)
+from treereg.trees import _code_levels, graph_from_code
+
+
+def star_graph(leaves: int) -> Graph:
+    """Star with center 0 and the given number of leaves."""
+    return from_edge_list([(0, i) for i in range(1, leaves + 1)], leaves + 1)
 
 
 def spider(leg_lengths: tuple[int, ...]) -> Graph:
@@ -28,6 +40,137 @@ def spider(leg_lengths: tuple[int, ...]) -> Graph:
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Image of g under the vertex permutation perm."""
     return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()], g.order)
+
+
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
+    """Induced subgraph on the given vertex set, relabeled by rank within it."""
+    kept = sorted(set(keep))
+    for v in kept:
+        if not 0 <= v < g.order:
+            raise ValueError(f"vertex {v} out of range")
+    rank = {v: i for i, v in enumerate(kept)}
+    adj = tuple(
+        tuple(rank[u] for u in g.adjacency[v] if u in rank) for v in kept
+    )
+    return Graph(len(kept), adj)
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """Graph with v removed and the rest relabeled 0..order-2 preserving order."""
+    if not 0 <= v < g.order:
+        raise ValueError(f"vertex {v} out of range")
+    return induced_subgraph(g, (u for u in range(g.order) if u != v))
+
+
+def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
+    """Induced subgraph on the complement of N[v], relabeled by rank."""
+    if not 0 <= v < g.order:
+        raise ValueError(f"vertex {v} out of range")
+    banned = set(g.adjacency[v]) | {v}
+    return induced_subgraph(g, (u for u in range(g.order) if u not in banned))
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Both graphs side by side; g2's labels are shifted by g1's order."""
+    shift = g1.order
+    adj = g1.adjacency + tuple(
+        tuple(u + shift for u in nbrs) for nbrs in g2.adjacency
+    )
+    return Graph(g1.order + g2.order, adj)
+
+
+def prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2."""
+    if n < 2:
+        raise ValueError("Pruefer decoding needs n >= 2")
+    if len(seq) != n - 2:
+        raise ValueError(f"sequence length {len(seq)} != n-2 = {n - 2}")
+    degree = [1] * n
+    for x in seq:
+        if not 0 <= x < n:
+            raise ValueError(f"sequence entry {x} out of range")
+        degree[x] += 1
+    edges = []
+    # ptr scans for leaves in increasing order; leaf tracks the current one.
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in seq:
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges
+
+
+def random_tree(n: int, seed: int) -> TreeWitness:
+    """Uniform labeled tree from a random Pruefer sequence; fixed by seed."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if n == 1:
+        return TreeWitness(Graph(1, ((),)))
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return TreeWitness(from_edge_list(prufer_to_edges(seq, n), n))
+
+
+def brute_force_im(g: Graph) -> int:
+    """Largest edge subset passing the induced-matching predicate.
+
+    Plain ordered include/exclude search over edges, pruned only by the
+    count of edges still available; capped at 24 edges.
+    """
+    if g.edge_count > BRUTE_FORCE_EDGE_CAP:
+        raise ValueError(f"edge count {g.edge_count} exceeds {BRUTE_FORCE_EDGE_CAP}")
+    edges, conflicts = _edge_conflict_masks(g)
+    m = len(edges)
+    best = 0
+
+    def search(i: int, chosen: int, blocked: int) -> None:
+        nonlocal best
+        count = chosen.bit_count()
+        if count + (m - i) <= best:
+            return
+        if i == m:
+            best = max(best, count)
+            return
+        if not blocked >> i & 1:
+            search(i + 1, chosen | (1 << i), blocked | conflicts[i])
+        search(i + 1, chosen, blocked)
+
+    search(0, 0, 0)
+    return best
+
+
+def brute_force_alpha(g: Graph) -> int:
+    """Largest independent set by ordered subset search; capped at order 24."""
+    if g.order > BRUTE_FORCE_ORDER_CAP:
+        raise ValueError(f"order {g.order} exceeds {BRUTE_FORCE_ORDER_CAP}")
+    masks = g.neighbor_masks()
+    n = g.order
+    best = 0
+
+    def search(i: int, chosen: int, excluded: int) -> None:
+        nonlocal best
+        count = chosen.bit_count()
+        if count + (n - i) <= best:
+            return
+        if i == n:
+            best = max(best, count)
+            return
+        if not excluded >> i & 1:
+            search(i + 1, chosen | (1 << i), excluded | masks[i])
+        search(i + 1, chosen, excluded)
+
+    search(0, 0, 0)
+    return best
 
 
 def _decode_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:

@@ -20,18 +20,21 @@ from treereg.graphs import (
     Graph,
     TreeWitness,
     WhiskerVector,
-    delete_closed_neighborhood,
-    delete_vertex,
-    disjoint_union,
     multi_whisker,
     path_graph,
 )
 from treereg.homology import regularity
 from treereg.invariants import independence_number, induced_matching_number
 from treereg.tables import build_table
-from treereg.trees import count_trees, enumerate_codes, enumerate_trees, random_tree
+from treereg.trees import code_bytes, count_trees, enumerate_trees
 
-from conftest import prufer_dedup_codes
+from conftest import (
+    delete_closed_neighborhood,
+    delete_vertex,
+    disjoint_union,
+    prufer_dedup_codes,
+    random_tree,
+)
 from test_tables import (
     TABLE1_EXPECTED,
     TABLE2_EXPECTED,
@@ -193,9 +196,9 @@ def test_criterion_8_enumeration_correctness(report):
                    "all-Pruefer oracle", budget=300.0):
         for n, expected in enumerate(TREE_COUNTS_1_TO_9, start=1):
             assert count_trees(n) == expected
-            codes = enumerate_codes(n)
+            codes = code_bytes(n)
             assert len(codes) == expected
-            assert {c.levels for c in codes} == prufer_dedup_codes(n), f"n={n}"
+            assert {tuple(b) for b in codes} == prufer_dedup_codes(n), f"n={n}"
 
 
 def test_criterion_9_checkpoint_resume_determinism(report, tmp_path):

@@ -12,11 +12,11 @@ from treereg.bounds import (
     record_for_tree,
     verify_record,
 )
-from treereg.graphs import Graph, TreeWitness, from_edge_list, path_graph, star_graph
+from treereg.graphs import Graph, TreeWitness, from_edge_list, path_graph
 from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.trees import enumerate_trees
 
-from conftest import spider
+from conftest import spider, star_graph
 
 
 class TestEvaluateBounds:

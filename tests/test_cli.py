@@ -9,7 +9,9 @@ import pytest
 from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
 from treereg.homology import FOREST_BETTI_ORDER_CAP
-from treereg.trees import TreeCode, canonical_code, tree_from_code
+from treereg.trees import canonical_code, code_text, tree_from_code
+
+from conftest import star_graph
 
 
 def run_cli(*argv) -> int:
@@ -100,14 +102,14 @@ class TestEnumerateCommand:
         assert run_cli("enumerate", "--order", str(n), "--codes-only") == 0
         codes = capsys.readouterr().out.splitlines()
         for code in codes:
-            tree = tree_from_code(TreeCode.from_text(code))
-            assert canonical_code(tree).to_text() == code
+            tree = tree_from_code(tuple(map(int, code.split())))
+            assert code_text(canonical_code(tree)) == code
         assert run_cli("enumerate", "--order", str(n)) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[0] for line in lines] == codes
         for line in lines:
             code, spec = line.split("\t")
-            edges = tree_from_code(TreeCode.from_text(code)).graph.edges()
+            edges = tree_from_code(tuple(map(int, code.split()))).graph.edges()
             assert spec == ",".join(f"{u}-{v}" for u, v in edges)
 
 
@@ -624,8 +626,7 @@ class TestCensusCommand:
         assert keys == sorted(keys)
 
     def test_paths_lb_tight_and_stars_collapse(self, tmp_path):
-        from treereg.graphs import TreeWitness, path_graph, star_graph
-        from treereg.trees import canonical_code
+        from treereg.graphs import TreeWitness, path_graph
 
         out = tmp_path / "census.jsonl"
         assert run_cli("census", "--max-order", "7", "--out", str(out),
@@ -633,10 +634,10 @@ class TestCensusCommand:
         records = {rec["tree_code"]: rec
                    for rec in map(json.loads, out.read_text().splitlines())}
         for n in range(2, 8):
-            path_code = canonical_code(TreeWitness(path_graph(n))).to_text()
+            path_code = code_text(canonical_code(TreeWitness(path_graph(n))))
             assert records[path_code]["lb_tight"], n
         for leaves in range(2, 7):
-            star_code = canonical_code(TreeWitness(star_graph(leaves))).to_text()
+            star_code = code_text(canonical_code(TreeWitness(star_graph(leaves))))
             rec = records[star_code]
             assert rec["im"] == 1
             assert rec["bounds"]["lb_tree"] == 1 and rec["bounds"]["ub_tree"] == 1

@@ -9,14 +9,9 @@ from hypothesis import given, settings, strategies as st
 from treereg.graphs import (
     Graph,
     WhiskerVector,
-    delete_closed_neighborhood,
-    delete_vertex,
-    disjoint_union,
     from_edge_list,
-    induced_subgraph,
     multi_whisker,
     path_graph,
-    star_graph,
 )
 from treereg.homology import (
     BETTI_ORDER_CAP,
@@ -28,10 +23,19 @@ from treereg.homology import (
     betti_table,
     regularity,
 )
-from treereg.invariants import brute_force_im, independence_number, induced_matching_number
-from treereg.trees import _code_levels, enumerate_trees, prufer_to_edges, random_tree
+from treereg.invariants import independence_number, induced_matching_number
+from treereg.trees import _code_levels, enumerate_trees
 
-from conftest import spider, tree_witnesses
+from conftest import (
+    brute_force_im,
+    delete_closed_neighborhood,
+    delete_vertex,
+    disjoint_union,
+    induced_subgraph,
+    random_tree,
+    spider,
+    star_graph,
+)
 
 
 class TestCalibration:

@@ -21,11 +21,11 @@ from treereg.trees import (
     _rooted_levels,
     canonical_code,
     code_bytes,
-    enumerate_codes,
     graph_from_code,
-    random_tree,
     tree_from_code,
 )
+
+from conftest import random_tree
 
 
 def assert_same_record(levels, with_oracle=False):
@@ -37,15 +37,15 @@ def assert_same_record(levels, with_oracle=False):
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_every_tree_matches_the_graph_path(n):
-    for code in enumerate_codes(n):
-        assert_same_record(code.levels)
+    for code in code_bytes(n):
+        assert_same_record(tuple(code))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_oracle_records_match_the_graph_path(n):
-    for code in enumerate_codes(n):
-        assert_same_record(code.levels, with_oracle=True)
-        assert record_for_code(code.levels, with_oracle=True).reg is not None
+    for code in code_bytes(n):
+        assert_same_record(tuple(code), with_oracle=True)
+        assert record_for_code(tuple(code), with_oracle=True).reg is not None
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -86,7 +86,7 @@ def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
 def test_random_trees_match_the_graph_path(n, seed):
-    assert_same_record(canonical_code(random_tree(n, seed)).levels)
+    assert_same_record(canonical_code(random_tree(n, seed)))
 
 
 @pytest.mark.parametrize(
@@ -114,7 +114,7 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
     expected = "".join(
         record_for_tree(tree_from_code(code)).to_jsonl() + "\n"
         for n in range(1, 10)
-        for code in enumerate_codes(n)
+        for code in code_bytes(n)
     )
     assert out.read_bytes() == expected.encode()
 
@@ -161,14 +161,7 @@ def test_fast_rows_match_the_record_path(n, checker):
 @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
 def test_random_fast_rows_match_the_record_path(n, seed):
     census_mod._ROW_TAILS.clear()
-    assert_fast_row_matches_the_record_path(canonical_code(random_tree(n, seed)).levels)
-
-
-@pytest.mark.parametrize("n", range(1, 15))
-def test_code_bytes_are_the_enumerated_codes(n):
-    raw = code_bytes(n)
-    assert all(type(b) is bytes for b in raw)
-    assert [tuple(b) for b in raw] == [c.levels for c in enumerate_codes(n)]
+    assert_fast_row_matches_the_record_path(canonical_code(random_tree(n, seed)))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -3,26 +3,30 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treereg.graphs import TreeWitness, from_edge_list, path_graph, star_graph
+from treereg.graphs import TreeWitness, from_edge_list, path_graph
 from treereg.trees import (
-    TreeCode,
     _code_levels,
     canonical_code,
     code_bytes,
     code_text,
     code_texts,
     count_trees,
-    enumerate_codes,
     enumerate_trees,
     graph_from_code,
     max_order_cap,
-    prufer_to_edges,
-    random_tree,
     tree_from_code,
 )
 from treereg.tables import TABLE4_TREES
 
-from conftest import leaf_extension_codes, prufer_dedup_codes, relabel, tree_witnesses
+from conftest import (
+    leaf_extension_codes,
+    prufer_dedup_codes,
+    prufer_to_edges,
+    random_tree,
+    relabel,
+    star_graph,
+    tree_witnesses,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
@@ -67,7 +71,9 @@ class TestCanonicalCode:
 
     def test_text_round_trip(self):
         code = canonical_code(TreeWitness(path_graph(5)))
-        assert TreeCode.from_text(code.to_text()) == code
+        text = code_text(code)
+        assert text == "0 1 2 1 2"
+        assert tuple(map(int, text.split())) == code
 
     def test_invalid_level_sequence(self):
         with pytest.raises(ValueError, match="level"):
@@ -79,7 +85,7 @@ class TestCanonicalCode:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
     def test_known_counts(self, n, count):
-        assert len(enumerate_codes(n)) == count
+        assert len(code_bytes(n)) == count
 
     @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
     def test_count_without_materializing(self, n, count):
@@ -87,7 +93,7 @@ class TestEnumeration:
 
     def test_strictly_increasing_codes(self):
         for n in range(1, 15):
-            codes = enumerate_codes(n)
+            codes = [tuple(b) for b in code_bytes(n)]
             assert all(a < b for a, b in zip(codes, codes[1:])), f"n={n}"
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -100,6 +106,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 19))
     def test_code_bytes_are_strictly_ascending_and_counted(self, n):
         codes = code_bytes(n)
+        assert all(type(b) is bytes for b in codes)
         assert len(codes) == count_trees(n)
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
@@ -109,7 +116,7 @@ class TestEnumeration:
 
     def test_code_text_of_bytes_joins_every_level(self):
         # the order-20 path is the one cap-order code with a two-digit level
-        path20 = bytes(canonical_code(path_graph(20)).levels)
+        path20 = bytes(canonical_code(path_graph(20)))
         assert max(path20) == 10
         for code in [path20] + [c for n in range(1, 15) for c in code_bytes(n)]:
             assert code_text(code) == " ".join(map(str, code))
@@ -123,7 +130,7 @@ class TestEnumeration:
     def test_code_texts_fall_back_for_a_two_digit_level(self):
         # the order-20 path, alone and amid one-digit codes, whose batch
         # would otherwise come out as hex
-        path20 = bytes(canonical_code(path_graph(20)).levels)
+        path20 = bytes(canonical_code(path_graph(20)))
         assert max(path20) == 10
         batch = code_bytes(7)[:5] + [path20] + code_bytes(9)[-5:]
         for codes in ([path20], batch):
@@ -145,11 +152,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_prufer_dedup_oracle(self, n):
-        assert {c.levels for c in enumerate_codes(n)} == prufer_dedup_codes(n)
+        assert {tuple(b) for b in code_bytes(n)} == prufer_dedup_codes(n)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            enumerate_codes(0)
+            code_bytes(0)
         with pytest.raises(ValueError, match="outside"):
             count_trees(max_order_cap() + 1)
 
@@ -157,7 +164,7 @@ class TestEnumeration:
         monkeypatch.setenv("TREEREG_MAX_ORDER", "5")
         assert max_order_cap() == 5
         with pytest.raises(ValueError, match="outside"):
-            enumerate_codes(6)
+            code_bytes(6)
         monkeypatch.setenv("TREEREG_MAX_ORDER", "bogus")
         with pytest.raises(ValueError, match="not an integer"):
             max_order_cap()
@@ -196,7 +203,7 @@ class TestRandomTree:
         assert random_tree(9, 1234).graph == random_tree(9, 1234).graph
 
     def test_seed_changes_tree(self):
-        trees = {canonical_code(random_tree(12, s)).levels for s in range(20)}
+        trees = {canonical_code(random_tree(12, s)) for s in range(20)}
         assert len(trees) > 1
 
     def test_invalid_order(self):
