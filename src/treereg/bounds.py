@@ -10,8 +10,10 @@ A tree given as a level sequence gets its invariants from
 :func:`code_kernel`, a fold that visits each distinct rooted subtree and
 each distinct run of siblings once per sweep and feeds the sweep's CSV
 rows, and its full record, witnesses included, from
-:func:`record_for_code`, whose array pass over the parents is also the
-fold's reference; a labeled tree takes :func:`record_for_tree`.
+:func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`.
+Both records get im, alpha and their witnesses from the one linear pass
+over a level sequence, :func:`~treereg.invariants._level_pass`, which is
+also the fold's reference.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .graphs import TreeWitness, structural_invariants
 from .homology import FOREST_BETTI_ORDER_CAP, regularity
-from .invariants import independence_number, induced_matching_number
+from .invariants import _forest_certificates, _level_pass
 from .trees import canonical_code, code_text, graph_from_code
 
 CSV_HEADER = (
@@ -199,14 +201,15 @@ def _record(
 def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecord:
     """Populate a full record; reg only when asked for and within the cap.
 
-    This is the path for labeled input: witnesses stay in the caller's
-    vertex labels.  It is also the reference :func:`record_for_code` is
-    tested against.
+    This is the path for labeled input: im, alpha and the witnesses come
+    from one :func:`~treereg.invariants._level_pass` over the tree's
+    preorder, relabeled into the caller's vertex labels, and n, p, d and
+    the code from the Graph, which makes it the tests' reference for those
+    in :func:`record_for_code`.
     """
     g = t.graph
     inv = structural_invariants(g)
-    im, im_cert = induced_matching_number(g)
-    alpha, alpha_cert = independence_number(g)
+    im_cert, alpha_cert = _forest_certificates(g)
     code = code_text(canonical_code(t))
     reg = None
     if with_oracle and g.order <= FOREST_BETTI_ORDER_CAP:
@@ -216,8 +219,8 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
         inv.n,
         inv.p,
         inv.d,
-        im,
-        alpha,
+        im_cert.size,
+        alpha_cert.size,
         reg,
         tuple(sorted(im_cert.edges)),
         tuple(sorted(alpha_cert.vertices)),
@@ -225,7 +228,7 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
 
 
 # The summary of a rooted subtree the fold needs: the three-state matching
-# DP's b0/b1/b2 (invariants._forest_induced_matching), the in/out
+# DP's b0/b1/b2 (invariants._level_pass), the in/out
 # independence DP, the height, the longest path inside it and its leaves.
 # A leaf, at any depth:
 _LEAF = (0, 0, 0, 1, 0, 0, 0, 1)
@@ -312,8 +315,9 @@ def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     :func:`_siblings` caches, keyed by that suffix and built one sibling at
     a time.  Each distinct block and suffix is folded once until the caches
     are cleared (``census.run_verify`` clears both at the start of every
-    sweep).  The recurrences are those of :func:`record_for_code`'s array
-    pass, which stays the reference and the witness path.  Nothing is
+    sweep).  The recurrences are those of
+    :func:`~treereg.invariants._level_pass`, which stays the reference and
+    the witness path.  Nothing is
     validated: the input must be a level sequence such as
     :func:`~treereg.trees.code_bytes` returns.  The fold recurses once per
     level and once per sibling, which suits every order a sweep reaches; a
@@ -334,124 +338,21 @@ def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     return n, leaves + one_child, d, im, inc if inc > exc else exc
 
 
-def _array_pass(levels: Sequence[int]) -> tuple:
-    """:func:`record_for_code`'s pass: n, p, d, im and alpha, in O(n).
-
-    Returns ``(n, p, d, im, alpha, parent, pick, inc, exc)``: the five
-    invariants, then the arrays :func:`record_for_code`'s witness pass reads.
-    ``levels`` may be a tuple or ``bytes``; vertex v is position v, as in
-    :func:`~treereg.trees.graph_from_code`, whose errors it raises.
-    """
-    n = len(levels)
-    if not n or levels[0] != 0:
-        raise ValueError(f"level sequence must start at 0: {tuple(levels)}")
-    # Parents from the preorder depths, as graph_from_code's parent stack
-    # finds them: the parent is the latest vertex one level up.  A vertex is
-    # a leaf when the next one is no deeper; the root is a pendant when it
-    # has one child.
-    parent = [0] * n
-    latest = [0] * n
-    leaves = 1 if n > 1 else 0
-    root_children = 0
-    prev = 0
-    for v in range(1, n):
-        lvl = levels[v]
-        if not 1 <= lvl <= prev + 1:
-            raise ValueError(f"invalid level {lvl} at position {v}")
-        if lvl <= prev:
-            leaves += 1
-        if lvl == 1:
-            root_children += 1
-        parent[v] = latest[lvl - 1]
-        latest[lvl] = v
-        prev = lvl
-
-    # One reverse-preorder pass, so every child is final before its parent.
-    # s0/s1 sum the children's b1/b2 of the three-state matching DP of
-    # invariants._forest_induced_matching, and pick is the first child in
-    # preorder of largest gain b0 - b1, as there.  inc/exc is the in/out
-    # independence DP.  deep1/deep2 are the deepest levels reached through
-    # two different children, so a path bending at v has deep1 + deep2 - 2
-    # levels[v] edges.
-    s0 = [0] * n
-    s1 = [0] * n
-    gain = [-n] * n
-    pick = [-1] * n
-    inc = [1] * n
-    exc = [0] * n
-    deep1 = list(levels)
-    deep2 = list(levels)
-    d = 0
-    for v in range(n - 1, -1, -1):
-        b0 = s0[v]
-        b1 = s1[v]
-        b2 = 1 + b0 + gain[v]
-        if pick[v] < 0 or b2 <= b1:
-            b2 = b1
-            pick[v] = -1
-        bend = deep1[v] + deep2[v] - 2 * levels[v]
-        if bend > d:
-            d = bend
-        if not v:
-            break  # b2 is the root's, im of the whole tree
-        u = parent[v]
-        s0[u] += b1
-        s1[u] += b2
-        if b0 - b1 >= gain[u]:  # children arrive last first: >= keeps the first
-            gain[u] = b0 - b1
-            pick[u] = v
-        i = inc[v]
-        e = exc[v]
-        exc[u] += i if i > e else e
-        inc[u] += e
-        dv = deep1[v]
-        if dv > deep1[u]:
-            deep2[u] = deep1[u]
-            deep1[u] = dv
-        elif dv > deep2[u]:
-            deep2[u] = dv
-    alpha = inc[0] if inc[0] > exc[0] else exc[0]
-    return n, leaves + (root_children == 1), d, b2, alpha, parent, pick, inc, exc
-
-
 def record_for_code(
     levels: Sequence[int], with_oracle: bool = False
 ) -> InvariantRecord:
     """The record of the tree a level sequence encodes, in O(n) and no Graph.
 
-    :func:`_array_pass` validates the sequence and gives the invariants, by
-    the recurrences :func:`code_kernel` folds, and one more pass builds the
-    witnesses.  Vertex v is position v of the sequence, so the labels, and
+    :func:`~treereg.invariants._level_pass` validates the sequence and
+    gives the invariants, by the recurrences :func:`code_kernel` folds, and
+    the witnesses.  Vertex v is position v of the sequence, so the labels, and
     with them the witnesses, are those of
     :func:`~treereg.trees.graph_from_code`.  For a canonical code the record
     equals ``record_for_tree(tree_from_code(levels))`` byte for byte;
     ``tree_code`` is the input as text.  A Graph is built only for the
     homology oracle (``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP).
     """
-    n, p, d, im, alpha, parent, pick, inc, exc = _array_pass(levels)
-    # Witnesses, parent before child like the DPs' stack walks.  state 3 is
-    # state 2 with a pick (v matched to it); state 2 without one acts as 1.
-    state = [3 if pick[0] >= 0 else 1] + [0] * (n - 1)
-    take = [inc[0] >= exc[0]] + [False] * (n - 1)
-    matching = [(0, pick[0])] if state[0] == 3 else []
-    independent = [0] if take[0] else []
-    for v in range(1, n):
-        u = parent[v]
-        s = state[u]
-        if s == 3:
-            s = 0 if pick[u] == v else 1
-        elif s == 0:
-            s = 1
-        elif pick[v] >= 0:
-            s = 3
-            matching.append((v, pick[v]))
-        else:
-            s = 1
-        state[v] = s
-        if not take[u] and inc[v] >= exc[v]:
-            take[v] = True
-            independent.append(v)
-
+    n, p, d, im, alpha, matching, independent = _level_pass(levels)
     reg = None
     if with_oracle and n <= FOREST_BETTI_ORDER_CAP:
         reg = regularity(graph_from_code(levels))
@@ -463,8 +364,8 @@ def record_for_code(
         im,
         alpha,
         reg,
-        tuple(matching),
-        tuple(independent),
+        matching,
+        independent,
     )
 
 

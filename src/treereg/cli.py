@@ -15,8 +15,8 @@ from .graphs import (
     TreeWitness,
     WhiskerVector,
     edge_spec,
-    from_edge_list,
     graph_from_edge_spec,
+    graph_from_edges,
     multi_whisker,
     parse_edge_lines,
 )
@@ -46,10 +46,7 @@ def _record_lines(label: str, record) -> list[str]:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.edges_file:
         edges = parse_edge_lines(Path(args.edges_file).read_text().splitlines())
-        if not edges and args.order is None:
-            raise ValueError("edge file is empty; give --order for an edgeless graph")
-        order = args.order or 1 + max(max(u, v) for u, v in edges)
-        graph = from_edge_list(edges, order)
+        graph = graph_from_edges(edges, args.order)
     elif args.edges:
         graph = graph_from_edge_spec(args.edges, args.order)
     else:
@@ -59,8 +56,15 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     whiskered = None
     wgraph = None
     if args.vector:
-        entries = tuple(int(tok) for tok in args.vector.split(","))
-        wgraph = multi_whisker(graph, WhiskerVector(entries))
+        entries = []
+        for pos, token in enumerate(args.vector.split(","), start=1):
+            try:
+                entries.append(int(token))
+            except ValueError:
+                raise ValueError(
+                    f"non-integer whisker count {token!r} at position {pos}"
+                ) from None
+        wgraph = multi_whisker(graph, WhiskerVector(tuple(entries)))
         whiskered = record_for_tree(TreeWitness(wgraph), with_oracle=True)
     if args.json:
         payload = {"base": base.to_json_dict()}

@@ -92,25 +92,38 @@ def path_graph(n: int) -> Graph:
     return from_edge_list([(i, i + 1) for i in range(n - 1)], n)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in order of minimum."""
+def _preorder(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """Each component's vertices in preorder, with their levels.
+
+    A component is rooted at its least vertex, and a vertex's children are
+    visited in ascending label order, so in a forest every descendant of a
+    vertex comes after it and each component's levels are a level sequence.
+    A graph with cycles is walked along a spanning tree of each component.
+    """
     seen = [False] * g.order
-    comps = []
-    for s in range(g.order):
-        if seen[s]:
+    walks = []
+    for root in range(g.order):
+        if seen[root]:
             continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
+        seen[root] = True
+        verts: list[int] = []
+        levels: list[int] = []
+        stack = [(root, 0)]
+        while stack:
+            v, lvl = stack.pop()
+            verts.append(v)
+            levels.append(lvl)
+            for u in reversed(g.adjacency[v]):
                 if not seen[u]:
                     seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
+                    stack.append((u, lvl + 1))
+        walks.append((verts, levels))
+    return walks
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted, in order of minimum."""
+    return [sorted(verts) for verts, _ in _preorder(g)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -268,15 +281,30 @@ def parse_edge_lines(lines: Iterable[str]) -> list[tuple[int, int]]:
     return edges
 
 
+def graph_from_edges(
+    edges: Sequence[tuple[int, int]], order: int | None = None
+) -> Graph:
+    """Graph on parsed edges; order defaults to 1 + max label.
+
+    The one order rule of both ``treereg invariants`` edge inputs: a given
+    order must be at least 1 and at least 1 + max label, and with no edges
+    there is no label to infer it from.
+    """
+    top = max((max(u, v) for u, v in edges), default=-1)
+    if order is None:
+        if top < 0:
+            raise ValueError("no edges to infer the order from; give --order")
+        order = top + 1
+    elif order < 1:
+        raise ValueError(f"--order must be at least 1, got {order}")
+    elif order <= top:
+        raise ValueError(f"--order {order} smaller than 1 + max label {top + 1}")
+    return from_edge_list(edges, order)
+
+
 def graph_from_edge_spec(text: str, order: int | None = None) -> Graph:
     """Graph from an inline edge spec; order defaults to 1 + max label."""
-    edges = parse_edge_spec(text)
-    inferred = 1 + max(max(u, v) for u, v in edges)
-    if order is None:
-        order = inferred
-    elif order < inferred:
-        raise ValueError(f"--order {order} smaller than 1 + max label {inferred}")
-    return from_edge_list(edges, order)
+    return graph_from_edges(parse_edge_spec(text), order)
 
 
 def edge_spec(g: Graph) -> str:

@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import gf2
-from .graphs import Graph
-from .invariants import _rooted_forest_order, is_forest
+from .graphs import Graph, _preorder
+from .invariants import is_forest
 
 # Largest order each route accepts: the GF(2) route lists every independent
 # set of every subset, the forest route does O(1) work per subset.
@@ -163,26 +163,32 @@ def _betti_entries(g: Graph) -> dict[tuple[int, int], int]:
 def _forest_betti_entries(g: Graph) -> dict[tuple[int, int], int]:
     """The entries of :func:`_betti_entries` for a forest, one step per subset.
 
-    Vertices are relabeled in BFS order, so the top vertex h of a subset W
-    has no child in W: in G[W] it is isolated, which makes Ind(G[W]) a cone,
-    or a leaf hanging from its parent p, which makes Ind(G[W]) the
-    suspension of Ind(G[W - N[p]]).  sph[W] is the dimension of that sphere,
-    None for a cone, and -1 for the empty complex of W = {}.  Subsets are
-    filled in increasing bitmask order, block by top vertex, since
-    W - N[p] drops h and so comes before W.
+    Vertices are relabeled in the order of :func:`~treereg.graphs._preorder`,
+    where every descendant of a vertex comes after it, so the top vertex h of
+    a subset W has no child in W: in G[W] it is isolated, which makes
+    Ind(G[W]) a cone, or a leaf hanging from its parent p, which makes
+    Ind(G[W]) the suspension of Ind(G[W - N[p]]).  sph[W] is the dimension
+    of that sphere, None for a cone, and -1 for the empty complex of W = {}.
+    Subsets are filled in increasing bitmask order, block by top vertex,
+    since W - N[p] drops h and so comes before W.
     """
-    order, children, _ = _rooted_forest_order(g)
+    # a vertex's parent is the latest one a level up, as in a level sequence
+    order: list[int] = []
+    parent: list[int] = []
+    latest = [0] * g.order
+    for verts, levels in _preorder(g):
+        for v, lvl in zip(verts, levels):
+            parent.append(latest[lvl - 1] if lvl else -1)
+            latest[lvl] = len(order)
+            order.append(v)
     label = [0] * g.order
     for i, v in enumerate(order):
         label[v] = i
-    parent = [-1] * g.order
     closed = []
     for i, v in enumerate(order):
         m = 1 << i
         for u in g.adjacency[v]:
             m |= 1 << label[u]
-        for c in children[v]:
-            parent[label[c]] = i
         closed.append(m)
     sph: list[int | None] = [-1]
     for h in range(g.order):

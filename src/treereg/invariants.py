@@ -1,17 +1,21 @@
 """Exact induced matching number and independence number with certificates.
 
-Forests get linear-time rooted dynamic programs; small general graphs fall
-back to an exact branch-and-bound, capped at :data:`BRUTE_FORCE_EDGE_CAP`
-edges for im and :data:`BRUTE_FORCE_ORDER_CAP` vertices for alpha.  The
-plain subset-search oracles that validate both live in the test suite, as
-separate code paths under the same caps.
+Forests get one linear-time rooted dynamic program, :func:`_level_pass`,
+run on each component's level sequence from
+:func:`~treereg.graphs._preorder`; the same pass gives a level-sequence code
+its record (:func:`~treereg.bounds.record_for_code`).  Small general graphs
+fall back to an exact branch-and-bound, capped at
+:data:`BRUTE_FORCE_EDGE_CAP` edges for im and :data:`BRUTE_FORCE_ORDER_CAP`
+vertices for alpha.  The plain subset-search oracles that validate both live
+in the test suite, as separate code paths under the same caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _preorder, connected_components
 
 BRUTE_FORCE_EDGE_CAP = 24
 BRUTE_FORCE_ORDER_CAP = 24
@@ -67,113 +71,140 @@ class IndependentSetCertificate:
 
 
 def is_forest(g: Graph) -> bool:
-    from .graphs import connected_components
-
     return g.edge_count == g.order - len(connected_components(g))
 
 
-def _rooted_forest_order(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
-    """Per-component BFS order, children arrays, and the roots in BFS order."""
-    n = g.order
-    seen = [False] * n
-    order: list[int] = []
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots: list[int] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        roots.append(s)
-        order.append(s)
-        head = len(order) - 1
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    children[v].append(u)
-                    order.append(u)
-    return order, children, roots
+def _level_pass(levels: Sequence[int]) -> tuple:
+    """n, p, d, im and alpha of the tree a level sequence encodes, with
+    witnesses for im and alpha, in O(n).
 
-
-def _forest_induced_matching(g: Graph) -> tuple[int, MatchingCertificate]:
-    """Rooted DP over three per-vertex states.
-
-    State meanings for the subtree solution at v:
-      0 - v not matched and no child of v matched (v may pair upward later);
-      1 - v not matched, children unconstrained (parent may be matched);
-      2 - unconstrained.
+    Returns ``(n, p, d, im, alpha, matching, independent)``: the matching's
+    (vertex, child) pairs by vertex and the independent set's vertices in
+    ascending order.  ``levels`` may be a tuple, a list or ``bytes``; vertex
+    v is position v, as in :func:`~treereg.trees.graph_from_code`, whose
+    errors it raises.  The tree is rooted at vertex 0, and a vertex's
+    children are taken in preorder.
     """
-    order, children, roots = _rooted_forest_order(g)
-    n = g.order
-    b0 = [0] * n
-    b1 = [0] * n
-    b2 = [0] * n
-    pick = [-1] * n  # child matched with v in the optimal state-2 solution
-    for v in reversed(order):
-        s0 = s1 = 0
-        for c in children[v]:
-            s0 += b1[c]
-            s1 += b2[c]
-        b0[v] = s0
-        b1[v] = s1
-        best, best_pick = s1, -1
-        for c in children[v]:
-            cand = 1 + s0 - b1[c] + b0[c]
-            if cand > best:
-                best, best_pick = cand, c
-        b2[v] = best
-        pick[v] = best_pick
-    edges: list[tuple[int, int]] = []
-    stack = [(v, 2) for v in roots]
-    while stack:
-        v, state = stack.pop()
-        if state == 2 and pick[v] >= 0:
-            c = pick[v]
-            edges.append((min(v, c), max(v, c)))
-            for other in children[v]:
-                stack.append((other, 0 if other == c else 1))
-        elif state == 0:
-            for c in children[v]:
-                stack.append((c, 1))
-        else:  # state 1, or state 2 resolved as state 1
-            for c in children[v]:
-                stack.append((c, 2))
-    total = sum(b2[v] for v in roots)
-    cert = MatchingCertificate(frozenset(edges), len(edges))
-    if cert.size != total:
-        raise AssertionError(
-            f"matching witness has {cert.size} edges, the DP value is {total}"
-        )
-    return total, cert
+    n = len(levels)
+    if not n or levels[0] != 0:
+        raise ValueError(f"level sequence must start at 0: {tuple(levels)}")
+    # Parents from the preorder depths, as graph_from_code's parent stack
+    # finds them: the parent is the latest vertex one level up.  A vertex is
+    # a leaf when the next one is no deeper; the root is a pendant when it
+    # has one child.
+    parent = [0] * n
+    latest = [0] * n
+    leaves = 1 if n > 1 else 0
+    root_children = 0
+    prev = 0
+    for v in range(1, n):
+        lvl = levels[v]
+        if not 1 <= lvl <= prev + 1:
+            raise ValueError(f"invalid level {lvl} at position {v}")
+        if lvl <= prev:
+            leaves += 1
+        if lvl == 1:
+            root_children += 1
+        parent[v] = latest[lvl - 1]
+        latest[lvl] = v
+        prev = lvl
 
-
-def _forest_independence(g: Graph) -> tuple[int, IndependentSetCertificate]:
-    """Classic in/out rooted DP with witness reconstruction."""
-    order, children, roots = _rooted_forest_order(g)
-    n = g.order
-    inc = [0] * n
+    # One reverse-preorder pass, so every child is final before its parent.
+    # The three-state matching DP, for the subtree at v: b0 leaves v and its
+    # children unmatched (v may pair upward), b1 leaves v unmatched, b2 is
+    # unconstrained; s0/s1 sum the children's b1/b2.  pick is the first child
+    # in preorder of largest gain b0 - b1, taken only when matching v to it
+    # strictly beats b1.  inc/exc is the in/out independence DP.
+    # deep1/deep2 are the deepest levels reached through two different
+    # children, so a path bending at v has deep1 + deep2 - 2 levels[v] edges.
+    s0 = [0] * n
+    s1 = [0] * n
+    gain = [-n] * n
+    pick = [-1] * n
+    inc = [1] * n
     exc = [0] * n
-    for v in reversed(order):
-        inc[v] = 1 + sum(exc[c] for c in children[v])
-        exc[v] = sum(max(inc[c], exc[c]) for c in children[v])
-    chosen: list[int] = []
-    stack = [(v, True) for v in roots]
-    while stack:
-        v, may_take = stack.pop()
-        take = may_take and inc[v] >= exc[v]
-        if take:
-            chosen.append(v)
-        for c in children[v]:
-            stack.append((c, not take))
-    total = sum(max(inc[v], exc[v]) for v in roots)
-    cert = IndependentSetCertificate(frozenset(chosen), len(chosen))
-    if cert.size != total:
+    deep1 = list(levels)
+    deep2 = list(levels)
+    d = 0
+    for v in range(n - 1, -1, -1):
+        b0 = s0[v]
+        b1 = s1[v]
+        b2 = 1 + b0 + gain[v]
+        if pick[v] < 0 or b2 <= b1:
+            b2 = b1
+            pick[v] = -1
+        bend = deep1[v] + deep2[v] - 2 * levels[v]
+        if bend > d:
+            d = bend
+        if not v:
+            break  # b2 is the root's, im of the whole tree
+        u = parent[v]
+        s0[u] += b1
+        s1[u] += b2
+        if b0 - b1 >= gain[u]:  # children arrive last first: >= keeps the first
+            gain[u] = b0 - b1
+            pick[u] = v
+        i = inc[v]
+        e = exc[v]
+        exc[u] += i if i > e else e
+        inc[u] += e
+        dv = deep1[v]
+        if dv > deep1[u]:
+            deep2[u] = deep1[u]
+            deep1[u] = dv
+        elif dv > deep2[u]:
+            deep2[u] = dv
+    alpha = inc[0] if inc[0] > exc[0] else exc[0]
+
+    # Witnesses, parent before child.  state 3 is state 2 with a pick (v
+    # matched to it); state 2 without one acts as 1.  A vertex is taken into
+    # the independent set when inc >= exc and its parent is not taken.
+    state = [3 if pick[0] >= 0 else 1] + [0] * (n - 1)
+    take = [inc[0] >= exc[0]] + [False] * (n - 1)
+    matching = [(0, pick[0])] if state[0] == 3 else []
+    independent = [0] if take[0] else []
+    for v in range(1, n):
+        u = parent[v]
+        s = state[u]
+        if s == 3:
+            s = 0 if pick[u] == v else 1
+        elif s == 0:
+            s = 1
+        elif pick[v] >= 0:
+            s = 3
+            matching.append((v, pick[v]))
+        else:
+            s = 1
+        state[v] = s
+        if not take[u] and inc[v] >= exc[v]:
+            take[v] = True
+            independent.append(v)
+    if len(matching) != b2 or len(independent) != alpha:
         raise AssertionError(
-            f"independent-set witness has {cert.size} vertices, the DP value is {total}"
+            f"witnesses of {len(matching)} edges and {len(independent)} "
+            f"vertices, the DP values are im = {b2} and alpha = {alpha}"
         )
-    return total, cert
+    p = leaves + (root_children == 1)
+    return n, p, d, b2, alpha, tuple(matching), tuple(independent)
+
+
+def _forest_certificates(
+    g: Graph,
+) -> tuple[MatchingCertificate, IndependentSetCertificate]:
+    """Witnesses for im and alpha of a forest, in its own labels: one
+    :func:`_level_pass` per component of :func:`~treereg.graphs._preorder`."""
+    edges: list[tuple[int, int]] = []
+    chosen: list[int] = []
+    for verts, levels in _preorder(g):
+        *_, matching, independent = _level_pass(levels)
+        for v, c in matching:
+            u, w = verts[v], verts[c]
+            edges.append((u, w) if u < w else (w, u))
+        chosen.extend(verts[v] for v in independent)
+    return (
+        MatchingCertificate(frozenset(edges), len(edges)),
+        IndependentSetCertificate(frozenset(chosen), len(chosen)),
+    )
 
 
 def _mis_branch(neighbor_masks: list[int], candidates: int) -> tuple[int, int]:
@@ -227,7 +258,8 @@ def _edge_conflict_masks(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 def induced_matching_number(g: Graph) -> tuple[int, MatchingCertificate]:
     """im(g) with a checkable witness; exact on forests of any size."""
     if is_forest(g):
-        return _forest_induced_matching(g)
+        cert = _forest_certificates(g)[0]
+        return cert.size, cert
     if g.edge_count > BRUTE_FORCE_EDGE_CAP:
         raise ValueError(
             f"graph is not a forest and has {g.edge_count} edges; exact "
@@ -242,7 +274,8 @@ def induced_matching_number(g: Graph) -> tuple[int, MatchingCertificate]:
 def independence_number(g: Graph) -> tuple[int, IndependentSetCertificate]:
     """alpha(g) with a checkable witness; exact on forests of any size."""
     if is_forest(g):
-        return _forest_independence(g)
+        cert = _forest_certificates(g)[1]
+        return cert.size, cert
     if g.order > BRUTE_FORCE_ORDER_CAP:
         raise ValueError(
             f"graph is not a forest and has order {g.order}; exact "

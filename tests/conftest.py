@@ -199,18 +199,49 @@ def _decode_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
-def prufer_dedup_codes(n: int) -> set[tuple[int, ...]]:
-    """Canonical codes of every labeled tree on n vertices, deduplicated.
+def tree_id(adj: Sequence[Sequence[int]], ids: dict) -> tuple[int, ...]:
+    """Isomorphism class of a free tree: the AHU ids of its one or two centres.
+
+    Leaves are peeled layer by layer down to the centres.  A leaf's id is 0,
+    and a peeled vertex's id is the small integer ``ids`` maps the sorted
+    tuple of its children's ids to, a new one for a new tuple.  Trees whose
+    ids come from one ``ids``, which starts as ``{(): 0}``, get equal
+    classes iff they are isomorphic.  No generator code is used.
+    """
+    degree = [len(a) for a in adj]
+    layer = [v for v, deg in enumerate(degree) if deg < 2]
+    labels = [0] * len(layer)
+    left = len(adj)
+    kids: list[list[int]] = [[] for _ in adj]
+    while True:
+        left -= len(layer)
+        if not left:
+            return tuple(sorted(labels))
+        # a peeled vertex has degree 0, so its one unpeeled neighbour is its
+        # parent; a parent left with degree 1 is in the next layer
+        nxt = []
+        for v, label in zip(layer, labels):
+            degree[v] = 0
+            for u in adj[v]:
+                if degree[u]:
+                    kids[u].append(label)
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+        labels = [ids.setdefault(tuple(sorted(kids[v])), len(ids)) for v in layer]
+
+
+def prufer_tree_ids(n: int, ids: dict) -> set[tuple[int, ...]]:
+    """:func:`tree_id` of every labeled tree on n vertices, deduplicated.
 
     Exhaustive over all n^(n-2) Pruefer sequences; the independent oracle
     for the generator (feasible up to n = 9).
     """
     if n == 1:
-        return {(0,)}
-    if n == 2:
-        return {(0, 1)}
+        return {tree_id([()], ids)}
     return {
-        _code_levels(_decode_adjacency(seq, n))
+        tree_id(_decode_adjacency(seq, n), ids)
         for seq in product(range(n), repeat=n - 2)
     }
 

@@ -26,14 +26,15 @@ from treereg.graphs import (
 from treereg.homology import regularity
 from treereg.invariants import independence_number, induced_matching_number
 from treereg.tables import build_table
-from treereg.trees import code_bytes, count_trees, enumerate_trees
+from treereg.trees import code_bytes, count_trees, enumerate_trees, graph_from_code
 
 from conftest import (
     delete_closed_neighborhood,
     delete_vertex,
     disjoint_union,
-    prufer_dedup_codes,
+    prufer_tree_ids,
     random_tree,
+    tree_id,
 )
 from test_tables import (
     TABLE1_EXPECTED,
@@ -194,11 +195,14 @@ def test_criterion_7_identity_property_suites(report):
 def test_criterion_8_enumeration_correctness(report):
     with report(8, "tree counts 1..9 and full code-set match against the "
                    "all-Pruefer oracle", budget=300.0):
+        ids = {(): 0}
         for n, expected in enumerate(TREE_COUNTS_1_TO_9, start=1):
             assert count_trees(n) == expected
             codes = code_bytes(n)
             assert len(codes) == expected
-            assert {tuple(b) for b in codes} == prufer_dedup_codes(n), f"n={n}"
+            generated = {tree_id(graph_from_code(c).adjacency, ids) for c in codes}
+            assert len(generated) == expected, f"n={n}: isomorphic codes"
+            assert generated == prufer_tree_ids(n, ids), f"n={n}"
 
 
 def test_criterion_9_checkpoint_resume_determinism(report, tmp_path):

@@ -2,16 +2,24 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
+from treereg.graphs import edge_spec
 from treereg.homology import FOREST_BETTI_ORDER_CAP
-from treereg.trees import canonical_code, code_text, tree_from_code
+from treereg.trees import (
+    canonical_code,
+    code_bytes,
+    code_text,
+    graph_from_code,
+    tree_from_code,
+)
 
-from conftest import star_graph
+from conftest import relabel, star_graph
 
 
 def run_cli(*argv) -> int:
@@ -53,6 +61,53 @@ class TestInvariantsCommand:
         out = capsys.readouterr().out
         assert "n=1" in out and "alpha=1" in out
         assert run_cli("invariants", "--edges-file", str(path)) == 2
+        assert "give --order" in capsys.readouterr().err
+        assert run_cli("invariants", "--edges-file", str(path), "--order", "0") == 2
+        assert capsys.readouterr().err == "treereg: error: --order must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("order, message", [
+        ("0", "--order must be at least 1, got 0"),
+        ("-2", "--order must be at least 1, got -2"),
+        ("2", "--order 2 smaller than 1 + max label 3"),
+    ])
+    def test_both_edge_inputs_share_one_order_rule(self, order, message, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1 2\n")
+        assert run_cli("invariants", "--edges", "0-1,1-2", "--order", order) == 2
+        assert capsys.readouterr().err == f"treereg: error: {message}\n"
+        assert run_cli("invariants", "--edges-file", str(path), "--order", order) == 2
+        assert capsys.readouterr().err == f"treereg: error: {message}\n"
+
+    def test_both_edge_inputs_print_the_same_record(self, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1 2\n")
+        for order in ((), ("--order", "3")):
+            assert run_cli("invariants", "--edges", "0-1,1-2", *order) == 0
+            inline = capsys.readouterr().out
+            assert run_cli("invariants", "--edges-file", str(path), *order) == 0
+            assert capsys.readouterr().out == inline
+
+    def test_vector_error_names_the_token_and_its_position(self, capsys):
+        assert run_cli("invariants", "--edges", "0-1", "--vector", "1,x") == 2
+        assert capsys.readouterr().err == (
+            "treereg: error: non-integer whisker count 'x' at position 2\n"
+        )
+
+    def test_json_bytes_over_relabeled_trees_are_pinned(self, capsys):
+        # every tree of orders 2-8 under a seeded relabeling: the pin holds
+        # the witnesses' tie-breaks, which no value check sees
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        for n in range(2, 9):
+            for code in code_bytes(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                spec = edge_spec(relabel(graph_from_code(code), perm))
+                assert run_cli("invariants", "--edges", spec, "--json") == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "d8732d62c7ea95b7169f86461f65677f06f3cf9fdfc9f3e55c374165723ada62"
+        )
 
     def test_json_includes_betti_table(self, capsys):
         assert run_cli("invariants", "--edges", "0-1,1-2,2-3", "--json") == 0

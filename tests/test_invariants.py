@@ -26,6 +26,7 @@ from conftest import (
     brute_force_alpha,
     brute_force_im,
     delete_vertex,
+    prufer_to_edges,
     spider,
     star_graph,
     tree_witnesses,
@@ -55,6 +56,34 @@ class TestAgainstOracles:
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(all_pairs), max_size=14))
         g = from_edge_list(edges, n)
+        im, im_cert = induced_matching_number(g)
+        alpha, alpha_cert = independence_number(g)
+        im_cert.validate(g)
+        alpha_cert.validate(g)
+        assert im == brute_force_im(g)
+        assert alpha == brute_force_alpha(g)
+
+
+@st.composite
+def shuffled_forests(draw, max_components: int = 4, max_order: int = 14) -> Graph:
+    """Forests of 1..max_components random trees, labels shuffled."""
+    k = draw(st.integers(1, max_components))
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for i in range(k):
+        size = draw(st.integers(1, max_order - n - (k - 1 - i)))
+        if size > 1:
+            seq = st.lists(st.integers(0, size - 1), min_size=size - 2, max_size=size - 2)
+            edges += [(u + n, v + n) for u, v in prufer_to_edges(draw(seq), size)]
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return from_edge_list([(perm[u], perm[v]) for u, v in edges], n)
+
+
+class TestForests:
+    @given(shuffled_forests())
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_forests_match_brute_force(self, g):
         im, im_cert = induced_matching_number(g)
         alpha, alpha_cert = independence_number(g)
         im_cert.validate(g)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import treereg.census as census_mod
 from treereg.bounds import (
     Violation,
-    _array_pass,
     _siblings,
     _subtree,
     code_kernel,
@@ -17,6 +16,11 @@ from treereg.bounds import (
     record_for_tree,
 )
 from treereg.cli import main
+from treereg.invariants import (
+    IndependentSetCertificate,
+    MatchingCertificate,
+    _level_pass,
+)
 from treereg.trees import (
     _rooted_levels,
     canonical_code,
@@ -48,12 +52,24 @@ def test_oracle_records_match_the_graph_path(n):
         assert record_for_code(tuple(code), with_oracle=True).reg is not None
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_code_witnesses_pass_the_certificate_checks(n):
+    # held to the tree itself, not to another run of the same DP
+    for code in code_bytes(n):
+        record = record_for_code(tuple(code))
+        g = graph_from_code(code)
+        MatchingCertificate(frozenset(record.im_witness), record.im).validate(g)
+        IndependentSetCertificate(
+            frozenset(record.alpha_witness), record.alpha
+        ).validate(g)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fold_matches_the_array_pass(n):
     _subtree.cache_clear()
     _siblings.cache_clear()
     for code in code_bytes(n):
-        assert code_kernel(code) == _array_pass(code)[:5]
+        assert code_kernel(code) == _level_pass(code)[:5]
 
 
 @settings(max_examples=200, deadline=None)
@@ -61,7 +77,7 @@ def test_fold_matches_the_array_pass(n):
 def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
     # rooted at any vertex, not only a center: deep, non-canonical sequences
     levels = _rooted_levels(random_tree(n, seed).graph.adjacency, root % n)
-    assert code_kernel(bytes(levels)) == _array_pass(levels)[:5]
+    assert code_kernel(bytes(levels)) == _level_pass(levels)[:5]
 
 
 def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
@@ -78,7 +94,7 @@ def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
         census_mod.run_verify(census_mod.SweepConfig(
             max_order=4, out_csv=tmp_path / "r.csv"))
         misses = _subtree.cache_info().misses, _siblings.cache_info().misses
-        assert code_kernel(code) == _array_pass(code)[:5]
+        assert code_kernel(code) == _level_pass(code)[:5]
         assert _subtree.cache_info().misses == misses[0] + blocks
         assert _siblings.cache_info().misses == misses[1] + states
 

@@ -1,5 +1,7 @@
 """Canonical codes, enumeration, counting, and random generation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +22,12 @@ from treereg.tables import TABLE4_TREES
 
 from conftest import (
     leaf_extension_codes,
-    prufer_dedup_codes,
     prufer_to_edges,
+    prufer_tree_ids,
     random_tree,
     relabel,
     star_graph,
+    tree_id,
     tree_witnesses,
 )
 
@@ -152,7 +155,28 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_prufer_dedup_oracle(self, n):
-        assert {tuple(b) for b in code_bytes(n)} == prufer_dedup_codes(n)
+        ids = {(): 0}
+        generated = {tree_id(graph_from_code(c).adjacency, ids) for c in code_bytes(n)}
+        assert len(generated) == count_trees(n)
+        assert generated == prufer_tree_ids(n, ids)
+
+    def test_the_oracle_canonicalizer_matches_the_code_canonicalizer(self):
+        # every tree of orders 1-12, as built from its code and relabeled:
+        # equal ids exactly when _code_levels gives equal codes
+        rng = random.Random(12)
+        ids = {(): 0}
+        code_of_id = {}
+        total = 0
+        for n in range(1, 13):
+            for code in code_bytes(n):
+                g = graph_from_code(code)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for adj in (g.adjacency, relabel(g, perm).adjacency):
+                    key = tree_id(adj, ids)
+                    assert code_of_id.setdefault(key, tuple(code)) == _code_levels(adj)
+                total += 1
+        assert len(code_of_id) == total
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
