@@ -10,13 +10,11 @@ from .bounds import (
 )
 from .graphs import (
     Graph,
-    StructuralInvariants,
     TreeWitness,
     WhiskerVector,
     from_edge_list,
     multi_whisker,
     path_graph,
-    structural_invariants,
 )
 from .homology import (
     BettiTable,
@@ -44,7 +42,6 @@ __all__ = [
     "IndependentSetCertificate",
     "InvariantRecord",
     "MatchingCertificate",
-    "StructuralInvariants",
     "TreeWitness",
     "Violation",
     "WhiskerVector",
@@ -61,7 +58,6 @@ __all__ = [
     "path_graph",
     "record_for_tree",
     "regularity",
-    "structural_invariants",
     "tree_from_code",
     "verify_record",
 ]

@@ -10,8 +10,9 @@ A tree given as a level sequence gets its invariants from
 :func:`code_kernel`, a fold that visits each distinct rooted subtree and
 each distinct run of siblings once per sweep and feeds the sweep's CSV
 rows, and its full record, witnesses included, from
-:func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`.
-Both records get im, alpha and their witnesses from the one linear pass
+:func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`, a
+thin adapter over :func:`record_for_code` on the tree's preorder.  So every
+record gets n, p, d, im, alpha and both witnesses from the one linear pass
 over a level sequence, :func:`~treereg.invariants._level_pass`, which is
 also the fold's reference.
 """
@@ -19,13 +20,13 @@ also the fold's reference.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Optional, Sequence
 
-from .graphs import TreeWitness, structural_invariants
+from .graphs import TreeWitness, _preorder
 from .homology import FOREST_BETTI_ORDER_CAP, regularity
-from .invariants import _forest_certificates, _level_pass
+from .invariants import _level_pass
 from .trees import canonical_code, code_text, graph_from_code
 
 CSV_HEADER = (
@@ -201,29 +202,19 @@ def _record(
 def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecord:
     """Populate a full record; reg only when asked for and within the cap.
 
-    This is the path for labeled input: im, alpha and the witnesses come
-    from one :func:`~treereg.invariants._level_pass` over the tree's
-    preorder, relabeled into the caller's vertex labels, and n, p, d and
-    the code from the Graph, which makes it the tests' reference for those
-    in :func:`record_for_code`.
+    This is the path for labeled input: :func:`record_for_code` on the
+    tree's preorder (:func:`~treereg.graphs._preorder`), with the witnesses
+    mapped back to the caller's vertex labels, each matching edge as
+    (smaller, larger), both sorted, and the canonical code as ``tree_code``.
     """
-    g = t.graph
-    inv = structural_invariants(g)
-    im_cert, alpha_cert = _forest_certificates(g)
-    code = code_text(canonical_code(t))
-    reg = None
-    if with_oracle and g.order <= FOREST_BETTI_ORDER_CAP:
-        reg = regularity(g)
-    return _record(
-        code,
-        inv.n,
-        inv.p,
-        inv.d,
-        im_cert.size,
-        alpha_cert.size,
-        reg,
-        tuple(sorted(im_cert.edges)),
-        tuple(sorted(alpha_cert.vertices)),
+    ((verts, levels),) = _preorder(t.graph)
+    r = record_for_code(levels, with_oracle)
+    edges = ((verts[v], verts[c]) for v, c in r.im_witness)
+    return replace(
+        r,
+        tree_code=code_text(canonical_code(t)),
+        im_witness=tuple(sorted((u, w) if u < w else (w, u) for u, w in edges)),
+        alpha_witness=tuple(sorted(verts[v] for v in r.alpha_witness)),
     )
 
 
@@ -347,10 +338,10 @@ def record_for_code(
     gives the invariants, by the recurrences :func:`code_kernel` folds, and
     the witnesses.  Vertex v is position v of the sequence, so the labels, and
     with them the witnesses, are those of
-    :func:`~treereg.trees.graph_from_code`.  For a canonical code the record
-    equals ``record_for_tree(tree_from_code(levels))`` byte for byte;
-    ``tree_code`` is the input as text.  A Graph is built only for the
-    homology oracle (``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP).
+    :func:`~treereg.trees.graph_from_code`; ``tree_code`` is the input as
+    text.  :func:`record_for_tree` is this record on a labeled tree's
+    preorder.  A Graph is built only for the homology oracle
+    (``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP).
     """
     n, p, d, im, alpha, matching, independent = _level_pass(levels)
     reg = None

@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="invariants and bounds of one tree")
     p_inv.add_argument("--edges", help="comma-separated u-v tokens, e.g. 0-1,1-2")
-    p_inv.add_argument("--edges-file", help="file with one 'u v' pair per line")
+    p_inv.add_argument("--edges-file",
+                       help="file with one 'u v' or 'u-v' pair per line")
     p_inv.add_argument("--order", type=int, help="override 1 + max label")
     p_inv.add_argument("--vector", help="whisker counts a1,a2,... (one per vertex)")
     p_inv.add_argument("--json", action="store_true", help="machine-readable output")

@@ -2,15 +2,18 @@
 edge specs.
 
 Vertices are always ``0..order-1``.  Values are immutable; every operation
-returns a fresh :class:`Graph`.  Isolated vertices are allowed, but
-:func:`structural_invariants` insists on a connected input because the
-diameter is undefined otherwise.  The vertex deletions and disjoint unions
-of the regularity identities are test helpers (``tests/conftest.py``).
+returns a fresh :class:`Graph`.  Isolated vertices are allowed; a
+:class:`TreeWitness` is a checked connected, acyclic graph.  Each component's
+preorder walk, :func:`_preorder`, is the one place a labeled graph becomes
+level sequences: the invariants, their witnesses and a tree's n, p and d
+come from those.  The all-pairs BFS reference for p and d, the vertex
+deletions and the disjoint unions of the regularity identities are test
+helpers (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,8 +42,12 @@ class Graph:
                 if u <= prev:
                     raise ValueError(f"neighbors of vertex {v} not strictly sorted")
                 prev = u
+        # every row is strictly sorted now, so a bisect finds the back edge
+        for v, nbrs in enumerate(self.adjacency):
             for u in nbrs:
-                if v not in self.adjacency[u]:
+                row = self.adjacency[u]
+                i = bisect_left(row, v)
+                if i == len(row) or row[i] != v:
                     raise ValueError(f"edge {v}-{u} present only on one side")
 
     def degree(self, v: int) -> int:
@@ -128,47 +135,6 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return g.order <= 1 or len(connected_components(g)) == 1
-
-
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.order
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
-@dataclass(frozen=True)
-class StructuralInvariants:
-    """Order, pendant count and diameter."""
-
-    n: int
-    p: int
-    d: int
-
-
-def structural_invariants(g: Graph) -> StructuralInvariants:
-    """Exact n, p, d for a connected graph.
-
-    Pendants are the degree-1 vertices; the diameter is the maximum BFS
-    distance over all vertex pairs.
-    """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        a, b = comps[0][0], comps[1][0]
-        raise ValueError(
-            f"graph is disconnected: vertices {a} and {b} lie in different components"
-        )
-    pendants = sum(1 for v in range(g.order) if g.degree(v) == 1)
-    diameter = 0
-    for v in range(g.order):
-        diameter = max(diameter, max(_bfs_distances(g, v)))
-    return StructuralInvariants(g.order, pendants, diameter)
 
 
 @dataclass(frozen=True)
@@ -262,13 +228,16 @@ def parse_edge_spec(text: str) -> list[tuple[int, int]]:
 
 
 def parse_edge_lines(lines: Iterable[str]) -> list[tuple[int, int]]:
-    """Parse one ``u v`` (or ``u-v``) pair per line; blank lines are skipped."""
+    """Parse one pair per line, two whitespace-separated labels or one
+    ``u-v`` token split as :func:`parse_edge_spec` splits it; blank lines
+    are skipped and errors name the 1-based line."""
     edges = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.replace("-", " ").split()
+        if len(parts) == 1:
+            parts = parts[0].split("-")
         if len(parts) != 2:
             raise ValueError(f"malformed edge on line {lineno}: {raw.rstrip()!r}")
         try:
@@ -277,6 +246,8 @@ def parse_edge_lines(lines: Iterable[str]) -> list[tuple[int, int]]:
             raise ValueError(
                 f"non-integer label on line {lineno}: {raw.rstrip()!r}"
             ) from None
+        if u < 0 or v < 0:
+            raise ValueError(f"negative label on line {lineno}: {raw.rstrip()!r}")
         edges.append((u, v))
     return edges
 

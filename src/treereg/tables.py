@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import bound_parameters, evaluate_bounds, record_for_tree
+from .bounds import bound_parameters, evaluate_bounds, record_for_code, record_for_tree
 from .graphs import TreeWitness, from_edge_list, multi_whisker, WhiskerVector
 from .homology import regularity
 from .invariants import induced_matching_number
-from .trees import enumerate_trees
+from .trees import code_bytes, graph_from_code
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def build_table1() -> Table:
     """All 11 trees of order 7: lower bound, regularity, upper bound."""
     placed: dict[int, tuple] = {}
     used: dict[tuple[int, int, int], int] = {}
-    for t in enumerate_trees(7):  # ascending code order
-        r = record_for_tree(t, with_oracle=True)
+    for code in code_bytes(7):  # ascending code order
+        r = record_for_code(code, with_oracle=True)
         key = (r.p, r.d, r.im)
         slots = _TABLE1_ROW_SLOTS[key]
         slot = slots[used.get(key, 0)]
@@ -105,10 +105,10 @@ def build_table2() -> Table:
     """Trees of orders 2..5, whiskered once per vertex: regularity vs bound."""
     placed: dict[int, tuple] = {}
     for n in range(2, 6):
-        for t in enumerate_trees(n):
-            r = record_for_tree(t)
+        for code in code_bytes(n):
+            r = record_for_code(code)
             row = _TABLE2_ROW_BY_NPD[(r.n, r.p, r.d)]
-            whiskered = multi_whisker(t.graph, WhiskerVector.ones(n))
+            whiskered = multi_whisker(graph_from_code(code), WhiskerVector.ones(n))
             reg_w = regularity(whiskered)
             placed[row] = (
                 row,

@@ -17,8 +17,10 @@ half first.  So each isomorphism class appears exactly once without
 pairwise comparisons, and no Graph is built during enumeration.  The sweeps
 take the codes as sorted ``bytes``; labeled input goes through the
 adjacency-based canonicalizer, :func:`canonical_code`, which returns the
-same level sequence as a tuple of ints.  :func:`code_text`,
-:func:`graph_from_code` and :func:`tree_from_code` take either form.
+same level sequence as a tuple of ints in O(n log n): it roots the tree at
+each center and orders children by AHU ranks, level by level.
+:func:`code_text`, :func:`graph_from_code` and :func:`tree_from_code` take
+either form.
 Pruefer decoding, random trees and the exponential all-Pruefer enumeration
 are oracles of the test suite and live there.
 """
@@ -111,27 +113,49 @@ def _rooted_levels(adj: Sequence[Sequence[int]], root: int) -> tuple[int, ...]:
 
     Children are concatenated in descending order of their own sequences,
     which makes the result depend only on the rooted isomorphism class.
+    Those sequences are never built: AHU ranks stand in for them, one level
+    at a time from the deepest.  A vertex's key is its children's ranks in
+    descending order, and a level's ranks follow its keys in ascending
+    order.  Tuple order on keys is code order, since a child block that is
+    a proper prefix of another sorts first in both, so equal ranks mean
+    equal subtrees and a larger rank a larger code.
     """
-    n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    seq: list[tuple[int, ...]] = [()] * n
-    for v in reversed(order):
-        kids = sorted((seq[c] for c in children[v]), reverse=True)
-        out = [0]
-        for ks in kids:
-            out.extend(x + 1 for x in ks)
-        seq[v] = tuple(out)
-    return seq[root]
+    depth = [-1] * len(adj)
+    depth[root] = 0
+    children: list[list[int]] = [[] for _ in adj]
+    layers = [[root]]
+    for layer in layers:
+        below = []
+        for v in layer:
+            for u in adj[v]:
+                if depth[u] < 0:
+                    depth[u] = depth[v] + 1
+                    children[v].append(u)
+                    below.append(u)
+        if below:
+            layers.append(below)
+    rank = [0] * len(adj)
+    by_rank = rank.__getitem__
+    for layer in reversed(layers):
+        keys = []
+        for v in layer:
+            kids = children[v]
+            if kids:
+                kids.sort(key=by_rank)
+                keys.append(tuple([rank[c] for c in reversed(kids)]))
+            else:
+                keys.append(())
+        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+        for v, key in zip(layer, keys):
+            rank[v] = ids[key]
+    # a stack pops the children, pushed in ascending rank, largest first
+    out = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        out.append(depth[v])
+        stack.extend(children[v])
+    return tuple(out)
 
 
 def _code_levels(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Iterable, Sequence
@@ -10,7 +12,7 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from treereg.graphs import Graph, TreeWitness, from_edge_list
+from treereg.graphs import Graph, TreeWitness, connected_components, from_edge_list
 from treereg.invariants import (
     BRUTE_FORCE_EDGE_CAP,
     BRUTE_FORCE_ORDER_CAP,
@@ -77,6 +79,47 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         tuple(u + shift for u in nbrs) for nbrs in g2.adjacency
     )
     return Graph(g1.order + g2.order, adj)
+
+
+def _bfs_distances(g: Graph, source: int) -> list[int]:
+    dist = [-1] * g.order
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in g.adjacency[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+@dataclass(frozen=True)
+class StructuralInvariants:
+    """Order, pendant count and diameter."""
+
+    n: int
+    p: int
+    d: int
+
+
+def structural_invariants(g: Graph) -> StructuralInvariants:
+    """Exact n, p, d for a connected graph: the reference for the level pass.
+
+    Pendants are the degree-1 vertices; the diameter is the maximum BFS
+    distance over all vertex pairs.
+    """
+    comps = connected_components(g)
+    if len(comps) > 1:
+        a, b = comps[0][0], comps[1][0]
+        raise ValueError(
+            f"graph is disconnected: vertices {a} and {b} lie in different components"
+        )
+    pendants = sum(1 for v in range(g.order) if g.degree(v) == 1)
+    diameter = 0
+    for v in range(g.order):
+        diameter = max(diameter, max(_bfs_distances(g, v)))
+    return StructuralInvariants(g.order, pendants, diameter)
 
 
 def prufer_to_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:

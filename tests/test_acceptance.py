@@ -228,3 +228,61 @@ def test_criterion_9_checkpoint_resume_determinism(report, tmp_path):
         # a record with a forced failure still trips the exit-code contract
         bad = record_for_tree(TreeWitness(path_graph(7)))
         assert verify_record(bad) == []
+
+
+def _degree_count_and_two_sweeps(edges, n):
+    """p by degree count and d by a BFS from the vertex farthest from 0."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def farthest(source):
+        dist = [-1] * n
+        dist[source] = 0
+        queue = [source]
+        for v in queue:
+            for u in adj[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        far = max(range(n), key=dist.__getitem__)
+        return far, dist[far]
+
+    return sum(len(a) == 1 for a in adj), farthest(farthest(0)[0])[1]
+
+
+def test_criterion_10_large_labeled_trees(report, tmp_path, capfd):
+    n = 10_000
+    random_edges = random_tree(n, 10_000).graph.edges()
+    # (name, edges, (p, d), (im, alpha) where known in closed form)
+    cases = [
+        ("path", [(i, i + 1) for i in range(n - 1)], (2, n - 1), (3333, 5000)),
+        ("star", [(0, i) for i in range(1, n)], (n - 1, 2), (1, n - 1)),
+        ("random", random_edges, _degree_count_and_two_sweeps(random_edges, n), None),
+    ]
+    for name, edges, _, _ in cases:
+        (tmp_path / name).write_text("".join(f"{u} {v}\n" for u, v in edges))
+    capfd.readouterr()
+    with report(10, "invariants --edges-file on a 10,000-vertex path, star and "
+                    "random tree", budget=10.0):
+        for name, edges, pd, im_alpha in cases:
+            assert cli_main(["invariants", "--edges-file", str(tmp_path / name),
+                             "--json"]) == 0
+            base = json.loads(capfd.readouterr().out)["base"]
+            assert (base["n"], base["p"], base["d"]) == (n, *pd), name
+            if im_alpha is not None:
+                assert (base["im"], base["alpha"]) == im_alpha, name
+            # each witness is as large as claimed and valid on the input: an
+            # induced matching touches no vertex twice and no other edge joins
+            # two of its edges; an independent set holds no edge
+            owner = [-1] * n
+            for i, (u, v) in enumerate(base["im_witness"]):
+                assert owner[u] < 0 and owner[v] < 0, name
+                owner[u] = owner[v] = i
+            assert len(base["im_witness"]) == base["im"], name
+            assert all(owner[u] < 0 or owner[v] < 0 or owner[u] == owner[v]
+                       for u, v in edges), name
+            chosen = set(base["alpha_witness"])
+            assert len(chosen) == base["alpha"], name
+            assert not any(u in chosen and v in chosen for u, v in edges), name

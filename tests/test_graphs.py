@@ -14,7 +14,6 @@ from treereg.graphs import (
     parse_edge_lines,
     parse_edge_spec,
     path_graph,
-    structural_invariants,
 )
 from treereg.trees import canonical_code
 
@@ -25,6 +24,7 @@ from conftest import (
     induced_subgraph,
     spider,
     star_graph,
+    structural_invariants,
     tree_witnesses,
 )
 
@@ -57,6 +57,22 @@ class TestConstruction:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ValueError, match="one side"):
             Graph(2, ((1,), ()))
+
+    @pytest.mark.parametrize(
+        "adjacency, edge",
+        [
+            (((1,), (0, 2), ()), "1-2"),
+            (((2,), (), (0, 1)), "2-1"),
+            (((1, 2), (0,), (1,)), "0-2"),
+        ],
+    )
+    def test_the_missing_back_edge_is_named(self, adjacency, edge):
+        with pytest.raises(ValueError, match=f"edge {edge} present only on one side"):
+            Graph(3, adjacency)
+
+    def test_unsorted_row_is_named_before_any_back_edge(self):
+        with pytest.raises(ValueError, match="vertex 2 not strictly sorted"):
+            Graph(3, ((2,), (2,), (1, 0)))
 
 
 class TestStructuralInvariants:
@@ -267,6 +283,21 @@ class TestParsing:
     def test_lines_error_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_edge_lines(["0 1", "1 2 3"])
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["0 1", "1 -2"], "negative label on line 2: '1 -2'"),
+            (["-1 2"], "negative label on line 1: '-1 2'"),
+            (["0--1"], "malformed edge on line 1: '0--1'"),
+            (["0 1", "", "0 - 1"], "malformed edge on line 3: '0 - 1'"),
+            (["1-x"], "non-integer label on line 1: '1-x'"),
+        ],
+        ids=["negative-v", "negative-u", "double-dash", "spaced-dash", "non-integer"],
+    )
+    def test_lines_keep_a_label_sign(self, lines, message):
+        with pytest.raises(ValueError, match=message):
+            parse_edge_lines(lines)
 
     def test_order_inference(self):
         assert graph_from_edge_spec("0-1,1-2").order == 3

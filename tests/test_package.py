@@ -36,7 +36,6 @@ PUBLIC_API = [
     "IndependentSetCertificate",
     "InvariantRecord",
     "MatchingCertificate",
-    "StructuralInvariants",
     "TreeWitness",
     "Violation",
     "WhiskerVector",
@@ -53,7 +52,6 @@ PUBLIC_API = [
     "path_graph",
     "record_for_tree",
     "regularity",
-    "structural_invariants",
     "tree_from_code",
     "verify_record",
 ]

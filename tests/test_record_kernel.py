@@ -1,6 +1,7 @@
 """The level-sequence record kernel against the Graph path it replaces."""
 
 import json
+import random
 from collections import defaultdict
 
 import pytest
@@ -16,6 +17,7 @@ from treereg.bounds import (
     record_for_tree,
 )
 from treereg.cli import main
+from treereg.graphs import TreeWitness
 from treereg.invariants import (
     IndependentSetCertificate,
     MatchingCertificate,
@@ -29,7 +31,7 @@ from treereg.trees import (
     tree_from_code,
 )
 
-from conftest import random_tree
+from conftest import random_tree, relabel, structural_invariants
 
 
 def assert_same_record(levels, with_oracle=False):
@@ -50,6 +52,34 @@ def test_oracle_records_match_the_graph_path(n):
     for code in code_bytes(n):
         assert_same_record(tuple(code), with_oracle=True)
         assert record_for_code(tuple(code), with_oracle=True).reg is not None
+
+
+def assert_labeled_record_matches_the_bfs_reference(g):
+    # record_for_tree and record_for_code share _level_pass, so n, p and d
+    # are held to the all-pairs BFS, and the witnesses, in the input's own
+    # labels, to the certificate checks
+    r = record_for_tree(TreeWitness(g))
+    ref = structural_invariants(g)
+    assert (r.n, r.p, r.d) == (ref.n, ref.p, ref.d)
+    MatchingCertificate(frozenset(r.im_witness), r.im).validate(g)
+    IndependentSetCertificate(frozenset(r.alpha_witness), r.alpha).validate(g)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_labeled_records_match_the_bfs_reference(n):
+    rng = random.Random(n)
+    for code in code_bytes(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert_labeled_record_matches_the_bfs_reference(
+            relabel(graph_from_code(code), perm)
+        )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_large_labeled_records_match_the_bfs_reference(seed):
+    n = random.Random(seed).randrange(2, 301)
+    assert_labeled_record_matches_the_bfs_reference(random_tree(n, seed).graph)
 
 
 @pytest.mark.parametrize("n", range(1, 15))

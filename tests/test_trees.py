@@ -72,6 +72,18 @@ class TestCanonicalCode:
         code = canonical_code(t)
         assert canonical_code(tree_from_code(code)) == code
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_trees_keep_their_class_under_relabeling(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(500, 2001)
+        g = random_tree(n, seed).graph
+        perm = list(range(n))
+        rng.shuffle(perm)
+        code = canonical_code(g)
+        assert canonical_code(relabel(g, perm)) == code
+        ids = {(): 0}
+        assert tree_id(graph_from_code(code).adjacency, ids) == tree_id(g.adjacency, ids)
+
     def test_text_round_trip(self):
         code = canonical_code(TreeWitness(path_graph(5)))
         text = code_text(code)
