@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="exhaustively check all bounds")
     p_ver.add_argument("--max-order", type=int, required=True)
     p_ver.add_argument("--oracle-up-to", type=int, default=0,
-                       help="also run the homology oracle up to this order "
-                       f"(max {FOREST_BETTI_ORDER_CAP}, the forest route's cap)")
+                       help="also check reg = im by the homology oracle's tree "
+                       f"DP up to this order (max {FOREST_BETTI_ORDER_CAP})")
     p_ver.add_argument("--checkpoint", help="JSON checkpoint file for resume")
     p_ver.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_ver.add_argument("--out", default="treereg_verify.csv",

@@ -12,7 +12,13 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from treereg.graphs import Graph, TreeWitness, connected_components, from_edge_list
+from treereg.graphs import (
+    Graph,
+    TreeWitness,
+    _preorder,
+    connected_components,
+    from_edge_list,
+)
 from treereg.invariants import (
     BRUTE_FORCE_EDGE_CAP,
     BRUTE_FORCE_ORDER_CAP,
@@ -214,6 +220,57 @@ def brute_force_alpha(g: Graph) -> int:
 
     search(0, 0, 0)
     return best
+
+
+def _forest_betti_entries(g: Graph) -> dict[tuple[int, int], int]:
+    """The entries of :func:`_betti_entries` for a forest, one step per subset.
+
+    Vertices are relabeled in the order of :func:`~treereg.graphs._preorder`,
+    where every descendant of a vertex comes after it, so the top vertex h of
+    a subset W has no child in W: in G[W] it is isolated, which makes
+    Ind(G[W]) a cone, or a leaf hanging from its parent p, which makes
+    Ind(G[W]) the suspension of Ind(G[W - N[p]]).  sph[W] is the dimension
+    of that sphere, None for a cone, and -1 for the empty complex of W = {}.
+    Subsets are filled in increasing bitmask order, block by top vertex,
+    since W - N[p] drops h and so comes before W.
+    """
+    # a vertex's parent is the latest one a level up, as in a level sequence
+    order: list[int] = []
+    parent: list[int] = []
+    latest = [0] * g.order
+    for verts, levels in _preorder(g):
+        for v, lvl in zip(verts, levels):
+            parent.append(latest[lvl - 1] if lvl else -1)
+            latest[lvl] = len(order)
+            order.append(v)
+    label = [0] * g.order
+    for i, v in enumerate(order):
+        label[v] = i
+    closed = []
+    for i, v in enumerate(order):
+        m = 1 << i
+        for u in g.adjacency[v]:
+            m |= 1 << label[u]
+        closed.append(m)
+    sph: list[int | None] = [-1]
+    for h in range(g.order):
+        p = parent[h]
+        if p < 0:  # a root: isolated whenever it is the top vertex
+            sph += [None] * len(sph)
+            continue
+        has_p = 1 << p
+        keep = ~closed[p]
+        sph += [
+            None if not r & has_p or (k := sph[r & keep]) is None else k + 1
+            for r in range(len(sph))
+        ]
+    entries: dict[tuple[int, int], int] = {}
+    for w, k in enumerate(sph):
+        if k is not None:
+            j = w.bit_count()
+            key = (j - k - 1, j)
+            entries[key] = entries.get(key, 0) + 1
+    return entries
 
 
 def _decode_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:

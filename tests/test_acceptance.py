@@ -104,9 +104,9 @@ def test_criterion_3_table3_reproduction(report):
 
 
 def test_criterion_4_table4_reproduction(report):
-    with report(4, "table 4: order-9 trees, im of the double-whiskered tree "
+    with report(4, "table 4: order-9 trees, reg of the double-whiskered tree "
                    "equals alpha", budget=5.0):
-        table = build_table(4)  # builder itself asserts im(T_a) == alpha(T)
+        table = build_table(4)  # builder itself asserts reg(T_a) == alpha(T)
         assert len(table.rows) == 2
         for row, code, p, d, reg_w, wub_d, wub_p in table.rows:
             assert (p, d, reg_w, wub_d, wub_p) == TABLE4_EXPECTED[row], f"row {row}"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
 from treereg.graphs import edge_spec
 from treereg.homology import FOREST_BETTI_ORDER_CAP
+from treereg.tables import TABLE4_TREES
 from treereg.trees import (
     canonical_code,
     code_bytes,
@@ -129,11 +131,22 @@ class TestInvariantsCommand:
         assert "not a tree" in capsys.readouterr().err
 
     def test_regularity_printed_up_to_the_oracle_cap(self, capsys):
-        # A tree at the forest route's cap of 16, above the GF(2) route's
-        # cap of 12; reg(P_n) = floor((n + 1) / 3).
-        edges = ",".join(f"{v}-{v + 1}" for v in range(FOREST_BETTI_ORDER_CAP - 1))
+        # A path at the forest route's cap, above the GF(2) route's cap of
+        # 12; im(P_N) = reg(P_N) = floor((N + 1) / 3), alpha(P_N) = ceil(N / 2).
+        n = FOREST_BETTI_ORDER_CAP
+        edges = ",".join(f"{v}-{v + 1}" for v in range(n - 1))
         assert run_cli("invariants", "--edges", edges) == 0
-        assert "im=5 alpha=8 reg=5" in capsys.readouterr().out
+        reg, alpha = (n + 1) // 3, (n + 1) // 2
+        assert f"im={reg} alpha={alpha} reg={reg}" in capsys.readouterr().out
+
+    def test_whiskered_regularity_of_an_order_27_tree(self, capsys):
+        # An order-9 tree with two whiskers per vertex; reg(I(T_a)) = alpha(T).
+        edges = ",".join(f"{u}-{v}" for u, v in TABLE4_TREES[0])
+        assert run_cli("invariants", "--edges", edges, "--vector", ",".join(["2"] * 9)) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^whiskered: n=27 ", out, re.M)
+        alpha = re.search(r"^base invariants: im=\d+ alpha=(\d+)", out, re.M).group(1)
+        assert re.search(rf"^whiskered invariants: im=\d+ alpha=\d+ reg={alpha}$", out, re.M)
 
 
 class TestEnumerateCommand:

@@ -2,10 +2,12 @@
 
 import json
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treereg import homology
 from treereg.graphs import (
     Graph,
     WhiskerVector,
@@ -17,7 +19,7 @@ from treereg.homology import (
     BETTI_ORDER_CAP,
     FOREST_BETTI_ORDER_CAP,
     _betti_entries,
-    _forest_betti_entries,
+    _forest_dp_entries,
     _independence_ranks,
     _independent_set_masks,
     betti_table,
@@ -27,6 +29,7 @@ from treereg.invariants import independence_number, induced_matching_number
 from treereg.trees import _code_levels, enumerate_trees
 
 from conftest import (
+    _forest_betti_entries,
     brute_force_im,
     delete_closed_neighborhood,
     delete_vertex,
@@ -77,10 +80,22 @@ class TestCalibration:
         # reg(P_n) = reg(C_n) = floor((n + 1) / 3), and reg adds over
         # components; a cycle is never a forest.
         half = FOREST_BETTI_ORDER_CAP // 2
-        assert regularity(disjoint_union(path_graph(half), path_graph(half))) == 6
+        forest = disjoint_union(path_graph(half), path_graph(half))
+        assert regularity(forest) == 2 * ((half + 1) // 3)
         n = BETTI_ORDER_CAP
         cycle = from_edge_list([(v, (v + 1) % n) for v in range(n)], n)
         assert regularity(cycle) == 4
+
+    @pytest.mark.parametrize("route", ["_betti_entries", "_forest_dp_entries"])
+    def test_calibration_covers_each_route(self, route, monkeypatch):
+        # a one-edge table shifted by one row must stop every table
+        monkeypatch.setattr(homology, route, lambda g: {(0, 0): 1, (0, 2): 1})
+        homology._calibrated.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="calibration failed"):
+                betti_table(path_graph(3))
+        finally:
+            homology._calibrated.cache_clear()
 
 
 def _components(masks: list[int], w: int) -> list[int]:
@@ -101,6 +116,7 @@ def _components(masks: list[int], w: int) -> list[int]:
     return comps
 
 
+@cache
 def induced_subforests(max_order: int) -> list[Graph]:
     """One induced subgraph of a tree of order <= max_order per isomorphism
     class, keyed by the sorted canonical codes of its components."""
@@ -139,7 +155,8 @@ def whiskered_trees(max_order: int) -> list[Graph]:
 
 
 class TestForestRoute:
-    """The forest route against GF(2) elimination, its independent oracle."""
+    """The forest DP against the subset route of ``conftest``, and that route
+    against GF(2) elimination, its independent oracle."""
 
     def test_matches_gf2_on_every_induced_subforest_to_order_10(self):
         forests = induced_subforests(10)
@@ -154,6 +171,24 @@ class TestForestRoute:
         assert len(trees) == 191
         for g in trees:
             assert _forest_betti_entries(g) == _betti_entries(g), g
+
+    def test_dp_matches_subset_route_on_every_tree_to_order_13(self):
+        checked = 0
+        for n in range(1, 14):
+            for t in enumerate_trees(n):
+                assert _forest_dp_entries(t.graph) == _forest_betti_entries(t.graph), t
+                checked += 1
+        assert checked == 2288
+
+    def test_dp_matches_subset_route_on_every_induced_subforest_to_order_10(self):
+        for g in induced_subforests(10):
+            assert _forest_dp_entries(g) == _forest_betti_entries(g), g
+
+    def test_dp_matches_subset_route_on_whiskered_trees_to_order_14(self):
+        trees = whiskered_trees(14)
+        assert len(trees) == 600
+        for g in trees:
+            assert _forest_dp_entries(g) == _forest_betti_entries(g), g
 
 
 def independent_sets(g: Graph) -> set[tuple[int, ...]]:

@@ -54,6 +54,13 @@ def test_oracle_records_match_the_graph_path(n):
         assert record_for_code(tuple(code), with_oracle=True).reg is not None
 
 
+@pytest.mark.parametrize("n", range(17, 21))
+def test_oracle_reg_equals_im_on_every_500th_tree(n):
+    for code in code_bytes(n)[::500]:
+        r = record_for_code(code, with_oracle=True)
+        assert r.reg == r.im, r.tree_code
+
+
 def assert_labeled_record_matches_the_bfs_reference(g):
     # record_for_tree and record_for_code share _level_pass, so n, p and d
     # are held to the all-pairs BFS, and the witnesses, in the input's own
