@@ -12,9 +12,9 @@ each distinct run of siblings once per sweep and feeds the sweep's CSV
 rows, and its full record, witnesses included, from
 :func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`, a
 thin adapter over :func:`record_for_code` on the tree's preorder.  So every
-record gets n, p, d, im, alpha and both witnesses from the one linear pass
-over a level sequence, :func:`~treereg.invariants._level_pass`, which is
-also the fold's reference.
+record gets n, p, d, im, alpha and both witnesses from one linear pass over
+a level sequence, :func:`~treereg.invariants._level_pass` (also the fold's
+reference), and ``reg`` from the forest DP on it; no record builds a Graph.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .graphs import TreeWitness, _preorder
-from .homology import FOREST_BETTI_ORDER_CAP, regularity
+from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .invariants import _level_pass
-from .trees import canonical_code, code_text, graph_from_code
+from .trees import canonical_code, code_text
 
 CSV_HEADER = (
     "tree_code,n,p,d,im,alpha,reg,lb_tree,ub_tree_np,ub_tree_23,"
@@ -329,9 +329,7 @@ def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     return n, leaves + one_child, d, im, inc if inc > exc else exc
 
 
-def record_for_code(
-    levels: Sequence[int], with_oracle: bool = False
-) -> InvariantRecord:
+def record_for_code(levels: Sequence[int], with_oracle: bool = False) -> InvariantRecord:
     """The record of the tree a level sequence encodes, in O(n) and no Graph.
 
     :func:`~treereg.invariants._level_pass` validates the sequence and
@@ -340,24 +338,14 @@ def record_for_code(
     with them the witnesses, are those of
     :func:`~treereg.trees.graph_from_code`; ``tree_code`` is the input as
     text.  :func:`record_for_tree` is this record on a labeled tree's
-    preorder.  A Graph is built only for the homology oracle
-    (``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP).
+    preorder.  With ``with_oracle`` and n <= FOREST_BETTI_ORDER_CAP, the
+    validated sequence goes on to :func:`~treereg.homology.forest_betti_table`.
     """
     n, p, d, im, alpha, matching, independent = _level_pass(levels)
     reg = None
     if with_oracle and n <= FOREST_BETTI_ORDER_CAP:
-        reg = regularity(graph_from_code(levels))
-    return _record(
-        code_text(levels),
-        n,
-        p,
-        d,
-        im,
-        alpha,
-        reg,
-        matching,
-        independent,
-    )
+        reg = forest_betti_table((levels,)).regularity()
+    return _record(code_text(levels), n, p, d, im, alpha, reg, matching, independent)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ the one the enumeration puts just before its index, or that is not a
 well-formed checkpoint at all.
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
-level sequence itself, with no Graph built unless the homology oracle runs.
+level sequence itself, with no Graph built, the homology oracle's included.
 A CSV row above the oracle's orders is the code text plus a tail that
 depends only on (n, p, d, im, alpha).  :func:`code_texts` gives a whole
 batch's texts in a few C-level byte operations (a batch with a two-digit

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import census as census_mod
@@ -43,6 +44,15 @@ def _record_lines(label: str, record) -> list[str]:
     return lines
 
 
+def _oracle_record(graph) -> tuple:
+    """A tree's record, with reg read off its Betti table, and that table."""
+    record = record_for_tree(TreeWitness(graph))
+    if graph.order > FOREST_BETTI_ORDER_CAP:
+        return record, None
+    table = betti_table(graph)
+    return replace(record, reg=table.regularity()), table
+
+
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.edges_file:
         edges = parse_edge_lines(Path(args.edges_file).read_text().splitlines())
@@ -51,10 +61,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         graph = graph_from_edge_spec(args.edges, args.order)
     else:
         raise ValueError("one of --edges or --edges-file is required")
-    witness = TreeWitness(graph)
-    base = record_for_tree(witness, with_oracle=True)
-    whiskered = None
-    wgraph = None
+    results = {"base": _oracle_record(graph)}
     if args.vector:
         entries = []
         for pos, token in enumerate(args.vector.split(","), start=1):
@@ -65,21 +72,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                     f"non-integer whisker count {token!r} at position {pos}"
                 ) from None
         wgraph = multi_whisker(graph, WhiskerVector(tuple(entries)))
-        whiskered = record_for_tree(TreeWitness(wgraph), with_oracle=True)
+        results["whiskered"] = _oracle_record(wgraph)
     if args.json:
-        payload = {"base": base.to_json_dict()}
-        if base.reg is not None:
-            payload["base"]["betti"] = betti_table(graph).to_json_dict()
-        if whiskered is not None:
-            payload["whiskered"] = whiskered.to_json_dict()
-            if whiskered.reg is not None:
-                payload["whiskered"]["betti"] = betti_table(wgraph).to_json_dict()
+        payload = {}
+        for label, (record, table) in results.items():
+            payload[label] = record.to_json_dict()
+            if table is not None:
+                payload[label]["betti"] = table.to_json_dict()
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        for line in _record_lines("base", base):
-            print(line)
-        if whiskered is not None:
-            for line in _record_lines("whiskered", whiskered):
+        for label, (record, _) in results.items():
+            for line in _record_lines(label, record):
                 print(line)
     return 0
 

@@ -5,10 +5,10 @@ Vertices are always ``0..order-1``.  Values are immutable; every operation
 returns a fresh :class:`Graph`.  Isolated vertices are allowed; a
 :class:`TreeWitness` is a checked connected, acyclic graph.  Each component's
 preorder walk, :func:`_preorder`, is the one place a labeled graph becomes
-level sequences: the invariants, their witnesses and a tree's n, p and d
-come from those.  The all-pairs BFS reference for p and d, the vertex
-deletions and the disjoint unions of the regularity identities are test
-helpers (``tests/conftest.py``).
+level sequences, and :func:`_forest_walks` its one forest test: invariants,
+witnesses, n, p, d and forest Betti tables come from that walk.  The
+all-pairs BFS reference for p and d, the vertex deletions and the disjoint
+unions of the regularity identities are test helpers (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -128,13 +128,15 @@ def _preorder(g: Graph) -> list[tuple[list[int], list[int]]]:
     return walks
 
 
+def _forest_walks(g: Graph) -> list[tuple[list[int], list[int]]] | None:
+    """:func:`_preorder`'s walks if g is a forest (edges = order - walks), else None."""
+    walks = _preorder(g)
+    return walks if g.edge_count == g.order - len(walks) else None
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, in order of minimum."""
     return [sorted(verts) for verts, _ in _preorder(g)]
-
-
-def is_connected(g: Graph) -> bool:
-    return g.order <= 1 or len(connected_components(g)) == 1
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,8 @@ class TreeWitness:
         if g.order == 0:
             raise ValueError("a tree has at least one vertex")
         if g.edge_count != g.order - 1:
-            raise ValueError(
-                f"not a tree: {g.edge_count} edges on {g.order} vertices"
-            )
-        if not is_connected(g):
+            raise ValueError(f"not a tree: {g.edge_count} edges on {g.order} vertices")
+        if len(_preorder(g)) != 1:
             raise ValueError("not a tree: graph is disconnected")
 
     @property

@@ -16,7 +16,8 @@ Two routes compute the homology:
   sphere.  An isolated vertex makes it a cone, and a leaf v with neighbour u
   gives Ind(G) ~ susp Ind(G - N[u]) (Ehrenborg-Hetyei 2006; Engstrom 2009).
   A tree DP applies that reduction to all subsets at once and counts the
-  spheres by size and dimension, in time polynomial in the order.
+  spheres by size and dimension, in time polynomial in the order, from one
+  level sequence per component (:func:`forest_betti_table`).
 - Any other graph (:func:`_betti_entries`, cap :data:`BETTI_ORDER_CAP`):
   every independent set is listed and the boundary ranks are found by GF(2)
   elimination.  For the chordal inputs this package cares about the
@@ -30,8 +31,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import gf2
-from .graphs import Graph, _preorder
-from .invariants import is_forest
+from .graphs import Graph, _forest_walks
 
 # Largest order each route accepts.  The GF(2) route lists every independent
 # set of every subset; the forest DP takes about 30 ms on a path or a complete
@@ -176,26 +176,29 @@ def _add(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _forest_dp_entries(g: Graph) -> dict[tuple[int, int], int]:
-    """The entries of :func:`_betti_entries` for a forest, by a tree DP.
+def _forest_dp_entries(
+    walks: Sequence[Sequence[int]],
+) -> dict[tuple[int, int], int]:
+    """The entries of :func:`_betti_entries` for a forest, by a tree DP on
+    its components' level sequences (tuples, lists or ``bytes``).
 
     Each subset W is reduced bottom-up by Ind(G) ~ susp Ind(G - N[u]).  A
     vertex of W is free when its children are all neutral (absent or
     deleted), and matched, the u, when it has a free child; it then deletes
     its parent.  A free vertex under an absent parent is isolated, as is the
     free child of a deleted vertex, and the cone drops out.  A state sums its
-    subsets as x^j y^m, at key j * s + m, for j vertices of W and m matches;
-    that sphere adds 1 to beta_{j-m, j}.  ``a``, ``dm`` and ``mf`` fold a
-    vertex's children so far: all neutral, some matched and none free, some
-    free and none matched.  Walking each preorder backwards, acc[l + 1]
-    folds the children of the next vertex at level l, and acc[0] those of a
-    virtual root, not in W, over the components.
+    subsets as x^j y^m, at key j * s + m, for j vertices of W, m matches and
+    s the forest's order + 1; that sphere adds 1 to beta_{j-m, j}.  ``a``,
+    ``dm`` and ``mf`` fold a vertex's children so far: all neutral, some
+    matched and none free, some free and none matched.  Walking each level
+    sequence backwards, acc[l + 1] folds the children of the next vertex at
+    level l, and acc[0] those of a virtual root, not in W, over the components.
     """
-    s = g.order + 1
+    s = sum(map(len, walks)) + 1
     x, xy, one_x = {s: 1}, {s + 1: 1}, {0: 1, s: 1}
     start: tuple[dict[int, int], ...] = ({0: 1}, {}, {})
-    acc = [start] * (g.order + 1)
-    for _, levels in _preorder(g):
+    acc = [start] * s
+    for levels in walks:
         for lvl in reversed(levels):
             a, dm, mf = acc[lvl + 1]
             acc[lvl + 1] = start
@@ -214,8 +217,8 @@ def _forest_dp_entries(g: Graph) -> dict[tuple[int, int], int]:
 def _calibrated() -> bool:
     """Pin the index convention on the one-edge graph before trusting output."""
     p2 = Graph(2, ((1,), (0,)))
-    for route in (_betti_entries, _forest_dp_entries):
-        entries = route(p2)
+    for route, arg in ((_betti_entries, p2), (_forest_dp_entries, ((0, 1),))):
+        entries = route(arg)
         if entries != {(0, 0): 1, (1, 2): 1}:
             raise AssertionError(
                 f"index-shift calibration failed: {route.__name__} gives "
@@ -224,19 +227,29 @@ def _calibrated() -> bool:
     return True
 
 
+def forest_betti_table(walks: Sequence[Sequence[int]]) -> BettiTable:
+    """The Betti table of a forest given as its components' level sequences."""
+    n = sum(map(len, walks))
+    if n > FOREST_BETTI_ORDER_CAP:
+        raise ValueError(f"order {n} exceeds {FOREST_BETTI_ORDER_CAP}, the forest cap")
+    _calibrated()
+    return BettiTable(_forest_dp_entries(walks))
+
+
 def betti_table(g: Graph) -> BettiTable:
     """Full graded Betti table of the quotient by the edge ideal of g.
 
-    Forests take the forest route up to FOREST_BETTI_ORDER_CAP; every other
-    graph takes the GF(2) route up to BETTI_ORDER_CAP.
+    Forests take the forest route, on their walk's level sequences, up to
+    FOREST_BETTI_ORDER_CAP; any other graph the GF(2) route up to BETTI_ORDER_CAP.
     """
-    forest = is_forest(g)
-    cap = FOREST_BETTI_ORDER_CAP if forest else BETTI_ORDER_CAP
-    if g.order > cap:
-        kind = "forest" if forest else "non-forest"
-        raise ValueError(f"order {g.order} exceeds {cap}, the {kind} cap")
+    if (walks := _forest_walks(g)) is not None:
+        return forest_betti_table([levels for _, levels in walks])
+    if g.order > BETTI_ORDER_CAP:
+        raise ValueError(
+            f"order {g.order} exceeds {BETTI_ORDER_CAP}, the non-forest cap"
+        )
     _calibrated()
-    return BettiTable(_forest_dp_entries(g) if forest else _betti_entries(g))
+    return BettiTable(_betti_entries(g))
 
 
 def regularity(g: Graph) -> int:

@@ -1,8 +1,8 @@
 """Exact induced matching number and independence number with certificates.
 
 Forests get one linear-time rooted dynamic program, :func:`_level_pass`,
-run on each component's level sequence from
-:func:`~treereg.graphs._preorder`; the same pass gives a level-sequence code
+run on each component's level sequence from the walk that finds a forest,
+:func:`~treereg.graphs._forest_walks`; the same pass gives a level-sequence code
 its record (:func:`~treereg.bounds.record_for_code`).  Small general graphs
 fall back to an exact branch-and-bound, capped at
 :data:`BRUTE_FORCE_EDGE_CAP` edges for im and :data:`BRUTE_FORCE_ORDER_CAP`
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _preorder, connected_components
+from .graphs import Graph, _forest_walks
 
 BRUTE_FORCE_EDGE_CAP = 24
 BRUTE_FORCE_ORDER_CAP = 24
@@ -68,10 +68,6 @@ class IndependentSetCertificate:
             for v in chosen[i + 1:]:
                 if g.has_edge(u, v):
                     raise ValueError(f"certificate vertices {u} and {v} are adjacent")
-
-
-def is_forest(g: Graph) -> bool:
-    return g.edge_count == g.order - len(connected_components(g))
 
 
 def _level_pass(levels: Sequence[int]) -> tuple:
@@ -189,13 +185,13 @@ def _level_pass(levels: Sequence[int]) -> tuple:
 
 
 def _forest_certificates(
-    g: Graph,
+    walks: list[tuple[list[int], list[int]]],
 ) -> tuple[MatchingCertificate, IndependentSetCertificate]:
     """Witnesses for im and alpha of a forest, in its own labels: one
-    :func:`_level_pass` per component of :func:`~treereg.graphs._preorder`."""
+    :func:`_level_pass` per walk of :func:`~treereg.graphs._forest_walks`."""
     edges: list[tuple[int, int]] = []
     chosen: list[int] = []
-    for verts, levels in _preorder(g):
+    for verts, levels in walks:
         *_, matching, independent = _level_pass(levels)
         for v, c in matching:
             u, w = verts[v], verts[c]
@@ -257,8 +253,8 @@ def _edge_conflict_masks(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 
 def induced_matching_number(g: Graph) -> tuple[int, MatchingCertificate]:
     """im(g) with a checkable witness; exact on forests of any size."""
-    if is_forest(g):
-        cert = _forest_certificates(g)[0]
+    if (walks := _forest_walks(g)) is not None:
+        cert = _forest_certificates(walks)[0]
         return cert.size, cert
     if g.edge_count > BRUTE_FORCE_EDGE_CAP:
         raise ValueError(
@@ -273,8 +269,8 @@ def induced_matching_number(g: Graph) -> tuple[int, MatchingCertificate]:
 
 def independence_number(g: Graph) -> tuple[int, IndependentSetCertificate]:
     """alpha(g) with a checkable witness; exact on forests of any size."""
-    if is_forest(g):
-        cert = _forest_certificates(g)[1]
+    if (walks := _forest_walks(g)) is not None:
+        cert = _forest_certificates(walks)[1]
         return cert.size, cert
     if g.order > BRUTE_FORCE_ORDER_CAP:
         raise ValueError(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from treereg import homology
 from treereg.census import SweepConfig, run_verify
 from treereg.cli import main
 from treereg.graphs import edge_spec
@@ -147,6 +148,24 @@ class TestInvariantsCommand:
         assert re.search(r"^whiskered: n=27 ", out, re.M)
         alpha = re.search(r"^base invariants: im=\d+ alpha=(\d+)", out, re.M).group(1)
         assert re.search(rf"^whiskered invariants: im=\d+ alpha=\d+ reg={alpha}$", out, re.M)
+
+    def test_json_runs_the_forest_dp_once_per_tree(self, capsys, monkeypatch):
+        homology._calibrated()
+        calls = []
+        dp = homology._forest_dp_entries
+
+        def counted(walks):
+            calls.append(walks)
+            return dp(walks)
+
+        monkeypatch.setattr(homology, "_forest_dp_entries", counted)
+        edges = ",".join(f"{u}-{v}" for u, v in TABLE4_TREES[0])
+        vector = ",".join(["2"] * 9)
+        assert run_cli("invariants", "--edges", edges, "--vector", vector, "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 2
+        for tree in ("base", "whiskered"):
+            assert payload[tree]["reg"] == payload[tree]["betti"]["reg"]
 
 
 class TestEnumerateCommand:

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from treereg import bounds, graphs, homology, invariants
 from treereg.graphs import (
     Graph,
     TreeWitness,
+    _preorder,
     WhiskerVector,
     edge_spec,
     from_edge_list,
@@ -15,6 +17,8 @@ from treereg.graphs import (
     parse_edge_spec,
     path_graph,
 )
+from treereg.homology import betti_table
+from treereg.invariants import independence_number, induced_matching_number
 from treereg.trees import canonical_code
 
 from conftest import (
@@ -327,3 +331,37 @@ class TestTreeWitness:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
             TreeWitness(Graph(0, ()))
+
+
+class TestOneWalk:
+    """Each labeled-graph entry point walks its graph once: the walk that
+    decides whether it is a forest also gives the level sequences."""
+
+    FOREST = disjoint_union(spider((2, 1, 3)), path_graph(4))
+    UNICYCLIC = from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 5)
+
+    @pytest.mark.parametrize("entry, g", [
+        (betti_table, FOREST),
+        (betti_table, UNICYCLIC),
+        (induced_matching_number, FOREST),
+        (independence_number, FOREST),
+        (TreeWitness, spider((2, 1, 3))),
+    ], ids=[
+        "betti_table-forest",
+        "betti_table-unicyclic",
+        "induced_matching_number-forest",
+        "independence_number-forest",
+        "TreeWitness",
+    ])
+    def test_one_preorder_walk(self, entry, g, monkeypatch):
+        walked = []
+
+        def counted(h):
+            walked.append(h)
+            return _preorder(h)
+
+        for module in (graphs, homology, invariants, bounds):
+            if hasattr(module, "_preorder"):
+                monkeypatch.setattr(module, "_preorder", counted)
+        entry(g)
+        assert walked == [g]

@@ -11,6 +11,7 @@ from treereg import homology
 from treereg.graphs import (
     Graph,
     WhiskerVector,
+    _preorder,
     from_edge_list,
     multi_whisker,
     path_graph,
@@ -70,6 +71,12 @@ class TestCalibration:
     def test_order_cap(self):
         forest = path_graph(FOREST_BETTI_ORDER_CAP + 1)
         with pytest.raises(ValueError, match="exceeds"):
+            betti_table(forest)
+        # each component is under the cap; their total is over it
+        half = FOREST_BETTI_ORDER_CAP // 2 + 1
+        forest = disjoint_union(path_graph(half), path_graph(half))
+        message = f"order {2 * half} exceeds {FOREST_BETTI_ORDER_CAP}, the forest cap"
+        with pytest.raises(ValueError, match=message):
             betti_table(forest)
         n = BETTI_ORDER_CAP + 1
         cycle = from_edge_list([(v, (v + 1) % n) for v in range(n)], n)
@@ -176,19 +183,22 @@ class TestForestRoute:
         checked = 0
         for n in range(1, 14):
             for t in enumerate_trees(n):
-                assert _forest_dp_entries(t.graph) == _forest_betti_entries(t.graph), t
+                levels = [lv for _, lv in _preorder(t.graph)]
+                assert _forest_dp_entries(levels) == _forest_betti_entries(t.graph), t
                 checked += 1
         assert checked == 2288
 
     def test_dp_matches_subset_route_on_every_induced_subforest_to_order_10(self):
         for g in induced_subforests(10):
-            assert _forest_dp_entries(g) == _forest_betti_entries(g), g
+            levels = [lv for _, lv in _preorder(g)]
+            assert _forest_dp_entries(levels) == _forest_betti_entries(g), g
 
     def test_dp_matches_subset_route_on_whiskered_trees_to_order_14(self):
         trees = whiskered_trees(14)
         assert len(trees) == 600
         for g in trees:
-            assert _forest_dp_entries(g) == _forest_betti_entries(g), g
+            levels = [lv for _, lv in _preorder(g)]
+            assert _forest_dp_entries(levels) == _forest_betti_entries(g), g
 
 
 def independent_sets(g: Graph) -> set[tuple[int, ...]]:

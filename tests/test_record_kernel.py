@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treereg.census as census_mod
+from treereg import homology
 from treereg.bounds import (
     Violation,
     _siblings,
@@ -17,7 +18,7 @@ from treereg.bounds import (
     record_for_tree,
 )
 from treereg.cli import main
-from treereg.graphs import TreeWitness
+from treereg.graphs import Graph, TreeWitness
 from treereg.invariants import (
     IndependentSetCertificate,
     MatchingCertificate,
@@ -57,6 +58,19 @@ def test_oracle_records_match_the_graph_path(n):
 @pytest.mark.parametrize("n", range(17, 21))
 def test_oracle_reg_equals_im_on_every_500th_tree(n):
     for code in code_bytes(n)[::500]:
+        r = record_for_code(code, with_oracle=True)
+        assert r.reg == r.im, r.tree_code
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_oracle_record_builds_no_graph(n, monkeypatch):
+    homology._calibrated()  # its GF(2) case is a Graph, built once per process
+
+    def no_graph(self):
+        raise AssertionError("record_for_code built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    for code in code_bytes(n):
         r = record_for_code(code, with_oracle=True)
         assert r.reg == r.im, r.tree_code
 
