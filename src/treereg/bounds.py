@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Optional, Sequence
 
-from .graphs import TreeWitness, _preorder
+from .graphs import TreeWitness
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .invariants import _level_pass
 from .trees import canonical_code, code_text
@@ -203,11 +203,11 @@ def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecor
     """Populate a full record; reg only when asked for and within the cap.
 
     This is the path for labeled input: :func:`record_for_code` on the
-    tree's preorder (:func:`~treereg.graphs._preorder`), with the witnesses
+    tree's preorder walk (``t.walk``), with the witnesses
     mapped back to the caller's vertex labels, each matching edge as
     (smaller, larger), both sorted, and the canonical code as ``tree_code``.
     """
-    ((verts, levels),) = _preorder(t.graph)
+    verts, levels = t.walk
     r = record_for_code(levels, with_oracle)
     edges = ((verts[v], verts[c]) for v, c in r.im_witness)
     return replace(

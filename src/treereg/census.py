@@ -7,18 +7,17 @@ records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 Trees stream in (order, code) order, so output is deterministic.  One
 stream of batches of ``checkpoint_every`` codes, each within one order,
 runs across every order, and :func:`_verify_batch` turns a batch into its
-joined output lines, violations and tight flags.  Without workers it runs
-in process; with ``jobs`` workers at most ``2 * jobs`` batches are in
-flight and their results are taken in submission order, so the workers
-carry on while a batch is written and the bytes equal a serial run's.  The
-checkpoint is a single JSON file written atomically after every batch, and
-both it and the records it counts are fsynced first; so is the violations
-file before the final checkpoint marks the run complete.  Resuming
-truncates the records CSV back to the last checkpointed byte offset, so a
-resumed run finishes with byte-identical output; a CSV shorter than that
-offset is refused, and so is a checkpoint whose last completed code is not
-the one the enumeration puts just before its index, or that is not a
-well-formed checkpoint at all.
+joined output lines, violation JSONL lines and tight flags, appended to the
+two files as they come.  Without workers it runs in process; with ``jobs``
+workers at most ``2 * jobs`` batches are in flight and their results are
+taken in submission order, so the workers carry on while a batch is written
+and the bytes equal a serial run's.  The checkpoint is a single versioned
+JSON file of offsets and counts, written atomically after every batch once
+it and each file whose offset it advances are fsynced.  Resuming truncates
+both files back to their checkpointed offsets, so a resumed run finishes
+with byte-identical output; a file shorter than its offset is refused, and
+so is a checkpoint whose last code is not the one the enumeration puts just
+before its index, or that is not a well-formed checkpoint of this version.
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
@@ -126,36 +125,23 @@ class SweepConfig:
             "oracle_up_to": self.oracle_up_to,
             "checkpoint_every": self.checkpoint_every,
             "out_csv": str(self.out_csv),
+            "violations_out": str(self.violations_out),
         }
 
 
 @dataclass
 class _Checkpoint:
-    run_id: str
     params: dict
-    status: str
-    order: int
-    next_index: int
-    last_completed_code: dict[str, str]
-    csv_bytes: int
-    records: int
-    violations: list[dict]
-    elapsed: float
-
-    @classmethod
-    def fresh(cls, params: dict, order: int) -> "_Checkpoint":
-        return cls(
-            run_id=os.urandom(16).hex(),
-            params=params,
-            status="running",
-            order=order,
-            next_index=0,
-            last_completed_code={},
-            csv_bytes=0,
-            records=0,
-            violations=[],
-            elapsed=0.0,
-        )
+    status: str = "running"
+    order: int = MIN_ORDER
+    next_index: int = 0
+    last_code: str = ""
+    csv_bytes: int = 0
+    records: int = 0
+    violations_bytes: int = 0
+    violation_count: int = 0
+    elapsed: float = 0.0
+    version: int = 2  # the layout this sweep writes, and the only one it resumes
 
     def dump(self, path: Path) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -168,12 +154,19 @@ class _Checkpoint:
     @classmethod
     def load(cls, path: Path) -> "_Checkpoint":
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(
+                f"checkpoint {path} is not valid JSON: {exc}; delete it to start over"
+            ) from None
         if not isinstance(data, dict):
             raise ValueError(
                 f"checkpoint {path} must hold a JSON object, not {type(data).__name__}"
+            )
+        if data.get("version") != cls.version:
+            raise ValueError(
+                f"checkpoint {path} has version {data.get('version')}, but this "
+                f"sweep resumes only version {cls.version}; delete it to start over"
             )
         keys = {f.name for f in fields(cls)}
         missing, unexpected = sorted(keys - data.keys()), sorted(data.keys() - keys)
@@ -193,25 +186,6 @@ class _Checkpoint:
                     f"{expected.__name__}, found {type(value).__name__}); "
                     "delete it to start over"
                 )
-        # Resume writes each violation back as a JSONL line and compares
-        # each last code as text, so entries must have the shapes it wrote.
-        # (JSON object keys are always strings.)
-        violation_keys = Violation("", "", "").to_json_dict().keys()
-        for i, v in enumerate(data["violations"]):
-            if not (isinstance(v, dict) and v.keys() == violation_keys
-                    and all(isinstance(x, str) for x in v.values())):
-                raise ValueError(
-                    f"checkpoint {path} is malformed (key 'violations' entry {i} "
-                    f"is {json.dumps(v)}, must be an object of strings with keys "
-                    f"{sorted(violation_keys)}); delete it to start over"
-                )
-        for order, code in data["last_completed_code"].items():
-            if not isinstance(code, str):
-                raise ValueError(
-                    f"checkpoint {path} is malformed (key 'last_completed_code' "
-                    f"entry {order!r} is {json.dumps(code)}, must be a code "
-                    "string); delete it to start over"
-                )
         return cls(**data)
 
     def check_ranges(self, path: Path, max_order: int) -> None:
@@ -221,6 +195,8 @@ class _Checkpoint:
             "next_index": (0, None),
             "csv_bytes": (0, None),
             "records": (0, None),
+            "violations_bytes": (0, None),
+            "violation_count": (0, None),
         }
         for key, (low, high) in limits.items():
             value = getattr(self, key)
@@ -233,15 +209,14 @@ class _Checkpoint:
 
     def check_place(self, path: Path, codes: list[bytes]) -> None:
         """Refuse to resume unless ``codes`` (this order's enumeration) has
-        the checkpointed last completed code just before ``next_index``."""
+        the checkpointed last code just before ``next_index``."""
         i = self.next_index - 1
         found = code_text(codes[i]) if i < len(codes) else None
-        expected = self.last_completed_code.get(str(self.order))
-        if found != expected:
+        if found != self.last_code:
             raise ValueError(
-                f"checkpoint {path} names code {expected!r} at order {self.order} "
-                f"index {i}, but the enumeration has {found!r} there; delete "
-                "the checkpoint to start over"
+                f"checkpoint {path} names code {self.last_code!r} at order "
+                f"{self.order} index {i}, but the enumeration has {found!r} "
+                "there; delete the checkpoint to start over"
             )
 
 
@@ -277,12 +252,16 @@ def _row_tail(key: tuple) -> _Tail:
     return record.csv_row(), checks, (record.lb_tight, record.ub_tight, record.wub_tight)
 
 
+def _jsonl(v: Violation) -> str:
+    return json.dumps(v.to_json_dict(), sort_keys=True) + "\n"
+
+
 def _verify_batch(
     args: tuple[list[bytes], int, str],
-) -> tuple[bytes, list[dict], list[tuple[bool, bool, bool]]]:
+) -> tuple[bytes, bytes, list[tuple[bool, bool, bool]]]:
     """Worker step: one batch of codes, all of one order, to its output
-    lines (joined, each ending in a newline), its violations and each
-    tree's tight flags.
+    lines and its violations' JSONL lines (each joined, each line ending in
+    a newline) and each tree's tight flags.
 
     The path is picked once per batch: CSV rows above the oracle's orders
     are the code text plus the row tail cached per :func:`code_kernel` key;
@@ -291,7 +270,7 @@ def _verify_batch(
     codes, oracle_up_to, fmt = args
     n = len(codes[0])
     lines: list[str] = []
-    violations: list[dict] = []
+    violations: list[str] = []
     tights: list[tuple[bool, bool, bool]] = []
     if fmt == "csv" and n > oracle_up_to:
         for levels, code in zip(codes, code_texts(codes)):
@@ -302,16 +281,16 @@ def _verify_batch(
             row, checks, tight = tail
             lines.append(code + row)
             for check, detail in checks:
-                violations.append(Violation(code, check, detail).to_json_dict())
+                violations.append(_jsonl(Violation(code, check, detail)))
             tights.append(tight)
     else:
         for levels in codes:
             record = record_for_code(levels, with_oracle=n <= oracle_up_to)
-            violations.extend(v.to_json_dict() for v in verify_record(record))
+            violations.extend(map(_jsonl, verify_record(record)))
             lines.append(record.csv_row() if fmt == "csv" else record.to_jsonl())
             tights.append((record.lb_tight, record.ub_tight, record.wub_tight))
     lines.append("")
-    return "\n".join(lines).encode(), violations, tights
+    return "\n".join(lines).encode(), "".join(violations).encode(), tights
 
 
 def _batches(
@@ -357,11 +336,28 @@ def _results(
         yield n, i, batch, task.get()
 
 
-def _open_records(path: Path, mode: str):
+def _open_output(path: Path, mode: str):
     try:
         return open(path, mode)
     except OSError as exc:
         raise ValueError(f"output path {path} is not writable: {exc}") from exc
+
+
+def _reopen(checkpoint: Path, sizes: dict[Path, int]) -> list:
+    """Each output file cut back to the bytes ``checkpoint`` counts in it
+    and opened to append; if one is missing or shorter, the resume is
+    refused with every file untouched."""
+    for path, size in sizes.items():
+        found = path.stat().st_size if path.exists() else None
+        if found is None or found < size:
+            has = "is missing" if found is None else f"has only {found}"
+            raise ValueError(
+                f"checkpoint {checkpoint} expects {size} bytes in {path}, which "
+                f"{has}; delete the checkpoint to start over"
+            )
+    for path, size in sizes.items():
+        os.truncate(path, size)
+    return [_open_output(path, "ab") for path in sizes]
 
 
 def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
@@ -389,32 +385,22 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         ck.check_ranges(cfg.checkpoint, cfg.max_order)
         if ck.status == "complete":
             return ck, None
+    paths = [path for path in (cfg.out_csv, cfg.violations_out) if path is not None]
     if ck is None:
-        ck = _Checkpoint.fresh(cfg.params(), MIN_ORDER)
-        out = _open_records(cfg.out_csv, "wb")
+        ck = _Checkpoint(cfg.params())
+        files = [_open_output(path, "wb") for path in paths]
         if cfg.fmt == "csv":
-            out.write((CSV_HEADER + "\n").encode())
-        out.flush()
-        ck.csv_bytes = out.tell()
+            files[0].write((CSV_HEADER + "\n").encode())
+        files[0].flush()
+        ck.csv_bytes = files[0].tell()
     else:
-        if not cfg.out_csv.exists():
-            raise ValueError(
-                f"checkpoint {cfg.checkpoint} expects records at {cfg.out_csv}, "
-                "which is missing; delete the checkpoint to start over"
-            )
-        size = cfg.out_csv.stat().st_size
-        if size < ck.csv_bytes:
-            raise ValueError(
-                f"checkpoint {cfg.checkpoint} expects {ck.csv_bytes} bytes of "
-                f"records in {cfg.out_csv}, which has only {size}; delete the "
-                "checkpoint to start over"
-            )
         if ck.next_index > 0:
             resumed[ck.order] = code_bytes(ck.order)
             ck.check_place(cfg.checkpoint, resumed[ck.order])
-        with open(cfg.out_csv, "r+b") as trunc:
-            trunc.truncate(ck.csv_bytes)
-        out = _open_records(cfg.out_csv, "ab")
+        offsets = (ck.csv_bytes, ck.violations_bytes)
+        files = _reopen(cfg.checkpoint, dict(zip(paths, offsets)))
+    out = files[0]
+    vio = files[1] if cfg.violations_out is not None else None
     base_elapsed = ck.elapsed
     summary: Optional[dict] = None
     if cfg.summary_out is not None:
@@ -444,7 +430,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             out.write(text)
             out.flush()
             ck.records += len(batch)
-            ck.violations.extend(violations)
+            ck.violation_count += violations.count(b"\n")
+            grew = vio is not None and violations
+            if grew:
+                vio.write(violations)
+                vio.flush()
+                ck.violations_bytes = vio.tell()
             if bucket is not None:
                 bucket["trees"] += len(batch)
                 for k, key in enumerate(_TIGHT_KEYS):
@@ -453,12 +444,14 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                     bucket[key + "_codes"].extend(code_texts(tight))
             ck.order = n
             ck.next_index = i
-            ck.last_completed_code[str(n)] = code_text(batch[-1])
+            ck.last_code = code_text(batch[-1])
             ck.csv_bytes = out.tell()
             ck.elapsed = base_elapsed + (time.time() - started)
             if cfg.checkpoint is not None:
-                # the records must be on disk before the offset that names them
+                # the outputs must be on disk before the offsets that name them
                 os.fsync(out.fileno())
+                if grew:
+                    os.fsync(vio.fileno())
                 ck.dump(cfg.checkpoint)
     except BaseException:
         # workers may still hold queued batches; stop them rather than wait
@@ -466,20 +459,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             pool.terminate()
         raise
     finally:
-        out.close()
+        for f in files:
+            f.close()
         if pool is not None:
             pool.close()
             pool.join()
 
-    if cfg.violations_out is not None:
-        with open(cfg.violations_out, "w", encoding="utf-8") as vf:
-            for v in ck.violations:
-                vf.write(json.dumps(v, sort_keys=True) + "\n")
-            if cfg.checkpoint is not None:
-                # a complete checkpoint is never resumed, so the violations it
-                # vouches for must be on disk first
-                vf.flush()
-                os.fsync(vf.fileno())
     if summary is not None:
         summary["total"] = ck.records
         cfg.summary_out.write_text(json.dumps(summary, indent=1, sort_keys=True))

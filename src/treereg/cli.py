@@ -11,7 +11,7 @@ from pathlib import Path
 from . import census as census_mod
 from . import trees
 from .bounds import record_for_tree
-from .homology import FOREST_BETTI_ORDER_CAP, betti_table
+from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .graphs import (
     TreeWitness,
     WhiskerVector,
@@ -46,21 +46,24 @@ def _record_lines(label: str, record) -> list[str]:
 
 def _oracle_record(graph) -> tuple:
     """A tree's record, with reg read off its Betti table, and that table."""
-    record = record_for_tree(TreeWitness(graph))
+    witness = TreeWitness(graph)
+    record = record_for_tree(witness)
     if graph.order > FOREST_BETTI_ORDER_CAP:
         return record, None
-    table = betti_table(graph)
+    _, levels = witness.walk
+    table = forest_betti_table([levels])
     return replace(record, reg=table.regularity()), table
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    if args.edges_file:
-        edges = parse_edge_lines(Path(args.edges_file).read_text().splitlines())
-        graph = graph_from_edges(edges, args.order)
-    elif args.edges:
-        graph = graph_from_edge_spec(args.edges, args.order)
+    if args.edges_file is not None:
+        try:
+            text = Path(args.edges_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"edges file {args.edges_file}: {exc}") from None
+        graph = graph_from_edges(parse_edge_lines(text.splitlines()), args.order)
     else:
-        raise ValueError("one of --edges or --edges-file is required")
+        graph = graph_from_edge_spec(args.edges, args.order)
     results = {"base": _oracle_record(graph)}
     if args.vector:
         entries = []
@@ -115,11 +118,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ck, _ = census_mod.run_verify(cfg)
     print(
         f"verified {ck.records} trees up to order {args.max_order}: "
-        f"{len(ck.violations)} violations ({ck.elapsed:.1f}s)"
+        f"{ck.violation_count} violations ({ck.elapsed:.1f}s)"
     )
     print(f"records: {args.out}")
     print(f"violations: {args.violations}")
-    return 0 if not ck.violations else 1
+    return 0 if not ck.violation_count else 1
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -171,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="invariants and bounds of one tree")
-    p_inv.add_argument("--edges", help="comma-separated u-v tokens, e.g. 0-1,1-2")
-    p_inv.add_argument("--edges-file",
+    edges = p_inv.add_mutually_exclusive_group(required=True)
+    edges.add_argument("--edges", help="comma-separated u-v tokens, e.g. 0-1,1-2")
+    edges.add_argument("--edges-file",
                        help="file with one 'u v' or 'u-v' pair per line")
     p_inv.add_argument("--order", type=int, help="override 1 + max label")
     p_inv.add_argument("--vector", help="whisker counts a1,a2,... (one per vertex)")

@@ -14,7 +14,7 @@ unions of the regularity identities are test helpers (``tests/conftest.py``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -141,9 +141,11 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class TreeWitness:
-    """A graph together with checked evidence that it is a tree."""
+    """A graph together with checked evidence that it is a tree: its one
+    :func:`_preorder` walk, the vertices and their levels."""
 
     graph: Graph
+    walk: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.graph
@@ -151,8 +153,10 @@ class TreeWitness:
             raise ValueError("a tree has at least one vertex")
         if g.edge_count != g.order - 1:
             raise ValueError(f"not a tree: {g.edge_count} edges on {g.order} vertices")
-        if len(_preorder(g)) != 1:
+        walks = _preorder(g)
+        if len(walks) != 1:
             raise ValueError("not a tree: graph is disconnected")
+        object.__setattr__(self, "walk", walks[0])
 
     @property
     def order(self) -> int:

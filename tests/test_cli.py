@@ -123,6 +123,24 @@ class TestInvariantsCommand:
         assert run_cli("invariants", "--edges", "0-1,bad") == 2
         assert "position 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("both", [True, False])
+    def test_exactly_one_edge_input_is_required(self, tmp_path, capsys, both):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n")
+        argv = ["--edges", "0-1,1-2,2-3", "--edges-file", str(path)] if both else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli("invariants", *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--edges" in err and "--edges-file" in err
+
+    def test_undecodable_edges_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"0 1\n1 \xff2\n")
+        assert run_cli("invariants", "--edges-file", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "0xff" in err
+
     def test_missing_edges_file_exit_code(self, tmp_path, capsys):
         assert run_cli("invariants", "--edges-file", str(tmp_path / "no.txt")) == 2
         assert "error" in capsys.readouterr().err
@@ -166,6 +184,24 @@ class TestInvariantsCommand:
         assert len(calls) == 2
         for tree in ("base", "whiskered"):
             assert payload[tree]["reg"] == payload[tree]["betti"]["reg"]
+
+
+    def test_each_tree_is_walked_once(self, capsys, monkeypatch):
+        from treereg import bounds, graphs, invariants
+
+        walked = []
+        real = graphs._preorder
+
+        def counted(g):
+            walked.append(g.order)
+            return real(g)
+
+        for module in (graphs, homology, invariants, bounds):
+            if hasattr(module, "_preorder"):
+                monkeypatch.setattr(module, "_preorder", counted)
+        assert run_cli("invariants", "--edges", "0-1,1-2,2-3", "--vector", "1,1,1,1",
+                       "--json") == 0
+        assert walked == [4, 8]
 
 
 class TestEnumerateCommand:
@@ -336,10 +372,10 @@ class TestVerifyCommand:
         order, index = state["order"], state["next_index"]
         assert (order, index) == (9, 10)
         assert csv.stat().st_size > state["csv_bytes"]
-        real = state["last_completed_code"][str(order)]
+        real = state["last_code"]
         wrong = "0 " + " ".join(["1"] * (order - 1))  # the star, never last here
         assert wrong != real
-        state["last_completed_code"][str(order)] = wrong
+        state["last_code"] = wrong
         ckpt.write_text(json.dumps(state))
         before = csv.read_bytes()
         assert run_cli("verify", *common) == 2
@@ -349,14 +385,15 @@ class TestVerifyCommand:
         assert csv.read_bytes() == before
 
     @pytest.mark.parametrize("content, names", [
-        ('{"run_id": "x"}', ("missing keys", "next_index", "csv_bytes")),
-        ('{"run_id": "x", "bogus": 1}', ("unexpected keys", "bogus")),
-        ("[1, 2]", ("JSON object", "list")),
-        ("{not json", ("not valid JSON",)),
+        (b'{"version": 2, "run_id": "x"}', ("missing keys", "next_index", "csv_bytes")),
+        (b'{"version": 2, "run_id": "x", "bogus": 1}', ("unexpected keys", "bogus")),
+        (b"[1, 2]", ("JSON object", "list")),
+        (b"{not json", ("not valid JSON",)),
+        (b"\xff\xfe{}", ("0xff", "delete it to start over")),
     ])
     def test_malformed_checkpoint_is_refused(self, tmp_path, capsys, content, names):
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(content)
+        ckpt.write_bytes(content)
         csv = tmp_path / "x.csv"
         assert run_cli("verify", "--max-order", "5", "--out", str(csv),
                        "--violations", str(tmp_path / "x.jsonl"),
@@ -369,8 +406,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("key, value, expected, found", [
         ("next_index", "10", "int", "str"),
         ("csv_bytes", None, "int", "NoneType"),
-        ("violations", {}, "list", "dict"),
-        ("last_completed_code", [], "dict", "list"),
+        ("violations_bytes", {}, "int", "dict"),
+        ("last_code", [], "str", "list"),
         ("records", True, "int", "bool"),
     ])
     def test_checkpoint_value_of_the_wrong_type_is_refused(
@@ -392,41 +429,14 @@ class TestVerifyCommand:
         assert f"key {key!r} must be {expected}, found {found}" in err
         assert csv.read_bytes() == before
 
-    @pytest.mark.parametrize("key, value, names", [
-        ("violations", [1, "x"], ("entry 0 is 1", "tree_code", "detail")),
-        ("violations", [{"tree_code": "0 1", "check": "lb"}], ("entry 0 is {",)),
-        ("violations", [{"tree_code": "0 1", "check": "lb", "detail": 2}],
-         ("entry 0 is {", "object of strings")),
-        ("last_completed_code", {"8": 5}, ("entry '8' is 5", "code string")),
-        ("last_completed_code", {"8": None}, ("entry '8' is null",)),
-    ])
-    def test_malformed_checkpoint_entry_is_refused(
-        self, tmp_path, capsys, key, value, names
-    ):
-        ckpt = tmp_path / "ckpt.json"
-        csv = tmp_path / "x.csv"
-        jsonl = tmp_path / "x.jsonl"
-        common = ["--max-order", "8", "--out", str(csv),
-                  "--violations", str(jsonl),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
-        assert run_cli("verify", *common, "--crash-after", "10") == 3
-        state = json.loads(ckpt.read_text())
-        state[key] = value
-        ckpt.write_text(json.dumps(state))
-        before = csv.read_bytes()
-        assert run_cli("verify", *common) == 2
-        err = capsys.readouterr().err
-        assert str(ckpt) in err and f"key {key!r}" in err
-        assert all(name in err for name in names)
-        assert csv.read_bytes() == before
-        assert not jsonl.exists()
-
     @pytest.mark.parametrize("key, value, allowed", [
         ("next_index", -3, ">= 0"),
         ("order", 99, "1..8"),
         ("order", 0, "1..8"),
         ("csv_bytes", -1, ">= 0"),
         ("records", -1, ">= 0"),
+        ("violations_bytes", -1, ">= 0"),
+        ("violation_count", -1, ">= 0"),
     ])
     def test_checkpoint_value_out_of_range_is_refused(
         self, tmp_path, capsys, key, value, allowed
@@ -448,6 +458,50 @@ class TestVerifyCommand:
         assert str(ckpt) in err
         assert f"key {key!r} is {value}, must be {allowed}" in err
         assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_checkpoint_of_another_version_is_refused(self, tmp_path, capsys, version):
+        ckpt, csv, vio = tmp_path / "ckpt.json", tmp_path / "x.csv", tmp_path / "x.jsonl"
+        common = ["--max-order", "8", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
+        assert run_cli("verify", *common, "--crash-after", "10") == 3
+        if version is None:
+            # the layout before checkpoints were versioned
+            state = {"run_id": "5f" * 16, "params": json.loads(ckpt.read_text())["params"],
+                     "status": "running", "order": 6, "next_index": 5,
+                     "last_completed_code": {"6": "0 1 2 1 1 1"}, "csv_bytes": 130,
+                     "records": 10, "violations": [], "elapsed": 0.01}
+        else:
+            state = dict(json.loads(ckpt.read_text()), version=version)
+        ckpt.write_text(json.dumps(state))
+        vio.write_bytes(b'{"check": "x", "detail": "y", "tree_code": "0 1"}\n')
+        before = csv.read_bytes(), vio.read_bytes()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} has version {version}" in err
+        assert "resumes only version 2; delete it to start over" in err
+        assert (csv.read_bytes(), vio.read_bytes()) == before
+
+    def test_unwritable_violations_path_is_refused_before_any_tree(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "missing_dir" / "v.jsonl"
+        csv = tmp_path / "x.csv"
+        assert run_cli("verify", "--max-order", "12", "--out", str(csv),
+                       "--violations", str(target)) == 2
+        err = capsys.readouterr().err
+        assert f"output path {target} is not writable" in err
+        assert csv.read_bytes() == b""
+
+    def test_resume_refuses_another_violations_path(self, tmp_path, capsys):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        common = ["--max-order", "8", "--out", str(tmp_path / "x.csv"),
+                  "--checkpoint", str(tmp_path / "ckpt.json"), "--checkpoint-every", "5"]
+        assert run_cli("verify", *common, "--violations", str(first),
+                       "--crash-after", "10") == 3
+        assert run_cli("verify", *common, "--violations", str(second)) == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert not second.exists()
 
     def test_resume_refuses_mismatched_parameters(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"
@@ -473,22 +527,41 @@ class TestVerifyCommand:
     ):
         import os
 
+        import treereg.census as census_mod
+        from treereg.bounds import Violation
+
+        real = census_mod.verify_record
+
+        def inject(record):
+            found = list(real(record))
+            if record.n == 5 and record.p == 4:  # the 4-leaf star
+                found.append(Violation(record.tree_code, "synthetic", "forced"))
+            return found
+
+        monkeypatch.setattr(census_mod, "verify_record", inject)
         events = []
         real_fsync, real_replace = os.fsync, os.replace
         monkeypatch.setattr(os, "fsync", lambda fd: (
             events.append(("fsync", os.fstat(fd).st_ino)), real_fsync(fd)))
         monkeypatch.setattr(os, "replace", lambda src, dst: (
-            events.append(("replace", Path(dst).name)), real_replace(src, dst)))
+            events.append(("replace", json.loads(Path(src).read_text()))),
+            real_replace(src, dst)))
         csv, vio = tmp_path / "a.csv", tmp_path / "a.jsonl"
         assert run_cli("verify", "--max-order", "6", "--out", str(csv),
                        "--violations", str(vio),
-                       "--checkpoint", str(tmp_path / "ckpt.json")) == 0
-        replaces = [i for i, e in enumerate(events) if e == ("replace", "ckpt.json")]
+                       "--checkpoint", str(tmp_path / "ckpt.json")) == 1
+        replaces = [i for i, e in enumerate(events) if e[0] == "replace"]
         assert len(replaces) >= 2
         assert ("fsync", csv.stat().st_ino) in events[: replaces[0]]
-        # the violations file is fsynced after the records' last checkpoint
-        # and before the one that marks the run complete
-        assert ("fsync", vio.stat().st_ino) in events[replaces[-2] : replaces[-1]]
+        # the violations file is fsynced once, after the checkpoint before
+        # the star's batch and before the first one that counts its line
+        first = next(k for k, i in enumerate(replaces)
+                     if events[i][1]["violations_bytes"] > 0)
+        assert 0 < first
+        assert events[replaces[first]][1]["violations_bytes"] == vio.stat().st_size
+        vio_syncs = [i for i, e in enumerate(events) if e == ("fsync", vio.stat().st_ino)]
+        assert len(vio_syncs) == 1
+        assert replaces[first - 1] < vio_syncs[0] < replaces[first]
 
     def test_violations_flip_exit_code_and_fill_file(self, tmp_path, monkeypatch):
         import treereg.census as census_mod
@@ -594,6 +667,45 @@ class TestWorkerPool:
             outputs[jobs] = csv.read_bytes(), vio.read_bytes()
         assert outputs["1"] == outputs["2"]
         assert outputs["1"][1].count(b"\n") > 50
+
+    @staticmethod
+    def crash_mid_batch(tmp_path, jobs):
+        """Crash at record 150, 55 trees into order 10 and inside its 8th
+        batch of 7; return the files and the run's arguments."""
+        csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
+        ckpt = tmp_path / "ck.json"
+        common = ["--max-order", "10", "--jobs", jobs, "--checkpoint-every", "7",
+                  "--checkpoint", str(ckpt), "--out", str(csv), "--violations", str(vio)]
+        assert run_cli("verify", *common, "--crash-after", "150") == 3
+        return csv, vio, ckpt, common
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crash_mid_batch_resumes_both_files_byte_identical(
+        self, tmp_path, probe, jobs
+    ):
+        ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
+        assert run_cli("verify", "--max-order", "10", "--checkpoint-every", "7",
+                       "--out", str(ref_csv), "--violations", str(ref_vio)) == 1
+        csv, vio, ckpt, common = self.crash_mid_batch(tmp_path, jobs)
+        assert vio.read_bytes() != ref_vio.read_bytes()
+        # a run killed between writing a batch and its checkpoint leaves
+        # lines past the checkpointed offset; the resume cuts them off
+        with open(vio, "ab") as f:
+            f.write(b'{"check": "stray", "detail": "", "tree_code": "0"}\n')
+        assert run_cli("verify", *common) == 1
+        assert csv.read_bytes() == ref_csv.read_bytes()
+        assert vio.read_bytes() == ref_vio.read_bytes()
+        assert json.loads(ckpt.read_text())["violation_count"] == (
+            ref_vio.read_bytes().count(b"\n"))
+
+    def test_checkpoint_holds_offsets_and_counts_only(self, tmp_path, probe):
+        _, vio, ckpt, _ = self.crash_mid_batch(tmp_path, "1")
+        state = json.loads(ckpt.read_text())
+        assert (state["order"], state["next_index"]) == (10, 49)
+        assert all(isinstance(value, (str, int, float))
+                   for key, value in state.items() if key != "params")
+        counted = vio.read_bytes()[: state["violations_bytes"]]
+        assert state["violation_count"] == counted.count(b"\n") > 0
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_census_bytes_match_one_process(self, tmp_path, fmt):

@@ -346,12 +346,14 @@ class TestOneWalk:
         (induced_matching_number, FOREST),
         (independence_number, FOREST),
         (TreeWitness, spider((2, 1, 3))),
+        (lambda g: bounds.record_for_tree(TreeWitness(g)), spider((2, 1, 3))),
     ], ids=[
         "betti_table-forest",
         "betti_table-unicyclic",
         "induced_matching_number-forest",
         "independence_number-forest",
         "TreeWitness",
+        "record_for_tree",
     ])
     def test_one_preorder_walk(self, entry, g, monkeypatch):
         walked = []
