@@ -5,19 +5,24 @@ line, plus its bound violations and, for a census, its tightness flags; the
 records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic.  One
-stream of batches of ``checkpoint_every`` codes, each within one order,
-runs across every order, and :func:`_verify_batch` turns a batch into its
-joined output lines, violation JSONL lines and tight flags, appended to the
-two files as they come.  Without workers it runs in process; with ``jobs``
-workers at most ``2 * jobs`` batches are in flight and their results are
-taken in submission order, so the workers carry on while a batch is written
-and the bytes equal a serial run's.  The checkpoint is a single versioned
-JSON file of offsets and counts, written atomically after every batch once
-it and each file whose offset it advances are fsynced.  Resuming truncates
-both files back to their checkpointed offsets, so a resumed run finishes
-with byte-identical output; a file shorter than its offset is refused, and
-so is a checkpoint whose last code is not the one the enumeration puts just
-before its index, or that is not a well-formed checkpoint of this version.
+stream of batches of ``checkpoint_every`` codes (:data:`CHECKPOINT_EVERY`
+unless set), each within one order, runs across every order, and
+:func:`_verify_batch` turns a batch into its joined output lines, violation
+JSONL lines and tight flags, appended to the two files as they come.  A
+batch is both the pool task and the unit of durable commit, and its size
+never changes the output bytes.  Without workers it runs in process; with
+``jobs`` workers at most ``2 * jobs`` batches are in flight and their
+results are taken in submission order, so the workers carry on while a
+batch is written and the bytes equal a serial run's.  Both files are opened
+before either is truncated, so an unwritable one leaves the other as it
+was.  The checkpoint is a single versioned JSON file of offsets and counts,
+written atomically after every batch once it and each file whose offset it
+advances are fsynced.  Resuming truncates both files back to their
+checkpointed offsets, so a resumed run finishes with byte-identical output;
+a file shorter than its offset is refused, and so is a checkpoint whose
+last code is not the one the enumeration puts just before its index, that
+is not a well-formed checkpoint of this version, or whose parameters differ
+from the run's (the refusal names each one that differs).
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
@@ -61,6 +66,11 @@ if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
 MIN_ORDER = 1
+# Codes per batch: the unit of durable commit (outputs fsynced, checkpoint
+# replaced) and the one pool task, so its fixed cost is paid once per batch.
+# Larger batches save little more time, and their transient rows (about
+# 250 B a tree) raise the peak resident set (BENCH_batch.json).
+CHECKPOINT_EVERY = 4096
 
 
 def _max_jobs() -> int:
@@ -94,7 +104,7 @@ class SweepConfig:
     oracle_up_to: int = 0
     checkpoint: Optional[Path] = None
     jobs: int = 1
-    checkpoint_every: int = 1000
+    checkpoint_every: int = CHECKPOINT_EVERY
     crash_after: Optional[int] = None
 
     def validate(self) -> None:
@@ -113,6 +123,8 @@ class SweepConfig:
             )
         if self.checkpoint_every < 1:
             raise ValueError("--checkpoint-every must be >= 1")
+        if self.violations_out == self.out_csv:
+            raise ValueError("--out and --violations must name different files")
         # a resume restores neither the tightness buckets nor the format
         if self.checkpoint is not None and self.summary_out is not None:
             raise ValueError("checkpoint cannot be combined with summary_out")
@@ -336,11 +348,27 @@ def _results(
         yield n, i, batch, task.get()
 
 
-def _open_output(path: Path, mode: str):
+def _open_outputs(sizes: dict[Path, int]) -> list:
+    """Each output file opened to append and cut back to its size in
+    ``sizes``.  Every file is opened before any is cut, so when one cannot
+    be opened the others keep their bytes and none is left newly made."""
+    files, made = [], []
     try:
-        return open(path, mode)
+        for path in sizes:
+            existed = path.exists()
+            files.append(open(path, "ab"))
+            if not existed:
+                made.append(path)
     except OSError as exc:
+        for f in files:
+            f.close()
+        for made_path in made:
+            made_path.unlink()
         raise ValueError(f"output path {path} is not writable: {exc}") from exc
+    for f, size in zip(files, sizes.values()):
+        f.seek(size)
+        f.truncate()
+    return files
 
 
 def _reopen(checkpoint: Path, sizes: dict[Path, int]) -> list:
@@ -355,9 +383,17 @@ def _reopen(checkpoint: Path, sizes: dict[Path, int]) -> list:
                 f"checkpoint {checkpoint} expects {size} bytes in {path}, which "
                 f"{has}; delete the checkpoint to start over"
             )
-    for path, size in sizes.items():
-        os.truncate(path, size)
-    return [_open_output(path, "ab") for path in sizes]
+    return _open_outputs(sizes)
+
+
+def _params_mismatch(checkpoint: dict, run: dict) -> str:
+    """Each parameter on which a checkpoint and this run differ, with both
+    values."""
+    return "; ".join(
+        f"{key}: {checkpoint.get(key)} in the checkpoint, {run.get(key)} in this run"
+        for key in sorted(checkpoint.keys() | run.keys())
+        if checkpoint.get(key) != run.get(key)
+    )
 
 
 def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
@@ -380,7 +416,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         if ck.params != cfg.params():
             raise ValueError(
                 "checkpoint parameters do not match this run; refusing to resume "
-                f"(checkpoint: {ck.params}, run: {cfg.params()})"
+                f"({_params_mismatch(ck.params, cfg.params())})"
             )
         ck.check_ranges(cfg.checkpoint, cfg.max_order)
         if ck.status == "complete":
@@ -388,7 +424,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     paths = [path for path in (cfg.out_csv, cfg.violations_out) if path is not None]
     if ck is None:
         ck = _Checkpoint(cfg.params())
-        files = [_open_output(path, "wb") for path in paths]
+        files = _open_outputs(dict.fromkeys(paths, 0))
         if cfg.fmt == "csv":
             files[0].write((CSV_HEADER + "\n").encode())
         files[0].flush()

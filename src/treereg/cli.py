@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records CSV (default: %(default)s)")
     p_ver.add_argument("--violations", default="treereg_violations.jsonl",
                        help="violations JSONL (default: %(default)s)")
-    p_ver.add_argument("--checkpoint-every", type=int, default=1000,
+    p_ver.add_argument("--checkpoint-every", type=int,
+                       default=census_mod.CHECKPOINT_EVERY,
                        help="trees per checkpoint (default: %(default)s)")
     p_ver.add_argument("--crash-after", type=int, default=None,
                        help="abort after N records (testing hook for resume)")

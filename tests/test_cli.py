@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from treereg import homology
-from treereg.census import SweepConfig, run_verify
-from treereg.cli import main
+from treereg.census import CHECKPOINT_EVERY, SweepConfig, run_verify
+from treereg.cli import build_parser, main
 from treereg.graphs import edge_spec
 from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.tables import TABLE4_TREES
@@ -486,12 +486,37 @@ class TestVerifyCommand:
         self, tmp_path, capsys
     ):
         target = tmp_path / "missing_dir" / "v.jsonl"
-        csv = tmp_path / "x.csv"
-        assert run_cli("verify", "--max-order", "12", "--out", str(csv),
-                       "--violations", str(target)) == 2
-        err = capsys.readouterr().err
-        assert f"output path {target} is not writable" in err
-        assert csv.read_bytes() == b""
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_bytes(b"kept\n")
+        for csv in (kept, absent):
+            assert run_cli("verify", "--max-order", "12", "--out", str(csv),
+                           "--violations", str(target)) == 2
+            err = capsys.readouterr().err
+            assert f"output path {target} is not writable" in err
+        # --out is neither emptied nor made
+        assert kept.read_bytes() == b"kept\n"
+        assert not absent.exists()
+
+    def test_resume_names_each_parameter_that_differs(self, tmp_path, capsys):
+        ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
+        assert run_cli("verify", "--max-order", "13", "--out", str(ref_csv),
+                       "--violations", str(ref_vio)) == 0
+        csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
+        common = ["--max-order", "13", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(tmp_path / "ck.json")]
+        # 987 trees of orders 1-12, then a crash inside order 13's first batch
+        assert run_cli("verify", *common, "--checkpoint-every", "1000",
+                       "--crash-after", "1500") == 3
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        assert capsys.readouterr().err == (
+            "treereg: error: checkpoint parameters do not match this run; refusing "
+            f"to resume (checkpoint_every: 1000 in the checkpoint, {CHECKPOINT_EVERY} "
+            "in this run)\n"
+        )
+        assert run_cli("verify", *common, "--checkpoint-every", "1000") == 0
+        assert csv.read_bytes() == ref_csv.read_bytes()
+        assert vio.read_bytes() == ref_vio.read_bytes()
 
     def test_resume_refuses_another_violations_path(self, tmp_path, capsys):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -613,6 +638,15 @@ class TestVerifyCommand:
         assert run_cli("verify", "--max-order", "3", "--out", str(target),
                        "--violations", str(tmp_path / "v.jsonl")) == 2
         assert "not writable" in capsys.readouterr().err
+        assert not (tmp_path / "v.jsonl").exists()
+
+    def test_out_and_violations_must_differ(self, tmp_path, capsys):
+        same = tmp_path / "same"
+        assert run_cli("verify", "--max-order", "3", "--out", str(same),
+                       "--violations", str(same)) == 2
+        assert "--out and --violations must name different files" in (
+            capsys.readouterr().err)
+        assert not same.exists()
 
     def test_oracle_up_to_beyond_the_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
@@ -706,6 +740,24 @@ class TestWorkerPool:
                    for key, value in state.items() if key != "params")
         counted = vio.read_bytes()[: state["violations_bytes"]]
         assert state["violation_count"] == counted.count(b"\n") > 0
+
+    def test_batch_size_never_changes_output_bytes(self, tmp_path, probe):
+        default = build_parser().parse_args(["verify", "--max-order", "2"])
+        assert default.checkpoint_every == SweepConfig.checkpoint_every == CHECKPOINT_EVERY
+        # order 15 is the smallest the default splits into several batches
+        assert len(code_bytes(14)) <= CHECKPOINT_EVERY < len(code_bytes(15))
+        outputs = set()
+        every = "--checkpoint-every"
+        for size in ([every, "1000"], [], [every, "4097"]):
+            for jobs in ("1", "2"):
+                csv, vio = tmp_path / "r.csv", tmp_path / "v.jsonl"
+                ckpt = tmp_path / "ck.json"
+                ckpt.unlink(missing_ok=True)
+                assert run_cli("verify", "--max-order", "15", "--jobs", jobs, *size,
+                               "--checkpoint", str(ckpt),
+                               "--out", str(csv), "--violations", str(vio)) == 1
+                outputs.add((csv.read_bytes(), vio.read_bytes()))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_census_bytes_match_one_process(self, tmp_path, fmt):
