@@ -13,30 +13,34 @@ batch is both the pool task and the unit of durable commit, and its size
 never changes the output bytes.  Without workers it runs in process; with
 ``jobs`` workers at most ``2 * jobs`` batches are in flight and their
 results are taken in submission order, so the workers carry on while a
-batch is written and the bytes equal a serial run's.  Both files are opened
-before either is truncated, so an unwritable one leaves the other as it
-was.  The checkpoint is a single versioned JSON file of offsets and counts,
-written atomically after every batch once it and each file whose offset it
-advances are fsynced.  Resuming truncates both files back to their
-checkpointed offsets, so a resumed run finishes with byte-identical output;
-a file shorter than its offset is refused, and so is a checkpoint whose
-last code is not the one the enumeration puts just before its index, that
-is not a well-formed checkpoint of this version, or whose parameters differ
-from the run's (the refusal names each one that differs).
+batch is written and the bytes equal a serial run's.  Both files, and a
+census's summary, are opened before any is truncated or any tree is swept,
+so an unwritable one leaves the others as they were.  The checkpoint is a
+single versioned JSON file of offsets and counts, written atomically after
+every batch once it and each file whose offset it advances are fsynced; it
+and its temporary file must be neither output.  Resuming truncates both
+files back to their checkpointed offsets, so a resumed run finishes with
+byte-identical output; a file shorter than its offset is refused, and so is
+a checkpoint whose last code is not the one the enumeration puts just
+before its index, that is not a well-formed checkpoint of this version, or
+whose parameters differ from the run's (the refusal names each one that
+differs).
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
-A CSV row above the oracle's orders is the code text plus a tail that
-depends only on (n, p, d, im, alpha).  :func:`code_texts` gives a whole
-batch's texts in a few C-level byte operations (a batch with a two-digit
-level joins each code's level strings instead), and :func:`code_kernel`
-folds the key from the tree's first rooted subtree and the cached state of
-its siblings, each distinct subtree and sibling suffix once per run; each
-distinct tail, with its violations and tight flags, is built once per run
-from a record by :func:`_record`, ``csv_row`` and :func:`verify_record`, so
-the row format and the inequalities each stay in one place.  JSONL records
-and oracle rows take the full :func:`record_for_code` path, witnesses
-included.  ``multiprocessing`` is imported only when a sweep starts a pool.
+Every CSV row is the code text plus a tail that depends only on its key,
+(n, p, d, im, alpha) and, at the oracle's orders, reg.  :func:`code_texts`
+gives a whole batch's texts in a few C-level byte operations (a batch with
+a two-digit level joins each code's level strings instead), and
+:func:`code_kernel` folds the key from the tree's first rooted subtree and
+the cached state of its siblings, each distinct subtree and sibling suffix
+once per run; at the oracle's orders the forest DP's reg of the level
+sequence is appended to it.  Each distinct tail, with its violations and
+tight flags, is built once per run from a record by :func:`_record`,
+``csv_row`` and :func:`verify_record`, so the row format and the
+inequalities each stay in one place.  Only JSONL records, which carry
+witnesses, take :func:`record_for_code`.  ``multiprocessing`` is imported
+only when a sweep starts a pool.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
@@ -59,7 +64,7 @@ from .bounds import (
     record_for_code,
     verify_record,
 )
-from .homology import FOREST_BETTI_ORDER_CAP
+from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .trees import code_bytes, code_text, code_texts, max_order_cap
 
 if TYPE_CHECKING:
@@ -123,8 +128,21 @@ class SweepConfig:
             )
         if self.checkpoint_every < 1:
             raise ValueError("--checkpoint-every must be >= 1")
-        if self.violations_out == self.out_csv:
-            raise ValueError("--out and --violations must name different files")
+        # two handles on one file would interleave their bytes, and a
+        # checkpoint's atomic replace would swap out an output still open
+        paths = {
+            "--out": self.out_csv,
+            "--violations": self.violations_out,
+            "--checkpoint": self.checkpoint,
+            "summary_out": self.summary_out,
+        }
+        if self.checkpoint is not None:
+            paths["--checkpoint's temporary file"] = _Checkpoint.temporary(
+                self.checkpoint)
+        named = [(name, p.resolve()) for name, p in paths.items() if p is not None]
+        for (name, path), (other, other_path) in combinations(named, 2):
+            if path == other_path:
+                raise ValueError(f"{name} and {other} must name different files")
         # a resume restores neither the tightness buckets nor the format
         if self.checkpoint is not None and self.summary_out is not None:
             raise ValueError("checkpoint cannot be combined with summary_out")
@@ -155,8 +173,13 @@ class _Checkpoint:
     elapsed: float = 0.0
     version: int = 2  # the layout this sweep writes, and the only one it resumes
 
+    @staticmethod
+    def temporary(path: Path) -> Path:
+        """The file :meth:`dump` writes before it replaces ``path`` with it."""
+        return path.with_suffix(path.suffix + ".tmp")
+
     def dump(self, path: Path) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
+        tmp = self.temporary(path)
         with open(tmp, "w", encoding="utf-8") as f:
             f.write(json.dumps(self.__dict__, indent=1, sort_keys=True))
             f.flush()
@@ -251,15 +274,17 @@ def _tight_bucket() -> dict:
 # and its tight flags.
 _Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
 
-# (n, p, d, im, alpha) -> its _Tail.  run_verify empties it, and the
-# kernel's subtree and sibling caches, before any worker forks, so no run
-# reuses what another run's verify_record found and no cache outlives its
-# run; each worker fills its own copies.
+# (n, p, d, im, alpha), with the oracle's reg appended at the oracle's
+# orders, -> its _Tail.  run_verify empties it, and the kernel's subtree
+# and sibling caches, before any worker forks, so no run reuses what
+# another run's verify_record found and no cache outlives its run; each
+# worker fills its own copies.
 _ROW_TAILS: dict[tuple, _Tail] = {}
 
 
 def _row_tail(key: tuple) -> _Tail:
-    record = _record("", *key, None, (), ())
+    reg = key[5] if len(key) > 5 else None
+    record = _record("", *key[:5], reg, (), ())
     checks = [(v.check, v.detail) for v in verify_record(record)]
     return record.csv_row(), checks, (record.lb_tight, record.ub_tight, record.wub_tight)
 
@@ -275,18 +300,21 @@ def _verify_batch(
     lines and its violations' JSONL lines (each joined, each line ending in
     a newline) and each tree's tight flags.
 
-    The path is picked once per batch: CSV rows above the oracle's orders
-    are the code text plus the row tail cached per :func:`code_kernel` key;
-    everything else takes :func:`record_for_code`.
+    The path is picked by ``fmt`` alone: a CSV row is the code text plus
+    the row tail cached per :func:`code_kernel` key, with the forest DP's
+    reg appended to the key at orders <= ``oracle_up_to``; a JSONL record,
+    which carries witnesses, takes :func:`record_for_code`.
     """
     codes, oracle_up_to, fmt = args
-    n = len(codes[0])
+    oracle = len(codes[0]) <= oracle_up_to
     lines: list[str] = []
     violations: list[str] = []
     tights: list[tuple[bool, bool, bool]] = []
-    if fmt == "csv" and n > oracle_up_to:
+    if fmt == "csv":
         for levels, code in zip(codes, code_texts(codes)):
             key = code_kernel(levels)
+            if oracle:
+                key += (forest_betti_table((levels,)).regularity(),)
             tail = _ROW_TAILS.get(key)
             if tail is None:
                 tail = _ROW_TAILS[key] = _row_tail(key)
@@ -297,9 +325,9 @@ def _verify_batch(
             tights.append(tight)
     else:
         for levels in codes:
-            record = record_for_code(levels, with_oracle=n <= oracle_up_to)
+            record = record_for_code(levels, with_oracle=oracle)
             violations.extend(map(_jsonl, verify_record(record)))
-            lines.append(record.csv_row() if fmt == "csv" else record.to_jsonl())
+            lines.append(record.to_jsonl())
             tights.append((record.lb_tight, record.ub_tight, record.wub_tight))
     lines.append("")
     return "\n".join(lines).encode(), "".join(violations).encode(), tights
@@ -421,7 +449,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         ck.check_ranges(cfg.checkpoint, cfg.max_order)
         if ck.status == "complete":
             return ck, None
-    paths = [path for path in (cfg.out_csv, cfg.violations_out) if path is not None]
+    paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
     if ck is None:
         ck = _Checkpoint(cfg.params())
         files = _open_outputs(dict.fromkeys(paths, 0))
@@ -489,6 +517,10 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 if grew:
                     os.fsync(vio.fileno())
                 ck.dump(cfg.checkpoint)
+        if summary is not None:
+            summary["total"] = ck.records
+            # the summary's file is the last one opened
+            files[-1].write(json.dumps(summary, indent=1, sort_keys=True).encode())
     except BaseException:
         # workers may still hold queued batches; stop them rather than wait
         if pool is not None:
@@ -501,9 +533,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             pool.close()
             pool.join()
 
-    if summary is not None:
-        summary["total"] = ck.records
-        cfg.summary_out.write_text(json.dumps(summary, indent=1, sort_keys=True))
     ck.status = "complete"
     ck.elapsed = base_elapsed + (time.time() - started)
     if cfg.checkpoint is not None:

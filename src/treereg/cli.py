@@ -65,7 +65,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     else:
         graph = graph_from_edge_spec(args.edges, args.order)
     results = {"base": _oracle_record(graph)}
-    if args.vector:
+    if args.vector is not None:
         entries = []
         for pos, token in enumerate(args.vector.split(","), start=1):
             try:

@@ -91,10 +91,12 @@ class TestInvariantsCommand:
             assert capsys.readouterr().out == inline
 
     def test_vector_error_names_the_token_and_its_position(self, capsys):
-        assert run_cli("invariants", "--edges", "0-1", "--vector", "1,x") == 2
-        assert capsys.readouterr().err == (
-            "treereg: error: non-integer whisker count 'x' at position 2\n"
-        )
+        for vector, token, position in (("1,x", "x", 2), ("", "", 1)):
+            assert run_cli("invariants", "--edges", "0-1", "--vector", vector) == 2
+            assert capsys.readouterr().err == (
+                f"treereg: error: non-integer whisker count {token!r} at position "
+                f"{position}\n"
+            )
 
     def test_json_bytes_over_relabeled_trees_are_pinned(self, capsys):
         # every tree of orders 2-8 under a seeded relabeling: the pin holds
@@ -648,6 +650,51 @@ class TestVerifyCommand:
             capsys.readouterr().err)
         assert not same.exists()
 
+    @pytest.mark.parametrize("output", ["--out", "--violations"])
+    def test_checkpoint_must_differ_from_each_output(self, tmp_path, capsys, output):
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "same"
+        paths = {"--out": tmp_path / "r.csv", "--violations": tmp_path / "v.jsonl",
+                 output: same}
+        # the same file, spelled another way
+        assert run_cli("verify", "--max-order", "9",
+                       "--out", str(paths["--out"]),
+                       "--violations", str(paths["--violations"]),
+                       "--checkpoint", str(tmp_path / "sub" / ".." / "same")) == 2
+        assert f"{output} and --checkpoint must name different files" in (
+            capsys.readouterr().err)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+    def test_checkpoint_temporary_file_must_differ_from_the_output(
+        self, tmp_path, capsys
+    ):
+        # the checkpoint is written to ck.json.tmp, then renamed over ck.json
+        assert run_cli("verify", "--max-order", "6",
+                       "--out", str(tmp_path / "ck.json.tmp"),
+                       "--violations", str(tmp_path / "v.jsonl"),
+                       "--checkpoint", str(tmp_path / "ck.json")) == 2
+        assert "--out and --checkpoint's temporary file must name different files" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("oracle_up_to, sha256", [
+        ("12", "3cd7d20bb03eed4bcdae0a73bd0a6ed29a4f86cd9fc72845275a07c6a5e546d4"),
+        ("9", "eef5cf5fc53f0d6604df917cc5b3ac96ddc43d3829fb590fe75f874acbbf8bd7"),
+    ])
+    @pytest.mark.parametrize("run", ["jobs1", "jobs2", "resumed"])
+    def test_oracle_csv_is_pinned(self, tmp_path, oracle_up_to, sha256, run):
+        csv, ckpt = tmp_path / "r.csv", tmp_path / "ck.json"
+        argv = ["verify", "--max-order", "12", "--oracle-up-to", oracle_up_to,
+                "--out", str(csv), "--violations", str(tmp_path / "v.jsonl"),
+                "--checkpoint", str(ckpt), "--checkpoint-every", "20"]
+        if run == "resumed":
+            # 48 trees of orders 1-8, then a crash in order 9's second
+            # batch; order 9 is an oracle order in both pins
+            assert run_cli(*argv, "--crash-after", "80") == 3
+            assert json.loads(ckpt.read_text())["next_index"] == 20
+        assert run_cli(*argv, "--jobs", "2" if run == "jobs2" else "1") == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
+
     def test_oracle_up_to_beyond_the_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
         assert run_cli("verify", "--max-order", "3", "--oracle-up-to",
@@ -904,6 +951,21 @@ class TestCensusCommand:
             assert bucket["trees"] == len(mine)
             assert bucket["lb_tight"] == sum(r["lb_tight"] for r in mine)
             assert len(bucket["lb_tight_codes"]) == bucket["lb_tight"]
+
+    def test_unwritable_summary_path_is_refused_before_any_tree(
+        self, tmp_path, capsys
+    ):
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_bytes(b"kept\n")
+        for csv in (kept, absent):
+            summary = Path(str(csv) + ".summary.json")
+            summary.mkdir()
+            assert run_cli("census", "--max-order", "12", "--out", str(csv)) == 2
+            err = capsys.readouterr().err
+            assert f"output path {summary} is not writable" in err
+        # --out is neither emptied nor made
+        assert kept.read_bytes() == b"kept\n"
+        assert not absent.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "census.csv"

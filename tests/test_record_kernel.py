@@ -186,9 +186,11 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
-def assert_fast_row_matches_the_record_path(levels):
-    slow = record_for_tree(tree_from_code(levels))
-    text, violations, tights = census_mod._verify_batch(([bytes(levels)], 0, "csv"))
+def assert_fast_row_matches_the_record_path(levels, oracle=False):
+    slow = record_for_tree(tree_from_code(levels), with_oracle=oracle)
+    oracle_up_to = len(levels) if oracle else 0
+    text, violations, tights = census_mod._verify_batch(
+        ([bytes(levels)], oracle_up_to, "csv"))
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
         json.dumps(v.to_json_dict(), sort_keys=True).encode() + b"\n"
@@ -211,7 +213,7 @@ def checker(request, monkeypatch):
                 record.tree_code,
                 "probe",
                 f"n={record.n} p={record.p} d={record.d} im={record.im} "
-                f"alpha={record.alpha} tight={record.lb_tight},"
+                f"alpha={record.alpha} reg={record.reg} tight={record.lb_tight},"
                 f"{record.ub_tight},{record.wub_tight}",
             ))
         return found
@@ -223,8 +225,11 @@ def checker(request, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_fast_rows_match_the_record_path(n, checker):
-    for code in code_bytes(n):
-        assert_fast_row_matches_the_record_path(code)
+    # oracle rows share the row cache with plain ones, as they do in a
+    # sweep that stops the oracle below its top order
+    for oracle in (False, True) if n <= 11 else (False,):
+        for code in code_bytes(n):
+            assert_fast_row_matches_the_record_path(code, oracle)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,3 +261,50 @@ def test_a_cached_violation_names_each_tree(tmp_path, monkeypatch, jobs):
     assert lines == [
         {"tree_code": code, "check": "synthetic", "detail": "forced"} for code in codes
     ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_no_csv_row_takes_the_record_path(tmp_path, monkeypatch, jobs):
+    def outputs(tag):
+        csv, vio = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.jsonl"
+        assert main(["verify", "--max-order", "10", "--oracle-up-to", "10",
+                     "--jobs", jobs, "--out", str(csv), "--violations", str(vio)]) == 0
+        return csv.read_bytes(), vio.read_bytes()
+
+    expected = outputs("plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV row took record_for_code")
+
+    monkeypatch.setattr(census_mod, "record_for_code", refuse)
+    assert outputs("patched") == expected
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_oracle_row_is_cached_by_its_reg(tmp_path, monkeypatch, jobs):
+    by_key = defaultdict(list)
+    for code in code_bytes(8):
+        by_key[code_kernel(code)].append(code)
+    target, other = next(codes for codes in by_key.values() if len(codes) >= 2)[:2]
+    im = code_kernel(target)[3]
+    real = homology.forest_betti_table
+
+    class Forced:
+        def regularity(self):
+            return im + 1
+
+    def forced(walks):
+        return Forced() if bytes(walks[0]) == target else real(walks)
+
+    monkeypatch.setattr(census_mod, "forest_betti_table", forced)
+    csv, vio = tmp_path / "r.csv", tmp_path / "v.jsonl"
+    assert main(["verify", "--max-order", "8", "--oracle-up-to", "8", "--jobs", jobs,
+                 "--out", str(csv), "--violations", str(vio)]) == 1
+    target_text, other_text = (" ".join(map(str, code)) for code in (target, other))
+    assert [json.loads(line) for line in vio.read_text().splitlines()] == [
+        {"tree_code": target_text, "check": "regularity_equals_induced_matching",
+         "detail": f"reg = {im + 1} != im = {im}"}
+    ]
+    rows = {line.split(",")[0]: line.split(",") for line in csv.read_text().splitlines()}
+    assert (rows[target_text][4], rows[target_text][6]) == (str(im), str(im + 1))
+    assert (rows[other_text][4], rows[other_text][6]) == (str(im), str(im))
