@@ -5,8 +5,8 @@ line, plus its bound violations and, for a census, its tightness flags; the
 records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic.  One
-stream of batches of ``checkpoint_every`` codes (:data:`CHECKPOINT_EVERY`
-unless set), each within one order, runs across every order, and
+stream of batches of :data:`CHECKPOINT_EVERY` codes, each within one
+order, runs across every order, and
 :func:`_verify_batch` turns a batch into its joined output lines, violation
 JSONL lines and tight flags, appended to the two files as they come.  A
 batch is both the pool task and the unit of durable commit, and its size
@@ -15,16 +15,18 @@ never changes the output bytes.  Without workers it runs in process; with
 results are taken in submission order, so the workers carry on while a
 batch is written and the bytes equal a serial run's.  Both files, and a
 census's summary, are opened before any is truncated or any tree is swept,
-so an unwritable one leaves the others as they were.  The checkpoint is a
+so an unwritable one leaves the others as they were; before them, the
+checkpoint's temporary file is made and removed again, so an unwritable
+checkpoint path touches no output either.  The checkpoint is a
 single versioned JSON file of offsets and counts, written atomically after
 every batch once it and each file whose offset it advances are fsynced; it
-and its temporary file must be neither output.  Resuming truncates both
-files back to their checkpointed offsets, so a resumed run finishes with
-byte-identical output; a file shorter than its offset is refused, and so is
-a checkpoint whose last code is not the one the enumeration puts just
-before its index, that is not a well-formed checkpoint of this version, or
-whose parameters differ from the run's (the refusal names each one that
-differs).
+and its temporary file must be neither output, and it resumes whatever
+batch size wrote it.  Resuming truncates both files back to their
+checkpointed offsets, so a resumed run finishes with byte-identical output;
+a file shorter than its offset is refused, and so is a checkpoint whose
+last code is not the one the enumeration puts just before its index, that
+is not a well-formed checkpoint of this version, or whose parameters differ
+from the run's (the refusal names each one that differs).
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
@@ -74,7 +76,8 @@ MIN_ORDER = 1
 # Codes per batch: the unit of durable commit (outputs fsynced, checkpoint
 # replaced) and the one pool task, so its fixed cost is paid once per batch.
 # Larger batches save little more time, and their transient rows (about
-# 250 B a tree) raise the peak resident set (BENCH_batch.json).
+# 250 B a tree) raise the peak resident set (BENCH_batch.json).  The sweep
+# reads it as it cuts each batch, and the size never changes output bytes.
 CHECKPOINT_EVERY = 4096
 
 
@@ -87,10 +90,6 @@ def _max_jobs() -> int:
     except AttributeError:
         usable = os.cpu_count() or 1
     return max(2, usable)
-
-
-class CrashRequested(RuntimeError):
-    """Raised by the deterministic abort hook used to exercise resume."""
 
 
 @dataclass
@@ -109,8 +108,6 @@ class SweepConfig:
     oracle_up_to: int = 0
     checkpoint: Optional[Path] = None
     jobs: int = 1
-    checkpoint_every: int = CHECKPOINT_EVERY
-    crash_after: Optional[int] = None
 
     def validate(self) -> None:
         cap = max_order_cap()
@@ -126,8 +123,6 @@ class SweepConfig:
             raise ValueError(
                 f"--jobs must be in 1..{limit}, the usable CPU count (at least 2)"
             )
-        if self.checkpoint_every < 1:
-            raise ValueError("--checkpoint-every must be >= 1")
         # two handles on one file would interleave their bytes, and a
         # checkpoint's atomic replace would swap out an output still open
         paths = {
@@ -153,7 +148,6 @@ class SweepConfig:
         return {
             "max_order": self.max_order,
             "oracle_up_to": self.oracle_up_to,
-            "checkpoint_every": self.checkpoint_every,
             "out_csv": str(self.out_csv),
             "violations_out": str(self.violations_out),
         }
@@ -177,6 +171,20 @@ class _Checkpoint:
     def temporary(path: Path) -> Path:
         """The file :meth:`dump` writes before it replaces ``path`` with it."""
         return path.with_suffix(path.suffix + ".tmp")
+
+    @classmethod
+    def check_writable(cls, path: Path) -> None:
+        """Refuse ``path`` unless its temporary file can be made, so a run
+        that could never checkpoint stops before it touches an output; a
+        temporary file made only for this check is removed again."""
+        tmp = cls.temporary(path)
+        made = not tmp.exists()
+        try:
+            open(tmp, "ab").close()
+        except OSError as exc:
+            raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
+        if made:
+            tmp.unlink()
 
     def dump(self, path: Path) -> None:
         tmp = self.temporary(path)
@@ -221,6 +229,8 @@ class _Checkpoint:
                     f"{expected.__name__}, found {type(value).__name__}); "
                     "delete it to start over"
                 )
+        # older checkpoints hold the batch size, which never changes the bytes
+        data["params"].pop("checkpoint_every", None)
         return cls(**data)
 
     def check_ranges(self, path: Path, max_order: int) -> None:
@@ -343,7 +353,7 @@ def _batches(
         codes = resumed.pop(n, None) or code_bytes(n)
         i = index if n == order else 0
         while i < len(codes):
-            batch = codes[i : i + cfg.checkpoint_every]
+            batch = codes[i : i + CHECKPOINT_EVERY]
             i += len(batch)
             yield n, i, batch
         del codes
@@ -449,6 +459,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         ck.check_ranges(cfg.checkpoint, cfg.max_order)
         if ck.status == "complete":
             return ck, None
+    if cfg.checkpoint is not None:
+        _Checkpoint.check_writable(cfg.checkpoint)
     paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
     if ck is None:
         ck = _Checkpoint(cfg.params())
@@ -481,16 +493,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
             if summary is not None and str(n) not in summary["orders"]:
                 bucket = summary["orders"][str(n)] = _tight_bucket()
-            if cfg.crash_after is not None:
-                # the crash comes right after the record that reaches the
-                # count, so only the rows up to it are written
-                crash_at = max(cfg.crash_after - ck.records, 1)
-                if crash_at <= len(batch):
-                    out.write(b"".join(text.splitlines(keepends=True)[:crash_at]))
-                    ck.records += crash_at
-                    raise CrashRequested(
-                        f"aborting after {ck.records} records as requested"
-                    )
             out.write(text)
             out.flush()
             ck.records += len(batch)

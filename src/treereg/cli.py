@@ -112,8 +112,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         violations_out=Path(args.violations),
         checkpoint=Path(args.checkpoint) if args.checkpoint else None,
         jobs=args.jobs,
-        checkpoint_every=args.checkpoint_every,
-        crash_after=args.crash_after,
     )
     ck, _ = census_mod.run_verify(cfg)
     print(
@@ -199,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records CSV (default: %(default)s)")
     p_ver.add_argument("--violations", default="treereg_violations.jsonl",
                        help="violations JSONL (default: %(default)s)")
-    p_ver.add_argument("--checkpoint-every", type=int,
-                       default=census_mod.CHECKPOINT_EVERY,
-                       help="trees per checkpoint (default: %(default)s)")
-    p_ver.add_argument("--crash-after", type=int, default=None,
-                       help="abort after N records (testing hook for resume)")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_cen = sub.add_parser("census", help="records for every tree up to an order")
@@ -225,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except census_mod.CrashRequested as exc:
-        print(f"treereg: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"treereg: error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
+from treereg.census import _Checkpoint
 from treereg.graphs import (
     Graph,
     TreeWitness,
@@ -375,6 +376,33 @@ def tree_witnesses(draw, min_order: int = 1, max_order: int = 10) -> TreeWitness
         return TreeWitness(Graph(1, ((),)))
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return TreeWitness(from_edge_list(prufer_to_edges(seq, n), n))
+
+
+class Killed(Exception):
+    """A sweep stopped by :func:`kill_at_dump`.  ``main`` does not catch it."""
+
+
+@pytest.fixture
+def kill_at_dump(monkeypatch):
+    """``kill_at_dump(k)`` makes the k-th checkpoint write from then on
+    raise :class:`Killed` instead.  The batch before it is written and
+    fsynced but not checkpointed, so the outputs hold rows past the
+    checkpoint, as a kill leaves them; later writes go through."""
+    real = _Checkpoint.dump
+
+    def arm(k: int) -> None:
+        calls = 0
+
+        def dump(self, path):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                raise Killed(f"killed at checkpoint write {k}")
+            real(self, path)
+
+        monkeypatch.setattr(_Checkpoint, "dump", dump)
+
+    return arm
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from itertools import product
 
 import pytest
 
+from treereg import census
 from treereg.bounds import record_for_tree, verify_record
 from treereg.cli import main as cli_main
 from treereg.graphs import (
@@ -29,6 +30,7 @@ from treereg.tables import build_table
 from treereg.trees import code_bytes, count_trees, enumerate_trees, graph_from_code
 
 from conftest import (
+    Killed,
     delete_closed_neighborhood,
     delete_vertex,
     disjoint_union,
@@ -205,24 +207,26 @@ def test_criterion_8_enumeration_correctness(report):
             assert generated == prufer_tree_ids(n, ids), f"n={n}"
 
 
-def test_criterion_9_checkpoint_resume_determinism(report, tmp_path):
+def test_criterion_9_checkpoint_resume_determinism(
+    report, tmp_path, monkeypatch, kill_at_dump
+):
     with report(9, "verify killed mid-flight and resumed yields byte-identical "
                    "CSV"):
+        monkeypatch.setattr(census, "CHECKPOINT_EVERY", 7)
         ref = tmp_path / "ref.csv"
         assert cli_main(["verify", "--max-order", "9", "--out", str(ref),
-                         "--violations", str(tmp_path / "ref.jsonl"),
-                         "--checkpoint-every", "7"]) == 0
+                         "--violations", str(tmp_path / "ref.jsonl")]) == 0
         crash = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
-        code = cli_main(["verify", "--max-order", "9", "--out", str(crash),
-                         "--violations", str(tmp_path / "c.jsonl"),
-                         "--checkpoint", str(ckpt), "--checkpoint-every", "7",
-                         "--crash-after", "41"])
-        assert code == 3
+        kill_at_dump(11)  # order 8's third batch, which ends 46 trees in
+        with pytest.raises(Killed):
+            cli_main(["verify", "--max-order", "9", "--out", str(crash),
+                      "--violations", str(tmp_path / "c.jsonl"),
+                      "--checkpoint", str(ckpt)])
         assert crash.read_bytes() != ref.read_bytes()
         assert cli_main(["verify", "--max-order", "9", "--out", str(crash),
                          "--violations", str(tmp_path / "c.jsonl"),
-                         "--checkpoint", str(ckpt), "--checkpoint-every", "7"]) == 0
+                         "--checkpoint", str(ckpt)]) == 0
         assert crash.read_bytes() == ref.read_bytes()
         assert json.loads(ckpt.read_text())["status"] == "complete"
         # a record with a forced failure still trips the exit-code contract

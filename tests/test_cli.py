@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import treereg.census as census_mod
 from treereg import homology
 from treereg.census import CHECKPOINT_EVERY, SweepConfig, run_verify
-from treereg.cli import build_parser, main
+from treereg.cli import main
 from treereg.graphs import edge_spec
 from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.tables import TABLE4_TREES
@@ -22,7 +23,7 @@ from treereg.trees import (
     tree_from_code,
 )
 
-from conftest import relabel, star_graph
+from conftest import Killed, relabel, star_graph
 
 
 def run_cli(*argv) -> int:
@@ -286,72 +287,85 @@ class TestVerifyCommand:
         assert all(row[6] == row[4] for row in rows)  # reg == im, none empty
         assert vio.read_text() == ""
 
-    def test_resume_is_byte_identical(self, tmp_path):
-        base = dict(max_order="8", every="5")
+    def test_resume_is_byte_identical(self, tmp_path, monkeypatch, kill_at_dump):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ref_csv = tmp_path / "ref.csv"
         assert run_cli(
-            "verify", "--max-order", base["max_order"], "--out", str(ref_csv),
+            "verify", "--max-order", "8", "--out", str(ref_csv),
             "--violations", str(tmp_path / "ref.jsonl"),
-            "--checkpoint-every", base["every"],
         ) == 0
         crash_csv = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
-        code = run_cli(
-            "verify", "--max-order", base["max_order"], "--out", str(crash_csv),
-            "--violations", str(tmp_path / "crash.jsonl"),
-            "--checkpoint", str(ckpt), "--checkpoint-every", base["every"],
-            "--crash-after", "23",
-        )
-        assert code == 3
+        kill_at_dump(9)  # order 7's second batch, which ends 24 trees in
+        with pytest.raises(Killed):
+            run_cli(
+                "verify", "--max-order", "8", "--out", str(crash_csv),
+                "--violations", str(tmp_path / "crash.jsonl"),
+                "--checkpoint", str(ckpt),
+            )
         assert ckpt.exists()
         # the interrupted file is a strict prefix-or-more of the final output
         assert crash_csv.read_bytes() != ref_csv.read_bytes()
         code = run_cli(
-            "verify", "--max-order", base["max_order"], "--out", str(crash_csv),
+            "verify", "--max-order", "8", "--out", str(crash_csv),
             "--violations", str(tmp_path / "crash.jsonl"),
-            "--checkpoint", str(ckpt), "--checkpoint-every", base["every"],
+            "--checkpoint", str(ckpt),
         )
         assert code == 0
         assert crash_csv.read_bytes() == ref_csv.read_bytes()
         state = json.loads(ckpt.read_text())
         assert state["status"] == "complete"
 
-    def test_resume_after_crash_on_checkpoint_boundary(self, tmp_path):
+    def test_resume_after_crash_on_checkpoint_boundary(
+        self, tmp_path, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ref = tmp_path / "ref.csv"
         assert run_cli("verify", "--max-order", "7", "--out", str(ref),
-                       "--violations", str(tmp_path / "r.jsonl"),
-                       "--checkpoint-every", "5") == 0
+                       "--violations", str(tmp_path / "r.jsonl")) == 0
         crash = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
+        # the 8th batch is order 7's first, so the checkpoint before it
+        # sits at the end of order 6
+        kill_at_dump(8)
+        with pytest.raises(Killed):
+            run_cli("verify", "--max-order", "7", "--out", str(crash),
+                    "--violations", str(tmp_path / "c.jsonl"),
+                    "--checkpoint", str(ckpt))
+        state = json.loads(ckpt.read_text())
+        assert (state["order"], state["next_index"]) == (6, len(code_bytes(6)))
         assert run_cli("verify", "--max-order", "7", "--out", str(crash),
                        "--violations", str(tmp_path / "c.jsonl"),
-                       "--checkpoint", str(ckpt), "--checkpoint-every", "5",
-                       "--crash-after", "15") == 3  # dies as a batch completes
-        assert run_cli("verify", "--max-order", "7", "--out", str(crash),
-                       "--violations", str(tmp_path / "c.jsonl"),
-                       "--checkpoint", str(ckpt), "--checkpoint-every", "5") == 0
+                       "--checkpoint", str(ckpt)) == 0
         assert crash.read_bytes() == ref.read_bytes()
 
-    def test_resume_with_missing_csv_is_refused(self, tmp_path, capsys):
+    def test_resume_with_missing_csv_is_refused(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ckpt = tmp_path / "ckpt.json"
         csv = tmp_path / "x.csv"
-        assert run_cli("verify", "--max-order", "8", "--out", str(csv),
-                       "--violations", str(tmp_path / "x.jsonl"),
-                       "--checkpoint", str(ckpt), "--checkpoint-every", "5",
-                       "--crash-after", "10") == 3
+        common = ["--max-order", "8", "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"), "--checkpoint", str(ckpt)]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         csv.unlink()
-        assert run_cli("verify", "--max-order", "8", "--out", str(csv),
-                       "--violations", str(tmp_path / "x.jsonl"),
-                       "--checkpoint", str(ckpt), "--checkpoint-every", "5") == 2
+        assert run_cli("verify", *common) == 2
         assert "missing" in capsys.readouterr().err
 
-    def test_resume_with_short_csv_is_refused(self, tmp_path, capsys):
+    def test_resume_with_short_csv_is_refused(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
         ckpt = tmp_path / "ckpt.json"
         csv = tmp_path / "x.csv"
         common = ["--max-order", "10", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "10"]
-        assert run_cli("verify", *common, "--crash-after", "120") == 3
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(10)  # the checkpoint counts 35 rows
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         expected = json.loads(ckpt.read_text())["csv_bytes"]
         assert expected > 500
         with open(csv, "r+b") as f:
@@ -361,15 +375,20 @@ class TestVerifyCommand:
         assert f"expects {expected} bytes" in err and "has only 500" in err
         assert csv.read_bytes().count(b"\0") == 0
 
-    def test_resume_refuses_a_checkpoint_out_of_place(self, tmp_path, capsys):
+    def test_resume_refuses_a_checkpoint_out_of_place(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
         ckpt = tmp_path / "ckpt.json"
         csv = tmp_path / "x.csv"
         common = ["--max-order", "9", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "10"]
-        # orders 1..8 hold 48 trees, so the crash comes 12 trees into order
-        # 9, after the checkpoint at index 10 and with two rows past it
-        assert run_cli("verify", *common, "--crash-after", "60") == 3
+                  "--checkpoint", str(ckpt)]
+        # orders 1..8 take 11 batches, so the kill comes at order 9's second
+        # batch, after the checkpoint at index 10 and with ten rows past it
+        kill_at_dump(13)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
         order, index = state["order"], state["next_index"]
         assert (order, index) == (9, 10)
@@ -413,14 +432,17 @@ class TestVerifyCommand:
         ("records", True, "int", "bool"),
     ])
     def test_checkpoint_value_of_the_wrong_type_is_refused(
-        self, tmp_path, capsys, key, value, expected, found
+        self, tmp_path, capsys, monkeypatch, kill_at_dump, key, value, expected, found
     ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ckpt = tmp_path / "ckpt.json"
         csv = tmp_path / "x.csv"
         common = ["--max-order", "8", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
-        assert run_cli("verify", *common, "--crash-after", "10") == 3
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
         state[key] = value
         ckpt.write_text(json.dumps(state))
@@ -441,14 +463,17 @@ class TestVerifyCommand:
         ("violation_count", -1, ">= 0"),
     ])
     def test_checkpoint_value_out_of_range_is_refused(
-        self, tmp_path, capsys, key, value, allowed
+        self, tmp_path, capsys, monkeypatch, kill_at_dump, key, value, allowed
     ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ckpt = tmp_path / "ckpt.json"
         csv = tmp_path / "x.csv"
         common = ["--max-order", "8", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
-        assert run_cli("verify", *common, "--crash-after", "10") == 3
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
         state[key] = value
         if key == "order":
@@ -462,11 +487,16 @@ class TestVerifyCommand:
         assert csv.read_bytes() == before
 
     @pytest.mark.parametrize("version", [None, 1, 3])
-    def test_checkpoint_of_another_version_is_refused(self, tmp_path, capsys, version):
+    def test_checkpoint_of_another_version_is_refused(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump, version
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         ckpt, csv, vio = tmp_path / "ckpt.json", tmp_path / "x.csv", tmp_path / "x.jsonl"
         common = ["--max-order", "8", "--out", str(csv), "--violations", str(vio),
-                  "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
-        assert run_cli("verify", *common, "--crash-after", "10") == 3
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         if version is None:
             # the layout before checkpoints were versioned
             state = {"run_id": "5f" * 16, "params": json.loads(ckpt.read_text())["params"],
@@ -499,33 +529,76 @@ class TestVerifyCommand:
         assert kept.read_bytes() == b"kept\n"
         assert not absent.exists()
 
-    def test_resume_names_each_parameter_that_differs(self, tmp_path, capsys):
+    def test_unwritable_checkpoint_path_is_refused_before_any_tree(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        ckpt = tmp_path / "missing_dir" / "ck.json"
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.jsonl"
+        kept.write_bytes(b"kept\n")
+        assert run_cli("verify", "--max-order", "9", "--out", str(kept),
+                       "--violations", str(absent), "--checkpoint", str(ckpt)) == 2
+        assert f"--checkpoint {ckpt} is not writable" in capsys.readouterr().err
+        # --out is not emptied and --violations is not made
+        assert sorted(tmp_path.iterdir()) == [kept]
+        assert kept.read_bytes() == b"kept\n"
+        # a resume is refused with the rows past its checkpoint kept
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
+        ckpt = tmp_path / "ck.json"
+        csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
+        common = ["--max-order", "8", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
+        (tmp_path / "ck.json.tmp").mkdir()
+        before = csv.read_bytes(), vio.read_bytes()
+        assert run_cli("verify", *common) == 2
+        assert f"--checkpoint {ckpt} is not writable" in capsys.readouterr().err
+        assert (csv.read_bytes(), vio.read_bytes()) == before
+        # a run refused for another output after the check leaves no
+        # temporary file behind
+        (tmp_path / "ck.json.tmp").rmdir()
+        assert run_cli("verify", "--max-order", "8", "--out", str(csv),
+                       "--violations", str(tmp_path / "missing_dir" / "v.jsonl"),
+                       "--checkpoint", str(tmp_path / "other.json")) == 2
+        assert not (tmp_path / "other.json.tmp").exists()
+
+    def test_resume_names_each_parameter_that_differs(
+        self, tmp_path, capsys, kill_at_dump
+    ):
         ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
         assert run_cli("verify", "--max-order", "13", "--out", str(ref_csv),
                        "--violations", str(ref_vio)) == 0
         csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
-        common = ["--max-order", "13", "--out", str(csv), "--violations", str(vio),
+        common = ["--out", str(csv), "--violations", str(vio),
                   "--checkpoint", str(tmp_path / "ck.json")]
-        # 987 trees of orders 1-12, then a crash inside order 13's first batch
-        assert run_cli("verify", *common, "--checkpoint-every", "1000",
-                       "--crash-after", "1500") == 3
+        # one batch per order: the checkpoint counts the 987 trees of orders
+        # 1-12, and order 13's rows are written past it
+        kill_at_dump(13)
+        with pytest.raises(Killed):
+            run_cli("verify", "--max-order", "13", *common)
         capsys.readouterr()
-        assert run_cli("verify", *common) == 2
+        assert run_cli("verify", "--max-order", "14", "--oracle-up-to", "9",
+                       *common) == 2
         assert capsys.readouterr().err == (
             "treereg: error: checkpoint parameters do not match this run; refusing "
-            f"to resume (checkpoint_every: 1000 in the checkpoint, {CHECKPOINT_EVERY} "
-            "in this run)\n"
+            "to resume (max_order: 13 in the checkpoint, 14 in this run; "
+            "oracle_up_to: 0 in the checkpoint, 9 in this run)\n"
         )
-        assert run_cli("verify", *common, "--checkpoint-every", "1000") == 0
+        assert run_cli("verify", "--max-order", "13", *common) == 0
         assert csv.read_bytes() == ref_csv.read_bytes()
         assert vio.read_bytes() == ref_vio.read_bytes()
 
-    def test_resume_refuses_another_violations_path(self, tmp_path, capsys):
+    def test_resume_refuses_another_violations_path(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         common = ["--max-order", "8", "--out", str(tmp_path / "x.csv"),
-                  "--checkpoint", str(tmp_path / "ckpt.json"), "--checkpoint-every", "5"]
-        assert run_cli("verify", *common, "--violations", str(first),
-                       "--crash-after", "10") == 3
+                  "--checkpoint", str(tmp_path / "ckpt.json")]
+        kill_at_dump(6)
+        with pytest.raises(Killed):
+            run_cli("verify", *common, "--violations", str(first))
         assert run_cli("verify", *common, "--violations", str(second)) == 2
         assert "refusing to resume" in capsys.readouterr().err
         assert not second.exists()
@@ -554,7 +627,6 @@ class TestVerifyCommand:
     ):
         import os
 
-        import treereg.census as census_mod
         from treereg.bounds import Violation
 
         real = census_mod.verify_record
@@ -591,7 +663,6 @@ class TestVerifyCommand:
         assert replaces[first - 1] < vio_syncs[0] < replaces[first]
 
     def test_violations_flip_exit_code_and_fill_file(self, tmp_path, monkeypatch):
-        import treereg.census as census_mod
         from treereg.bounds import Violation
 
         real = census_mod.verify_record
@@ -614,7 +685,6 @@ class TestVerifyCommand:
     def test_a_second_run_in_one_process_checks_afresh(self, tmp_path, monkeypatch):
         # rows are cached per invariant tuple; a cache that outlived the first
         # run would replay its clean verdict for the star
-        import treereg.census as census_mod
         from treereg.bounds import Violation
 
         common = ["--max-order", "5", "--out", str(tmp_path / "r.csv")]
@@ -682,15 +752,20 @@ class TestVerifyCommand:
         ("9", "eef5cf5fc53f0d6604df917cc5b3ac96ddc43d3829fb590fe75f874acbbf8bd7"),
     ])
     @pytest.mark.parametrize("run", ["jobs1", "jobs2", "resumed"])
-    def test_oracle_csv_is_pinned(self, tmp_path, oracle_up_to, sha256, run):
+    def test_oracle_csv_is_pinned(
+        self, tmp_path, monkeypatch, kill_at_dump, oracle_up_to, sha256, run
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 20)
         csv, ckpt = tmp_path / "r.csv", tmp_path / "ck.json"
         argv = ["verify", "--max-order", "12", "--oracle-up-to", oracle_up_to,
                 "--out", str(csv), "--violations", str(tmp_path / "v.jsonl"),
-                "--checkpoint", str(ckpt), "--checkpoint-every", "20"]
+                "--checkpoint", str(ckpt)]
         if run == "resumed":
-            # 48 trees of orders 1-8, then a crash in order 9's second
+            # orders 1-8 take 9 batches, then a kill at order 9's second
             # batch; order 9 is an oracle order in both pins
-            assert run_cli(*argv, "--crash-after", "80") == 3
+            kill_at_dump(11)
+            with pytest.raises(Killed):
+                run_cli(*argv)
             assert json.loads(ckpt.read_text())["next_index"] == 20
         assert run_cli(*argv, "--jobs", "2" if run == "jobs2" else "1") == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
@@ -717,13 +792,12 @@ class TestVerifyCommand:
 class TestWorkerPool:
     """``--jobs 2`` against one process, with batches of 7 trees so that
     batches of the next order are in flight while an order's last ones are
-    written."""
+    written, and resumes after a kill in the middle of order 10."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
         """A violation on about half the trees, so the violations compared
         are not empty; forked workers inherit it."""
-        import treereg.census as census_mod
         from treereg.bounds import Violation
 
         real = census_mod.verify_record
@@ -737,12 +811,12 @@ class TestWorkerPool:
         monkeypatch.setattr(census_mod, "verify_record", probe)
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle-up-to", "8"]])
-    def test_verify_bytes_match_one_process(self, tmp_path, probe, oracle):
+    def test_verify_bytes_match_one_process(self, tmp_path, monkeypatch, probe, oracle):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         outputs = {}
         for jobs in ("1", "2"):
             csv, vio = tmp_path / f"r{jobs}.csv", tmp_path / f"v{jobs}.jsonl"
-            assert run_cli("verify", "--max-order", "10", "--jobs", jobs,
-                           "--checkpoint-every", "7", *oracle,
+            assert run_cli("verify", "--max-order", "10", "--jobs", jobs, *oracle,
                            "--checkpoint", str(tmp_path / f"ck{jobs}.json"),
                            "--out", str(csv), "--violations", str(vio)) == 1
             outputs[jobs] = csv.read_bytes(), vio.read_bytes()
@@ -750,37 +824,95 @@ class TestWorkerPool:
         assert outputs["1"][1].count(b"\n") > 50
 
     @staticmethod
-    def crash_mid_batch(tmp_path, jobs):
-        """Crash at record 150, 55 trees into order 10 and inside its 8th
-        batch of 7; return the files and the run's arguments."""
+    def reference(tmp_path) -> tuple[bytes, bytes]:
+        """The CSV and violations of an uninterrupted ``--max-order 10``."""
+        csv, vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
+        assert run_cli("verify", "--max-order", "10",
+                       "--out", str(csv), "--violations", str(vio)) == 1
+        return csv.read_bytes(), vio.read_bytes()
+
+    @staticmethod
+    def crash_mid_batch(tmp_path, monkeypatch, kill_at_dump, jobs):
+        """Kill at the checkpoint of order 10's 8th batch of 7, 56 trees into
+        the order; return the files and the run's arguments."""
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
         ckpt = tmp_path / "ck.json"
-        common = ["--max-order", "10", "--jobs", jobs, "--checkpoint-every", "7",
+        common = ["--max-order", "10", "--jobs", jobs,
                   "--checkpoint", str(ckpt), "--out", str(csv), "--violations", str(vio)]
-        assert run_cli("verify", *common, "--crash-after", "150") == 3
+        kill_at_dump(27)  # orders 1-9 take 19 batches
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
         return csv, vio, ckpt, common
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_crash_mid_batch_resumes_both_files_byte_identical(
-        self, tmp_path, probe, jobs
+        self, tmp_path, monkeypatch, kill_at_dump, probe, jobs
     ):
-        ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
-        assert run_cli("verify", "--max-order", "10", "--checkpoint-every", "7",
-                       "--out", str(ref_csv), "--violations", str(ref_vio)) == 1
-        csv, vio, ckpt, common = self.crash_mid_batch(tmp_path, jobs)
-        assert vio.read_bytes() != ref_vio.read_bytes()
+        ref = self.reference(tmp_path)
+        csv, vio, ckpt, common = self.crash_mid_batch(
+            tmp_path, monkeypatch, kill_at_dump, jobs)
+        assert vio.read_bytes() != ref[1]
         # a run killed between writing a batch and its checkpoint leaves
         # lines past the checkpointed offset; the resume cuts them off
         with open(vio, "ab") as f:
             f.write(b'{"check": "stray", "detail": "", "tree_code": "0"}\n')
         assert run_cli("verify", *common) == 1
-        assert csv.read_bytes() == ref_csv.read_bytes()
-        assert vio.read_bytes() == ref_vio.read_bytes()
-        assert json.loads(ckpt.read_text())["violation_count"] == (
-            ref_vio.read_bytes().count(b"\n"))
+        assert (csv.read_bytes(), vio.read_bytes()) == ref
+        assert json.loads(ckpt.read_text())["violation_count"] == ref[1].count(b"\n")
 
-    def test_checkpoint_holds_offsets_and_counts_only(self, tmp_path, probe):
-        _, vio, ckpt, _ = self.crash_mid_batch(tmp_path, "1")
+    def test_resume_replaces_a_torn_checkpoint_write(
+        self, tmp_path, monkeypatch, kill_at_dump, probe
+    ):
+        ref = self.reference(tmp_path)
+        csv, vio, ckpt, common = self.crash_mid_batch(
+            tmp_path, monkeypatch, kill_at_dump, "1")
+        # a kill inside a checkpoint write leaves its temporary file half
+        # written next to the previous batch's checkpoint
+        tmp = tmp_path / "ck.json.tmp"
+        tmp.write_bytes(b'{"version": 2, "sta')
+        # the resume's first checkpoint is written in its place, whole
+        kill_at_dump(2)
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
+        assert json.loads(ckpt.read_text())["next_index"] == 56
+        assert run_cli("verify", *common) == 1
+        assert (csv.read_bytes(), vio.read_bytes()) == ref
+        assert not tmp.exists()
+        assert json.loads(ckpt.read_text())["status"] == "complete"
+
+    def test_resume_cuts_a_torn_last_row(self, tmp_path, monkeypatch, kill_at_dump, probe):
+        ref = self.reference(tmp_path)
+        csv, vio, _, common = self.crash_mid_batch(
+            tmp_path, monkeypatch, kill_at_dump, "1")
+        with open(csv, "ab") as f:
+            f.write(b"0 1 2 3 4 5 6 7 8 9,10,2,")  # half a row, no newline
+        assert run_cli("verify", *common) == 1
+        assert (csv.read_bytes(), vio.read_bytes()) == ref
+
+    def test_old_checkpoint_resumes_at_any_batch_size(
+        self, tmp_path, monkeypatch, kill_at_dump, probe
+    ):
+        ref = self.reference(tmp_path)
+        csv, vio, ckpt, common = self.crash_mid_batch(
+            tmp_path, monkeypatch, kill_at_dump, "1")
+        # checkpoints once named the batch size among their parameters
+        state = json.loads(ckpt.read_text())
+        state["params"]["checkpoint_every"] = 1000
+        ckpt.write_text(json.dumps(state))
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", CHECKPOINT_EVERY)
+        assert run_cli("verify", *common) == 1
+        assert (csv.read_bytes(), vio.read_bytes()) == ref
+        assert "checkpoint_every" not in json.loads(ckpt.read_text())["params"]
+        for flag in ("--checkpoint-every", "--crash-after"):
+            with pytest.raises(SystemExit) as exited:
+                run_cli("verify", "--max-order", "5", flag, "5")
+            assert exited.value.code == 2
+
+    def test_checkpoint_holds_offsets_and_counts_only(
+        self, tmp_path, monkeypatch, kill_at_dump, probe
+    ):
+        _, vio, ckpt, _ = self.crash_mid_batch(tmp_path, monkeypatch, kill_at_dump, "1")
         state = json.loads(ckpt.read_text())
         assert (state["order"], state["next_index"]) == (10, 49)
         assert all(isinstance(value, (str, int, float))
@@ -788,71 +920,76 @@ class TestWorkerPool:
         counted = vio.read_bytes()[: state["violations_bytes"]]
         assert state["violation_count"] == counted.count(b"\n") > 0
 
-    def test_batch_size_never_changes_output_bytes(self, tmp_path, probe):
-        default = build_parser().parse_args(["verify", "--max-order", "2"])
-        assert default.checkpoint_every == SweepConfig.checkpoint_every == CHECKPOINT_EVERY
+    def test_batch_size_never_changes_output_bytes(self, tmp_path, monkeypatch, probe):
         # order 15 is the smallest the default splits into several batches
         assert len(code_bytes(14)) <= CHECKPOINT_EVERY < len(code_bytes(15))
+        real_dump = census_mod._Checkpoint.dump
+        cuts = []
+        monkeypatch.setattr(census_mod._Checkpoint, "dump", lambda ck, path: (
+            cuts.append((ck.order, ck.next_index)), real_dump(ck, path)))
         outputs = set()
-        every = "--checkpoint-every"
-        for size in ([every, "1000"], [], [every, "4097"]):
+        for size in (1000, CHECKPOINT_EVERY, 4097):
+            monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", size)
             for jobs in ("1", "2"):
                 csv, vio = tmp_path / "r.csv", tmp_path / "v.jsonl"
                 ckpt = tmp_path / "ck.json"
                 ckpt.unlink(missing_ok=True)
-                assert run_cli("verify", "--max-order", "15", "--jobs", jobs, *size,
+                cuts.clear()
+                assert run_cli("verify", "--max-order", "15", "--jobs", jobs,
                                "--checkpoint", str(ckpt),
                                "--out", str(csv), "--violations", str(vio)) == 1
+                assert (15, size) in cuts  # order 15's first batch ends there
                 outputs.add((csv.read_bytes(), vio.read_bytes()))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_census_bytes_match_one_process(self, tmp_path, fmt):
+    def test_census_bytes_match_one_process(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         outputs = {}
         for jobs in (1, 2):
             out, summary = tmp_path / f"r{jobs}.{fmt}", tmp_path / f"s{jobs}.json"
             run_verify(SweepConfig(max_order=10, out_csv=out, fmt=fmt,
-                                   summary_out=summary, jobs=jobs,
-                                   checkpoint_every=7))
+                                   summary_out=summary, jobs=jobs))
             outputs[jobs] = out.read_bytes(), summary.read_bytes()
         assert outputs[1] == outputs[2]
         assert json.loads(outputs[1][1])["orders"]["10"]["lb_tight_codes"]
 
     def test_crash_leaves_no_worker_and_resumes_byte_identical(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, kill_at_dump
     ):
         import multiprocessing
         import time
 
-        import treereg.census as census_mod
-
         ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
         assert run_cli("verify", "--max-order", "9", "--out", str(ref_csv),
                        "--violations", str(ref_vio)) == 0
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
         common = ["--max-order", "9", "--jobs", "2", "--out", str(csv),
-                  "--violations", str(vio), "--checkpoint", str(tmp_path / "ck.json"),
-                  "--checkpoint-every", "5"]
+                  "--violations", str(vio), "--checkpoint", str(tmp_path / "ck.json")]
         real = census_mod.verify_record
 
         def stalls_on_order_8(record):
-            # order 8's first batches are in flight when the crash comes at
-            # record 23, in order 7; a pool that waited for them would stall
+            # order 8's first batches are in flight when the kill comes at
+            # the 9th batch, in order 7; a pool that waited for them would stall
             if record.n == 8:
                 time.sleep(30)
             return real(record)
 
         with monkeypatch.context() as m:
             m.setattr(census_mod, "verify_record", stalls_on_order_8)
+            kill_at_dump(9)
             started = time.monotonic()
-            assert run_cli("verify", *common, "--crash-after", "23") == 3
+            with pytest.raises(Killed):
+                run_cli("verify", *common)
             assert time.monotonic() - started < 15
         assert multiprocessing.active_children() == []
-        # the rows up to the crash record are written, and none past it
+        # the rows through the killed batch's 24th tree are written, and
+        # none past it
         lines = csv.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 1 + 23
+        assert len(lines) == 1 + 24
         assert b"".join(lines) == b"".join(ref_csv.read_bytes().splitlines(
-            keepends=True)[:24])
+            keepends=True)[:25])
         assert run_cli("verify", *common) == 0
         assert csv.read_bytes() == ref_csv.read_bytes()
         assert vio.read_bytes() == ref_vio.read_bytes()
@@ -860,14 +997,13 @@ class TestWorkerPool:
     def test_worker_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
         import multiprocessing
 
-        import treereg.census as census_mod
-
         def broken(record):
             raise ValueError(f"broken check at n={record.n}")
 
         monkeypatch.setattr(census_mod, "verify_record", broken)
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         assert run_cli("verify", "--max-order", "9", "--jobs", "2",
-                       "--checkpoint-every", "5", "--out", str(tmp_path / "x.csv"),
+                       "--out", str(tmp_path / "x.csv"),
                        "--violations", str(tmp_path / "x.jsonl")) == 2
         assert "broken check at n=" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
