@@ -175,16 +175,14 @@ class _Checkpoint:
     @classmethod
     def check_writable(cls, path: Path) -> None:
         """Refuse ``path`` unless its temporary file can be made, so a run
-        that could never checkpoint stops before it touches an output; a
-        temporary file made only for this check is removed again."""
+        that could never checkpoint stops before it touches an output.  The
+        file is removed again, with any a killed dump left there."""
         tmp = cls.temporary(path)
-        made = not tmp.exists()
         try:
             open(tmp, "ab").close()
+            tmp.unlink()
         except OSError as exc:
             raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
-        if made:
-            tmp.unlink()
 
     def dump(self, path: Path) -> None:
         tmp = self.temporary(path)
