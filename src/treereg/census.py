@@ -200,6 +200,8 @@ class _Checkpoint:
             raise ValueError(
                 f"checkpoint {path} is not valid JSON: {exc}; delete it to start over"
             ) from None
+        except OSError as exc:
+            raise ValueError(f"checkpoint {path} cannot be read: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(
                 f"checkpoint {path} must hold a JSON object, not {type(data).__name__}"

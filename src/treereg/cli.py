@@ -147,15 +147,15 @@ _ENUMERATE_BATCH = 4096
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # code_bytes joins the canonical codes as bytes, and code_texts writes a
-    # whole batch of them at once, so only the edge specs need a Graph
+    # code_bytes joins the codes as bytes, code_texts writes a batch of them
+    # at once, and each edge spec comes from its code's parents: no Graph
     write = sys.stdout.write
     codes = trees.code_bytes(args.order)
     for i in range(0, len(codes), _ENUMERATE_BATCH):
         batch = codes[i : i + _ENUMERATE_BATCH]
         texts = trees.code_texts(batch)
         if not args.codes_only:
-            specs = (edge_spec(trees.graph_from_code(code)) for code in batch)
+            specs = map(edge_spec, map(trees.code_edges, batch))
             texts = [text + "\t" + spec for text, spec in zip(texts, specs)]
         write("\n".join(texts) + "\n")
     return 0

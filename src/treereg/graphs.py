@@ -7,8 +7,9 @@ returns a fresh :class:`Graph`.  Isolated vertices are allowed; a
 preorder walk, :func:`_preorder`, is the one place a labeled graph becomes
 level sequences, and :func:`_forest_walks` its one forest test: invariants,
 witnesses, n, p, d and forest Betti tables come from that walk.  The
-all-pairs BFS reference for p and d, the vertex deletions and the disjoint
-unions of the regularity identities are test helpers (``tests/conftest.py``).
+all-pairs BFS reference for p and d, the component lists, the vertex
+deletions and the disjoint unions of the regularity identities are test
+helpers (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -132,11 +133,6 @@ def _forest_walks(g: Graph) -> list[tuple[list[int], list[int]]] | None:
     """:func:`_preorder`'s walks if g is a forest (edges = order - walks), else None."""
     walks = _preorder(g)
     return walks if g.edge_count == g.order - len(walks) else None
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in order of minimum."""
-    return [sorted(verts) for verts, _ in _preorder(g)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +278,8 @@ def graph_from_edge_spec(text: str, order: int | None = None) -> Graph:
     return graph_from_edges(parse_edge_spec(text), order)
 
 
-def edge_spec(g: Graph) -> str:
-    """The ``u-v`` spec parse_edge_spec reads, one token per edge in sorted
-    order; ``treereg enumerate`` prints it beside each code."""
-    return ",".join(f"{u}-{v}" for u, v in g.edges())
+def edge_spec(edges: Iterable[tuple[int, int]]) -> str:
+    """The ``u-v`` spec parse_edge_spec reads, one token per edge in the
+    given order: ``edge_spec(g.edges())`` for a graph, and beside each code
+    of ``treereg enumerate`` the spec of :func:`~treereg.trees.code_edges`."""
+    return ",".join(f"{u}-{v}" for u, v in edges)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, _forest_walks
+from .trees import code_parents
 
 BRUTE_FORCE_EDGE_CAP = 24
 BRUTE_FORCE_ORDER_CAP = 24
@@ -77,33 +78,12 @@ def _level_pass(levels: Sequence[int]) -> tuple:
     Returns ``(n, p, d, im, alpha, matching, independent)``: the matching's
     (vertex, child) pairs by vertex and the independent set's vertices in
     ascending order.  ``levels`` may be a tuple, a list or ``bytes``; vertex
-    v is position v, as in :func:`~treereg.trees.graph_from_code`, whose
-    errors it raises.  The tree is rooted at vertex 0, and a vertex's
-    children are taken in preorder.
+    v is position v, and :func:`~treereg.trees.code_parents` checks the
+    sequence and gives each vertex's parent.  The tree is rooted at vertex
+    0, and a vertex's children are taken in preorder.
     """
+    parent = code_parents(levels)
     n = len(levels)
-    if not n or levels[0] != 0:
-        raise ValueError(f"level sequence must start at 0: {tuple(levels)}")
-    # Parents from the preorder depths, as graph_from_code's parent stack
-    # finds them: the parent is the latest vertex one level up.  A vertex is
-    # a leaf when the next one is no deeper; the root is a pendant when it
-    # has one child.
-    parent = [0] * n
-    latest = [0] * n
-    leaves = 1 if n > 1 else 0
-    root_children = 0
-    prev = 0
-    for v in range(1, n):
-        lvl = levels[v]
-        if not 1 <= lvl <= prev + 1:
-            raise ValueError(f"invalid level {lvl} at position {v}")
-        if lvl <= prev:
-            leaves += 1
-        if lvl == 1:
-            root_children += 1
-        parent[v] = latest[lvl - 1]
-        latest[lvl] = v
-        prev = lvl
 
     # One reverse-preorder pass, so every child is final before its parent.
     # The three-state matching DP, for the subtree at v: b0 leaves v and its
@@ -122,11 +102,15 @@ def _level_pass(levels: Sequence[int]) -> tuple:
     deep1 = list(levels)
     deep2 = list(levels)
     d = 0
+    leaves = 0
     for v in range(n - 1, -1, -1):
         b0 = s0[v]
         b1 = s1[v]
         b2 = 1 + b0 + gain[v]
-        if pick[v] < 0 or b2 <= b1:
+        if pick[v] < 0:  # no child picked it: a leaf
+            leaves += 1
+            b2 = b1
+        elif b2 <= b1:
             b2 = b1
             pick[v] = -1
         bend = deep1[v] + deep2[v] - 2 * levels[v]
@@ -180,7 +164,9 @@ def _level_pass(levels: Sequence[int]) -> tuple:
             f"witnesses of {len(matching)} edges and {len(independent)} "
             f"vertices, the DP values are im = {b2} and alpha = {alpha}"
         )
-    p = leaves + (root_children == 1)
+    # the root is no leaf once it has a child, and a pendant when it has only
+    # one: no second child raised its deep2
+    p = leaves + (deep2[0] == 0) if n > 1 else 0
     return n, p, d, b2, alpha, tuple(matching), tuple(independent)
 
 

@@ -20,7 +20,8 @@ adjacency-based canonicalizer, :func:`canonical_code`, which returns the
 same level sequence as a tuple of ints in O(n log n): it roots the tree at
 each center and orders children by AHU ranks, level by level.
 :func:`code_text`, :func:`graph_from_code` and :func:`tree_from_code` take
-either form.
+either form.  :func:`code_parents` is the one check of a level sequence
+and decodes it for Graphs, records and ``enumerate``'s edge specs.
 Pruefer decoding, random trees and the exponential all-Pruefer enumeration
 are oracles of the test suite and live there.
 """
@@ -176,22 +177,34 @@ def canonical_code(t: TreeWitness | Graph) -> tuple[int, ...]:
     return _code_levels(witness.graph.adjacency)
 
 
-def graph_from_code(code: Sequence[int]) -> Graph:
-    """Rebuild a tree from a level sequence via the parent stack."""
-    levels = tuple(code)
-    if not levels or levels[0] != 0:
-        raise ValueError(f"level sequence must start at 0: {levels}")
-    edges = []
-    stack = [0]
-    for v in range(1, len(levels)):
-        lvl = levels[v]
-        if not 1 <= lvl <= levels[stack[-1]] + 1:
+def code_parents(code: Sequence[int]) -> list[int]:
+    """Each vertex's parent, the latest vertex one level up (the root's is
+    0), in the tree a level sequence (tuple, list or ``bytes``) encodes."""
+    n = len(code)
+    if not n or code[0] != 0:
+        raise ValueError(f"level sequence must start at 0: {tuple(code)}")
+    parent = [0] * n
+    latest = [0] * n
+    prev = 0
+    for v in range(1, n):
+        lvl = code[v]
+        if not 1 <= lvl <= prev + 1:
             raise ValueError(f"invalid level {lvl} at position {v}")
-        while levels[stack[-1]] != lvl - 1:
-            stack.pop()
-        edges.append((stack[-1], v))
-        stack.append(v)
-    return from_edge_list(edges, len(levels))
+        parent[v] = latest[lvl - 1]
+        latest[lvl] = v
+        prev = lvl
+    return parent
+
+
+def code_edges(code: Sequence[int]) -> list[tuple[int, int]]:
+    """The tree's (parent, child) edges, sorted as ``Graph.edges()`` is."""
+    parent = code_parents(code)
+    return sorted(zip(parent[1:], range(1, len(parent))))
+
+
+def graph_from_code(code: Sequence[int]) -> Graph:
+    """Rebuild a tree from a level sequence."""
+    return from_edge_list(code_edges(code), len(code))
 
 
 def tree_from_code(code: Sequence[int]) -> TreeWitness:

@@ -17,7 +17,6 @@ from treereg.graphs import (
     Graph,
     TreeWitness,
     _preorder,
-    connected_components,
     from_edge_list,
 )
 from treereg.invariants import (
@@ -86,6 +85,11 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         tuple(u + shift for u in nbrs) for nbrs in g2.adjacency
     )
     return Graph(g1.order + g2.order, adj)
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted, in order of minimum."""
+    return [sorted(verts) for verts, _ in _preorder(g)]
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:

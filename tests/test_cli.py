@@ -12,7 +12,7 @@ import treereg.census as census_mod
 from treereg import homology
 from treereg.census import CHECKPOINT_EVERY, SweepConfig, run_verify
 from treereg.cli import main
-from treereg.graphs import edge_spec
+from treereg.graphs import Graph, edge_spec
 from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.tables import TABLE4_TREES
 from treereg.trees import (
@@ -108,7 +108,7 @@ class TestInvariantsCommand:
             for code in code_bytes(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                spec = edge_spec(relabel(graph_from_code(code), perm))
+                spec = edge_spec(relabel(graph_from_code(code), perm).edges())
                 assert run_cli("invariants", "--edges", spec, "--json") == 0
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == (
@@ -244,11 +244,26 @@ class TestEnumerateCommand:
          "b9f0ddb4b3d6c8f4f759b81e3851ee5d9d45847e8e9fe929242faebb77302ca5"),
         (("--order", "11"),
          "8f1692b99af80399a5a9bf865aab0e5e017e1e979f673c093e24177f7b92bf0c"),
+        (("--order", "14"),
+         "5895564857d60d6bc875c29df28ec965c5e16dcc1bb6cb1913634bb84d3811c7"),
     ])
     def test_output_bytes_are_pinned(self, argv, sha256, capsys):
         assert run_cli("enumerate", *argv) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == sha256
+
+    def test_edge_specs_build_no_graph(self, capsys, monkeypatch):
+        assert run_cli("enumerate", "--order", "9") == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate built a Graph")
+
+        # every Graph is built through __post_init__, whichever module's
+        # from_edge_list or constructor call makes it
+        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        assert run_cli("enumerate", "--order", "9") == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestTablesCommand:
@@ -423,6 +438,17 @@ class TestVerifyCommand:
         assert str(ckpt) in err
         assert all(name in err for name in names)
         assert not csv.exists()
+
+    def test_checkpoint_that_is_a_directory_is_refused(self, tmp_path, capsys):
+        ckdir = tmp_path / "ckdir"
+        ckdir.mkdir()
+        csv, vio = tmp_path / "r.csv", tmp_path / "v.jsonl"
+        assert run_cli("verify", "--max-order", "9", "--checkpoint", str(ckdir),
+                       "--out", str(csv), "--violations", str(vio)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"treereg: error: checkpoint {ckdir} cannot be read: ")
+        assert "Is a directory" in err
+        assert not csv.exists() and not vio.exists()
 
     @pytest.mark.parametrize("key, value, expected, found", [
         ("next_index", "10", "int", "str"),

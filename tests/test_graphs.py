@@ -22,6 +22,7 @@ from treereg.invariants import independence_number, induced_matching_number
 from treereg.trees import canonical_code
 
 from conftest import (
+    connected_components,
     delete_closed_neighborhood,
     delete_vertex,
     disjoint_union,
@@ -203,8 +204,6 @@ class TestUnionAndInduced:
         assert g == path_graph(3)
 
     def test_union_component_sizes(self):
-        from treereg.graphs import connected_components
-
         g = disjoint_union(path_graph(2), path_graph(3))
         assert [len(c) for c in connected_components(g)] == [2, 3]
 
@@ -313,7 +312,7 @@ class TestParsing:
 
     def test_edge_spec_round_trip(self):
         g = spider((2, 1, 3))
-        assert graph_from_edge_spec(edge_spec(g)) == g
+        assert graph_from_edge_spec(edge_spec(g.edges())) == g
 
 
 class TestTreeWitness:

@@ -164,6 +164,10 @@ def test_random_trees_match_the_graph_path(n, seed):
         ((0, 2), "invalid level 2 at position 1"),
         ((0, 1, 1, 3), "invalid level 3 at position 3"),
         ((0, 1, 0), "invalid level 0 at position 2"),
+        (b"", "must start at 0"),
+        (b"\x01", "must start at 0"),
+        (b"\x00\x02", "invalid level 2 at position 1"),
+        (b"\x00\x01\x00", "invalid level 0 at position 2"),
     ],
 )
 def test_invalid_levels_are_named_as_graph_from_code_names_them(levels, message):
