@@ -21,12 +21,14 @@ checkpoint path touches no output either.  The checkpoint is a
 single versioned JSON file of offsets and counts, written atomically after
 every batch once it and each file whose offset it advances are fsynced; it
 and its temporary file must be neither output, and it resumes whatever
-batch size wrote it.  Resuming truncates both files back to their
-checkpointed offsets, so a resumed run finishes with byte-identical output;
-a file shorter than its offset is refused, and so is a checkpoint whose
-last code is not the one the enumeration puts just before its index, that
-is not a well-formed checkpoint of this version, or whose parameters differ
-from the run's (the refusal names each one that differs).
+batch size wrote it.  A fresh run resumes the empty checkpoint: every run
+opens its files in one call and cuts each back to its offset (0 when
+fresh), so a resumed run finishes with byte-identical output.  A loaded
+checkpoint, a finished one included, is refused before any file is touched
+when a file is missing or shorter than its offset, when its last code is
+not the one the enumeration puts just before its index, when it is not a
+well-formed checkpoint of this version, or when its parameters differ from
+the run's (the refusal names each one that differs).
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
@@ -252,6 +254,17 @@ class _Checkpoint:
                     f"must be {allowed}); delete it to start over"
                 )
 
+    def check_files(self, path: Path, sizes: dict[Path, int]) -> None:
+        """Refuse a file in ``sizes`` missing or shorter than its offset."""
+        for out, size in sizes.items():
+            found = out.stat().st_size if out.exists() else None
+            if found is None or found < size:
+                has = "is missing" if found is None else f"has only {found}"
+                raise ValueError(
+                    f"checkpoint {path} expects {size} bytes in {out}, which "
+                    f"{has}; delete the checkpoint to start over"
+                )
+
     def check_place(self, path: Path, codes: list[bytes]) -> None:
         """Refuse to resume unless ``codes`` (this order's enumeration) has
         the checkpointed last code just before ``next_index``."""
@@ -286,9 +299,12 @@ _Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
 
 # (n, p, d, im, alpha), with the oracle's reg appended at the oracle's
 # orders, -> its _Tail.  run_verify empties it, and the kernel's subtree
-# and sibling caches, before any worker forks, so no run reuses what
-# another run's verify_record found and no cache outlives its run; each
-# worker fills its own copies.
+# and sibling caches, as a run starts and before any worker forks, so no
+# run reuses what another run's verify_record found; they stay filled after
+# it returns, and each worker fills its own copies.  The batch loop looks a
+# tail up inline: behind one bounds function, a call per tree, it gained
+# nothing (_verify_batch over orders 2-16, median of 10 alternating runs in
+# one process, 2-vCPU Xeon: 2.53 -> 2.77 us per tree, and 4.08 -> 4.21).
 _ROW_TAILS: dict[tuple, _Tail] = {}
 
 
@@ -304,7 +320,7 @@ def _jsonl(v: Violation) -> str:
 
 
 def _verify_batch(
-    args: tuple[list[bytes], int, str],
+    codes: list[bytes], oracle_up_to: int, fmt: str
 ) -> tuple[bytes, bytes, list[tuple[bool, bool, bool]]]:
     """Worker step: one batch of codes, all of one order, to its output
     lines and its violations' JSONL lines (each joined, each line ending in
@@ -315,7 +331,6 @@ def _verify_batch(
     reg appended to the key at orders <= ``oracle_up_to``; a JSONL record,
     which carries witnesses, takes :func:`record_for_code`.
     """
-    codes, oracle_up_to, fmt = args
     oracle = len(codes[0]) <= oracle_up_to
     lines: list[str] = []
     violations: list[str] = []
@@ -372,11 +387,11 @@ def _results(
     """
     if pool is None:
         for n, i, batch in batches:
-            yield n, i, batch, _verify_batch((batch, cfg.oracle_up_to, cfg.fmt))
+            yield n, i, batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt)
         return
     window: deque = deque()
     for n, i, batch in batches:
-        task = pool.apply_async(_verify_batch, ((batch, cfg.oracle_up_to, cfg.fmt),))
+        task = pool.apply_async(_verify_batch, (batch, cfg.oracle_up_to, cfg.fmt))
         window.append((n, i, batch, task))
         if len(window) >= 2 * cfg.jobs:
             n, i, batch, task = window.popleft()
@@ -409,21 +424,6 @@ def _open_outputs(sizes: dict[Path, int]) -> list:
     return files
 
 
-def _reopen(checkpoint: Path, sizes: dict[Path, int]) -> list:
-    """Each output file cut back to the bytes ``checkpoint`` counts in it
-    and opened to append; if one is missing or shorter, the resume is
-    refused with every file untouched."""
-    for path, size in sizes.items():
-        found = path.stat().st_size if path.exists() else None
-        if found is None or found < size:
-            has = "is missing" if found is None else f"has only {found}"
-            raise ValueError(
-                f"checkpoint {checkpoint} expects {size} bytes in {path}, which "
-                f"{has}; delete the checkpoint to start over"
-            )
-    return _open_outputs(sizes)
-
-
 def _params_mismatch(checkpoint: dict, run: dict) -> str:
     """Each parameter on which a checkpoint and this run differ, with both
     values."""
@@ -446,9 +446,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     _subtree.cache_clear()
     _siblings.cache_clear()
     started = time.time()
-    ck: Optional[_Checkpoint] = None
+    # a fresh run resumes the empty checkpoint, whose offsets are all 0
+    ck = _Checkpoint(cfg.params())
     # the resumed order's codes, enumerated once to check the checkpoint
     resumed: dict[int, list[bytes]] = {}
+    paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
+    sizes = dict.fromkeys(paths, 0)
     if cfg.checkpoint is not None and cfg.checkpoint.exists():
         ck = _Checkpoint.load(cfg.checkpoint)
         if ck.params != cfg.params():
@@ -457,25 +460,20 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 f"({_params_mismatch(ck.params, cfg.params())})"
             )
         ck.check_ranges(cfg.checkpoint, cfg.max_order)
+        # validate() keeps summary_out out of a checkpointed run
+        sizes = dict(zip(paths, (ck.csv_bytes, ck.violations_bytes)))
+        ck.check_files(cfg.checkpoint, sizes)
         if ck.status == "complete":
             return ck, None
-    if cfg.checkpoint is not None:
-        _Checkpoint.check_writable(cfg.checkpoint)
-    paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
-    if ck is None:
-        ck = _Checkpoint(cfg.params())
-        files = _open_outputs(dict.fromkeys(paths, 0))
-        if cfg.fmt == "csv":
-            files[0].write((CSV_HEADER + "\n").encode())
-        files[0].flush()
-        ck.csv_bytes = files[0].tell()
-    else:
         if ck.next_index > 0:
             resumed[ck.order] = code_bytes(ck.order)
             ck.check_place(cfg.checkpoint, resumed[ck.order])
-        offsets = (ck.csv_bytes, ck.violations_bytes)
-        files = _reopen(cfg.checkpoint, dict(zip(paths, offsets)))
+    if cfg.checkpoint is not None:
+        _Checkpoint.check_writable(cfg.checkpoint)
+    files = _open_outputs(sizes)
     out = files[0]
+    if cfg.fmt == "csv" and not ck.csv_bytes:
+        out.write((CSV_HEADER + "\n").encode())
     vio = files[1] if cfg.violations_out is not None else None
     base_elapsed = ck.elapsed
     summary: Optional[dict] = None

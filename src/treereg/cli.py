@@ -59,8 +59,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.edges_file is not None:
         try:
             text = Path(args.edges_file).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"edges file {args.edges_file}: {exc}") from None
+        except (UnicodeDecodeError, OSError) as exc:
+            raise ValueError(f"--edges-file {args.edges_file}: {exc}") from None
         graph = graph_from_edges(parse_edge_lines(text.splitlines()), args.order)
     else:
         graph = graph_from_edge_spec(args.edges, args.order)
@@ -147,6 +147,9 @@ _ENUMERATE_BATCH = 4096
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    cap = trees.max_order_cap()
+    if not 1 <= args.order <= cap:
+        raise ValueError(f"--order must be in 1..{cap}")
     # code_bytes joins the codes as bytes, code_texts writes a batch of them
     # at once, and each edge spec comes from its code's parents: no Graph
     write = sys.stdout.write

@@ -20,6 +20,7 @@ from treereg.trees import (
     code_bytes,
     code_text,
     graph_from_code,
+    max_order_cap,
     tree_from_code,
 )
 
@@ -148,6 +149,17 @@ class TestInvariantsCommand:
         assert run_cli("invariants", "--edges-file", str(tmp_path / "no.txt")) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_edges_file_names_the_flag_and_path(
+        self, tmp_path, capsys, kind
+    ):
+        path = tmp_path / "edges"
+        if kind == "directory":
+            path.mkdir()
+        assert run_cli("invariants", "--edges-file", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"treereg: error: --edges-file {path}: ")
+
     def test_non_tree_flagged(self, capsys):
         assert run_cli("invariants", "--edges", "0-1,2-3") == 2
         assert "not a tree" in capsys.readouterr().err
@@ -222,6 +234,14 @@ class TestEnumerateCommand:
 
     def test_out_of_range(self, capsys):
         assert run_cli("enumerate", "--order", "0") == 2
+
+    @pytest.mark.parametrize("past_cap", [False, True])
+    def test_out_of_range_names_the_order_flag(self, capsys, past_cap):
+        cap = max_order_cap()
+        order = cap + 1 if past_cap else 0
+        assert run_cli("enumerate", "--order", str(order)) == 2
+        err = capsys.readouterr().err
+        assert err == f"treereg: error: --order must be in 1..{cap}\n"
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_codes_are_canonical_and_edges_rebuild_them(self, n, capsys):
@@ -647,6 +667,27 @@ class TestVerifyCommand:
         before = csv.read_bytes()
         assert run_cli("verify", "--max-order", "6", *common) == 0
         assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("change", ["out deleted", "out cut", "violations deleted"])
+    def test_finished_checkpoint_is_held_to_its_files(self, tmp_path, capsys, change):
+        ckpt = tmp_path / "ckpt.json"
+        csv, vio = tmp_path / "a.csv", tmp_path / "a.jsonl"
+        common = ["--max-order", "6", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(ckpt)]
+        assert run_cli("verify", *common) == 0
+        assert json.loads(ckpt.read_text())["status"] == "complete"
+        target = vio if change == "violations deleted" else csv
+        if change == "out cut":
+            csv.write_bytes(csv.read_bytes()[:2])
+        else:
+            target.unlink()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} expects " in err and f" bytes in {target}, " in err
+        assert ("has only 2" if change == "out cut" else "is missing") in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_outputs_are_fsynced_before_the_checkpoints_naming_them(
         self, tmp_path, monkeypatch

@@ -194,7 +194,7 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     slow = record_for_tree(tree_from_code(levels), with_oracle=oracle)
     oracle_up_to = len(levels) if oracle else 0
     text, violations, tights = census_mod._verify_batch(
-        ([bytes(levels)], oracle_up_to, "csv"))
+        [bytes(levels)], oracle_up_to, "csv")
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
         json.dumps(v.to_json_dict(), sort_keys=True).encode() + b"\n"
