@@ -21,18 +21,21 @@ checkpoint path touches no output either.  The checkpoint is a
 single versioned JSON file of offsets and counts, written atomically after
 every batch once it and each file whose offset it advances are fsynced; it
 and its temporary file must be neither output, and it resumes whatever
-batch size wrote it.  A fresh run resumes the empty checkpoint: every run
-opens its files in one call and cuts each back to its offset (0 when
-fresh), so a resumed run finishes with byte-identical output.  A loaded
-checkpoint, a finished one included, is refused before any file is touched
-when a file is missing or shorter than its offset, when its last code is
-not the one the enumeration puts just before its index, when it is not a
-well-formed checkpoint of this version, or when its parameters differ from
-the run's (the refusal names each one that differs).
+batch size wrote it.  Every run is a resume: a fresh run resumes the
+empty checkpoint, and a finished one resumes with no batch left.  Every
+run opens its files in one call and cuts each back to its offset (0 when
+fresh), so a resumed run finishes with byte-identical output, and a
+finished rerun drops whatever was appended past the offsets.  A loaded
+checkpoint is refused before any file is touched when a file is missing or
+shorter than its offset, when its last code is not the one the enumeration
+puts just before its index, when it is not a well-formed checkpoint of
+this version, or when its parameters differ from the run's (the refusal
+names each one that differs).
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
-Every CSV row is the code text plus a tail that depends only on its key,
+Every tree, in either format, has its violations and tight flags, and its
+CSV row after the code text, from a tail that depends only on its key,
 (n, p, d, im, alpha) and, at the oracle's orders, reg.  :func:`code_texts`
 gives a whole batch's texts in a few C-level byte operations (a batch with
 a two-digit level joins each code's level strings instead), and
@@ -42,8 +45,9 @@ once per run; at the oracle's orders the forest DP's reg of the level
 sequence is appended to it.  Each distinct tail, with its violations and
 tight flags, is built once per run from a record by :func:`_record`,
 ``csv_row`` and :func:`verify_record`, so the row format and the
-inequalities each stay in one place.  Only JSONL records, which carry
-witnesses, take :func:`record_for_code`.  ``multiprocessing`` is imported
+inequalities each stay in one place.  The format picks only the line: a
+JSONL line, which carries witnesses, is the :func:`record_for_code`
+record.  ``multiprocessing`` is imported
 only when a sweep starts a pool.
 """
 
@@ -158,7 +162,7 @@ class SweepConfig:
 @dataclass
 class _Checkpoint:
     params: dict
-    status: str = "running"
+    status: str = "running"  # for readers; the sweep never reads it
     order: int = MIN_ORDER
     next_index: int = 0
     last_code: str = ""
@@ -326,34 +330,29 @@ def _verify_batch(
     lines and its violations' JSONL lines (each joined, each line ending in
     a newline) and each tree's tight flags.
 
-    The path is picked by ``fmt`` alone: a CSV row is the code text plus
-    the row tail cached per :func:`code_kernel` key, with the forest DP's
-    reg appended to the key at orders <= ``oracle_up_to``; a JSONL record,
-    which carries witnesses, takes :func:`record_for_code`.
+    Every tree takes one path: its :func:`code_kernel` key, with the forest
+    DP's reg appended at orders <= ``oracle_up_to``, picks the row tail
+    cached per key, and its violations and tight flags come from that tail.
+    ``fmt`` picks only the line: the code text plus the tail for CSV, or
+    for JSONL the :func:`record_for_code` record, which carries witnesses.
     """
     oracle = len(codes[0]) <= oracle_up_to
+    jsonl = fmt == "jsonl"
     lines: list[str] = []
     violations: list[str] = []
     tights: list[tuple[bool, bool, bool]] = []
-    if fmt == "csv":
-        for levels, code in zip(codes, code_texts(codes)):
-            key = code_kernel(levels)
-            if oracle:
-                key += (forest_betti_table((levels,)).regularity(),)
-            tail = _ROW_TAILS.get(key)
-            if tail is None:
-                tail = _ROW_TAILS[key] = _row_tail(key)
-            row, checks, tight = tail
-            lines.append(code + row)
-            for check, detail in checks:
-                violations.append(_jsonl(Violation(code, check, detail)))
-            tights.append(tight)
-    else:
-        for levels in codes:
-            record = record_for_code(levels, with_oracle=oracle)
-            violations.extend(map(_jsonl, verify_record(record)))
-            lines.append(record.to_jsonl())
-            tights.append((record.lb_tight, record.ub_tight, record.wub_tight))
+    for levels, code in zip(codes, code_texts(codes)):
+        key = code_kernel(levels)
+        if oracle:
+            key += (forest_betti_table((levels,)).regularity(),)
+        tail = _ROW_TAILS.get(key)
+        if tail is None:
+            tail = _ROW_TAILS[key] = _row_tail(key)
+        row, checks, tight = tail
+        lines.append(record_for_code(levels, oracle).to_jsonl() if jsonl else code + row)
+        for check, detail in checks:
+            violations.append(_jsonl(Violation(code, check, detail)))
+        tights.append(tight)
     lines.append("")
     return "\n".join(lines).encode(), "".join(violations).encode(), tights
 
@@ -463,8 +462,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         # validate() keeps summary_out out of a checkpointed run
         sizes = dict(zip(paths, (ck.csv_bytes, ck.violations_bytes)))
         ck.check_files(cfg.checkpoint, sizes)
-        if ck.status == "complete":
-            return ck, None
         if ck.next_index > 0:
             resumed[ck.order] = code_bytes(ck.order)
             ck.check_place(cfg.checkpoint, resumed[ck.order])
@@ -485,12 +482,9 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         import multiprocessing  # only a pool needs it; it slows start-up
 
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
-    bucket = None
     try:
         batches = _batches(cfg, ck.order, ck.next_index, resumed)
         for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
-            if summary is not None and str(n) not in summary["orders"]:
-                bucket = summary["orders"][str(n)] = _tight_bucket()
             out.write(text)
             out.flush()
             ck.records += len(batch)
@@ -500,7 +494,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 vio.write(violations)
                 vio.flush()
                 ck.violations_bytes = vio.tell()
-            if bucket is not None:
+            if summary is not None:
+                bucket = summary["orders"].setdefault(str(n), _tight_bucket())
                 bucket["trees"] += len(batch)
                 for k, key in enumerate(_TIGHT_KEYS):
                     tight = [code for code, flags in zip(batch, tights) if flags[k]]

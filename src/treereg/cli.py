@@ -94,7 +94,10 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     table = build_table(args.which)
     print(table.render_text())
     if args.out:
-        Path(args.out).write_text(table.to_csv())
+        try:
+            Path(args.out).write_text(table.to_csv())
+        except OSError as exc:
+            raise ValueError(f"--out {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     return 0
 

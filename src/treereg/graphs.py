@@ -202,6 +202,19 @@ def multi_whisker(g: Graph, a: WhiskerVector | Sequence[int]) -> Graph:
     return from_edge_list(edges, label)
 
 
+def _label_pair(parts: Sequence[str], where: str, *args) -> tuple[int, int]:
+    """The two non-negative labels of an edge.  Each error ends in
+    ``where.format(*args)``, which names the token or line they came from;
+    it is formatted only on an error, as most edges have none."""
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"non-integer label {where.format(*args)}") from None
+    if u < 0 or v < 0:
+        raise ValueError(f"negative label {where.format(*args)}")
+    return u, v
+
+
 def parse_edge_spec(text: str) -> list[tuple[int, int]]:
     """Parse comma-separated ``u-v`` tokens with 0-based labels.
 
@@ -215,15 +228,7 @@ def parse_edge_spec(text: str) -> list[tuple[int, int]]:
         parts = token.split("-")
         if len(parts) != 2:
             raise ValueError(f"malformed edge token {token!r} at position {pos}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"non-integer label in token {token!r} at position {pos}"
-            ) from None
-        if u < 0 or v < 0:
-            raise ValueError(f"negative label in token {token!r} at position {pos}")
-        edges.append((u, v))
+        edges.append(_label_pair(parts, "in token {!r} at position {}", token, pos))
     return edges
 
 
@@ -240,15 +245,7 @@ def parse_edge_lines(lines: Iterable[str]) -> list[tuple[int, int]]:
             parts = parts[0].split("-")
         if len(parts) != 2:
             raise ValueError(f"malformed edge on line {lineno}: {raw.rstrip()!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"non-integer label on line {lineno}: {raw.rstrip()!r}"
-            ) from None
-        if u < 0 or v < 0:
-            raise ValueError(f"negative label on line {lineno}: {raw.rstrip()!r}")
-        edges.append((u, v))
+        edges.append(_label_pair(parts, "on line {}: {!r}", lineno, raw.rstrip()))
     return edges
 
 

@@ -82,10 +82,8 @@ def code_texts(codes: Sequence[bytes]) -> list[str]:
 
 
 def code_text(levels: Iterable[int]) -> str:
-    """A level sequence (tuple or ``bytes``) as its space-separated text;
-    ``bytes`` go through :func:`code_texts` as a batch of one."""
-    if type(levels) is bytes:
-        return code_texts((levels,))[0]
+    """A level sequence (tuple or ``bytes``) as its space-separated text,
+    the text :func:`code_texts` gives a batch of ``bytes`` codes."""
     return " ".join(map(str, levels))
 
 

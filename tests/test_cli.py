@@ -294,6 +294,15 @@ class TestTablesCommand:
         assert lines[0] == "p,n_minus_p,two_thirds"
         assert lines[7] == "50,50,50"
 
+    @pytest.mark.parametrize("kind", ["missing dir", "directory"])
+    def test_unwritable_out_names_the_flag_and_path(self, tmp_path, capsys, kind):
+        out = tmp_path / "missing" / "t3.csv"
+        if kind == "directory":
+            out = tmp_path
+        assert run_cli("tables", "--which", "3", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"treereg: error: --out {out}: [Errno ")
+
 
 class TestVerifyCommand:
     def test_small_run_clean(self, tmp_path, capsys):
@@ -667,6 +676,24 @@ class TestVerifyCommand:
         before = csv.read_bytes()
         assert run_cli("verify", "--max-order", "6", *common) == 0
         assert csv.read_bytes() == before
+
+    def test_finished_checkpoint_cuts_appended_bytes(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        csv, vio = tmp_path / "a.csv", tmp_path / "a.jsonl"
+        common = ["--max-order", "6", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(ckpt)]
+        assert run_cli("verify", *common) == 0
+        finished = capsys.readouterr().out
+        before = csv.read_bytes(), vio.read_bytes()
+        for path in (csv, vio):
+            with open(path, "ab") as f:
+                f.write(b"junk\n")
+        assert run_cli("verify", *common) == 0
+        totals = re.compile(r"verified \d+ trees up to order \d+: \d+ violations")
+        assert (totals.search(capsys.readouterr().out).group()
+                == totals.search(finished).group())
+        assert (csv.read_bytes(), vio.read_bytes()) == before
+        assert json.loads(ckpt.read_text())["status"] == "complete"
 
     @pytest.mark.parametrize("change", ["out deleted", "out cut", "violations deleted"])
     def test_finished_checkpoint_is_held_to_its_files(self, tmp_path, capsys, change):

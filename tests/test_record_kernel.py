@@ -201,6 +201,12 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
         for v in census_mod.verify_record(slow)
     )
     assert tights == [(slow.lb_tight, slow.ub_tight, slow.wub_tight)]
+    # a JSONL line carries the witnesses; its violations and flags are the
+    # CSV call's, from the same cached tail
+    line, jsonl_violations, jsonl_tights = census_mod._verify_batch(
+        [bytes(levels)], oracle_up_to, "jsonl")
+    assert line == (slow.to_jsonl() + "\n").encode()
+    assert (jsonl_violations, jsonl_tights) == (violations, tights)
 
 
 @pytest.fixture(params=["verify_record", "probe"])
