@@ -29,10 +29,14 @@ from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .invariants import _level_pass
 from .trees import canonical_code, code_text
 
-CSV_HEADER = (
-    "tree_code,n,p,d,im,alpha,reg,lb_tree,ub_tree_np,ub_tree_23,"
-    "wub_d,wub_p,lb_tight,ub_tight,wub_tight"
+# Each CSV column names a field of the record or, for a bound, of its
+# BoundSet; both the header and every row are built from this one list.
+CSV_COLUMNS = (
+    "tree_code", "n", "p", "d", "im", "alpha", "reg",
+    "lb_tree", "ub_tree_np", "ub_tree_23", "wub_d", "wub_p",
+    "lb_tight", "ub_tight", "wub_tight",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -104,32 +108,14 @@ class InvariantRecord:
     alpha_witness: tuple[int, ...]
 
     def csv_row(self) -> str:
-        b = self.bounds
-
-        def s(x) -> str:
+        def cell(name: str) -> str:
+            # a bound's cell is empty where ``bounds`` is None
+            x = getattr(self if hasattr(self, name) else self.bounds, name, None)
+            if isinstance(x, bool):
+                return "true" if x else "false"
             return "" if x is None else str(x)
 
-        def flag(x: bool) -> str:
-            return "true" if x else "false"
-
-        cells = [
-            self.tree_code,
-            str(self.n),
-            str(self.p),
-            str(self.d),
-            str(self.im),
-            str(self.alpha),
-            s(self.reg),
-            s(b.lb_tree if b else None),
-            s(b.ub_tree_np if b else None),
-            s(b.ub_tree_23 if b else None),
-            s(b.wub_d if b else None),
-            s(b.wub_p if b else None),
-            flag(self.lb_tight),
-            flag(self.ub_tight),
-            flag(self.wub_tight),
-        ]
-        return ",".join(cells)
+        return ",".join(map(cell, CSV_COLUMNS))
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,20 +17,23 @@ batch is written and the bytes equal a serial run's.  Both files, and a
 census's summary, are opened before any is truncated or any tree is swept,
 so an unwritable one leaves the others as they were; before them, the
 checkpoint's temporary file is made and removed again, so an unwritable
-checkpoint path touches no output either.  The checkpoint is a
-single versioned JSON file of offsets and counts, written atomically after
-every batch once it and each file whose offset it advances are fsynced; it
-and its temporary file must be neither output, and it resumes whatever
-batch size wrote it.  Every run is a resume: a fresh run resumes the
-empty checkpoint, and a finished one resumes with no batch left.  Every
-run opens its files in one call and cuts each back to its offset (0 when
-fresh), so a resumed run finishes with byte-identical output, and a
-finished rerun drops whatever was appended past the offsets.  A loaded
-checkpoint is refused before any file is touched when a file is missing or
-shorter than its offset, when its last code is not the one the enumeration
-puts just before its index, when it is not a well-formed checkpoint of
-this version, or when its parameters differ from the run's (the refusal
-names each one that differs).
+checkpoint path touches no output either.  The checkpoint is a single
+versioned JSON file of offsets, counts and the CRC-32 of each file's bytes
+up to its offset, written atomically after every batch once it and each
+file whose offset it advances are fsynced; it and its temporary file must
+be neither output, and it resumes whatever batch size wrote it.  Every run
+is a resume, and :meth:`_Checkpoint.resume` is where a run learns what it
+resumes: a fresh run resumes the empty checkpoint, and a finished one
+resumes with no batch left.  Every run opens its files in one call and
+cuts each back to its offset (0 when fresh), so a resumed run finishes
+with byte-identical output, and a finished rerun drops whatever was
+appended past the offsets.  A loaded checkpoint is refused before any file
+is touched when it is not a well-formed checkpoint of this version, when
+its parameters differ from the run's (the refusal names each one that
+differs), when a file is missing, shorter than its offset or holds other
+bytes before it (each is read up to its offset for their CRC-32), or when
+its last code is not the one the enumeration puts just before its index;
+the sweep cuts that order's batches from the same enumeration.
 
 Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
@@ -56,6 +59,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -167,28 +171,18 @@ class _Checkpoint:
     next_index: int = 0
     last_code: str = ""
     csv_bytes: int = 0
+    csv_crc: int = 0  # zlib.crc32 of the first csv_bytes bytes
     records: int = 0
     violations_bytes: int = 0
+    violations_crc: int = 0
     violation_count: int = 0
     elapsed: float = 0.0
-    version: int = 2  # the layout this sweep writes, and the only one it resumes
+    version: int = 3  # the layout this sweep writes, and the only one it resumes
 
     @staticmethod
     def temporary(path: Path) -> Path:
         """The file :meth:`dump` writes before it replaces ``path`` with it."""
         return path.with_suffix(path.suffix + ".tmp")
-
-    @classmethod
-    def check_writable(cls, path: Path) -> None:
-        """Refuse ``path`` unless its temporary file can be made, so a run
-        that could never checkpoint stops before it touches an output.  The
-        file is removed again, with any a killed dump left there."""
-        tmp = cls.temporary(path)
-        try:
-            open(tmp, "ab").close()
-            tmp.unlink()
-        except OSError as exc:
-            raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
 
     def dump(self, path: Path) -> None:
         tmp = self.temporary(path)
@@ -199,87 +193,127 @@ class _Checkpoint:
         os.replace(tmp, path)
 
     @classmethod
-    def load(cls, path: Path) -> "_Checkpoint":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(
-                f"checkpoint {path} is not valid JSON: {exc}; delete it to start over"
-            ) from None
-        except OSError as exc:
-            raise ValueError(f"checkpoint {path} cannot be read: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"checkpoint {path} must hold a JSON object, not {type(data).__name__}"
-            )
-        if data.get("version") != cls.version:
-            raise ValueError(
-                f"checkpoint {path} has version {data.get('version')}, but this "
-                f"sweep resumes only version {cls.version}; delete it to start over"
-            )
-        keys = {f.name for f in fields(cls)}
-        missing, unexpected = sorted(keys - data.keys()), sorted(data.keys() - keys)
-        if missing or unexpected:
-            raise ValueError(
-                f"checkpoint {path} is malformed (missing keys: {missing}, "
-                f"unexpected keys: {unexpected}); delete it to start over"
-            )
-        for key, hint in get_type_hints(cls).items():
-            expected = get_origin(hint) or hint
-            value = data[key]
-            # an int stands for a float, as in JSON; a bool is no int here
-            ok = isinstance(value, (int, float) if expected is float else expected)
-            if not ok or isinstance(value, bool):
-                raise ValueError(
-                    f"checkpoint {path} is malformed (key {key!r} must be "
-                    f"{expected.__name__}, found {type(value).__name__}); "
-                    "delete it to start over"
-                )
-        # older checkpoints hold the batch size, which never changes the bytes
-        data["params"].pop("checkpoint_every", None)
-        return cls(**data)
+    def resume(
+        cls, cfg: SweepConfig
+    ) -> tuple["_Checkpoint", dict[Path, int], list[bytes]]:
+        """The checkpoint ``cfg`` resumes, each output path's offset in it,
+        and the enumeration of its order.
 
-    def check_ranges(self, path: Path, max_order: int) -> None:
-        """Refuse an order outside this sweep's and a negative count."""
-        limits = {
-            "order": (MIN_ORDER, max_order),
-            "next_index": (0, None),
-            "csv_bytes": (0, None),
-            "records": (0, None),
-            "violations_bytes": (0, None),
-            "violation_count": (0, None),
-        }
-        for key, (low, high) in limits.items():
-            value = getattr(self, key)
-            if value < low or (high is not None and value > high):
-                allowed = f"{low}..{high}" if high is not None else f">= {low}"
-                raise ValueError(
-                    f"checkpoint {path} is malformed (key {key!r} is {value}, "
-                    f"must be {allowed}); delete it to start over"
-                )
+        Without a checkpoint file that is the empty checkpoint, whose
+        offsets are all 0.  A loaded one is refused (``ValueError``) before
+        any output is touched unless it is a well-formed checkpoint of this
+        version with this run's parameters, each file it counts holds its
+        offset's bytes with their CRC-32, and the enumeration has its last
+        code just before its index.  Last, a checkpoint path is refused
+        unless its temporary file can be made; the file is removed again,
+        with any a killed dump left there.
+        """
+        path = cfg.checkpoint
+        paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
+        if path is None or not path.exists():
+            ck, sizes = cls(cfg.params()), dict.fromkeys(paths, 0)
+            codes = code_bytes(ck.order)
+        else:
 
-    def check_files(self, path: Path, sizes: dict[Path, int]) -> None:
-        """Refuse a file in ``sizes`` missing or shorter than its offset."""
-        for out, size in sizes.items():
-            found = out.stat().st_size if out.exists() else None
-            if found is None or found < size:
-                has = "is missing" if found is None else f"has only {found}"
-                raise ValueError(
-                    f"checkpoint {path} expects {size} bytes in {out}, which "
-                    f"{has}; delete the checkpoint to start over"
-                )
+            def refused(text: str, it: str = "it") -> ValueError:
+                return ValueError(f"checkpoint {path} {text}; delete {it} to start over")
 
-    def check_place(self, path: Path, codes: list[bytes]) -> None:
-        """Refuse to resume unless ``codes`` (this order's enumeration) has
-        the checkpointed last code just before ``next_index``."""
-        i = self.next_index - 1
-        found = code_text(codes[i]) if i < len(codes) else None
-        if found != self.last_code:
-            raise ValueError(
-                f"checkpoint {path} names code {self.last_code!r} at order "
-                f"{self.order} index {i}, but the enumeration has {found!r} "
-                "there; delete the checkpoint to start over"
-            )
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise refused(f"is not valid JSON: {exc}") from None
+            except OSError as exc:
+                raise ValueError(f"checkpoint {path} cannot be read: {exc}") from None
+            if not isinstance(data, dict):
+                raise ValueError(
+                    f"checkpoint {path} must hold a JSON object, not {type(data).__name__}"
+                )
+            if data.get("version") != cls.version:
+                raise refused(
+                    f"has version {data.get('version')}, but this sweep resumes "
+                    f"only version {cls.version}"
+                )
+            keys = {f.name for f in fields(cls)}
+            missing, unexpected = sorted(keys - data.keys()), sorted(data.keys() - keys)
+            if missing or unexpected:
+                raise refused(
+                    f"is malformed (missing keys: {missing}, unexpected keys: {unexpected})"
+                )
+            run = cfg.params()
+            for key, hint in get_type_hints(cls).items():
+                expected = get_origin(hint) or hint
+                value = data[key]
+                # an int stands for a float, as in JSON; a bool is no int here
+                ok = isinstance(value, (int, float) if expected is float else expected)
+                if not ok or isinstance(value, bool):
+                    raise refused(
+                        f"is malformed (key {key!r} must be {expected.__name__}, "
+                        f"found {type(value).__name__})"
+                    )
+                if key == "params":
+                    # older checkpoints hold the batch size, which never
+                    # changes the bytes
+                    value.pop("checkpoint_every", None)
+                    if value != run:
+                        differ = "; ".join(
+                            f"{k}: {value.get(k)} in the checkpoint, "
+                            f"{run.get(k)} in this run"
+                            for k in sorted(value.keys() | run.keys())
+                            if value.get(k) != run.get(k)
+                        )
+                        raise ValueError(
+                            "checkpoint parameters do not match this run; "
+                            f"refusing to resume ({differ})"
+                        )
+                # counts and offsets are >= 0, and a sweep dumps only after
+                # a batch, so its index is >= 1 in one of this run's orders
+                if expected is int and key != "version":
+                    low = MIN_ORDER if key == "order" else 1 if key == "next_index" else 0
+                    high = cfg.max_order if key == "order" else None
+                    if value < low or (high is not None and value > high):
+                        allowed = f">= {low}" if high is None else f"{low}..{high}"
+                        raise refused(
+                            f"is malformed (key {key!r} is {value}, must be {allowed})"
+                        )
+            ck = cls(**data)
+            # validate() keeps summary_out out of a checkpointed run
+            sizes = dict(zip(paths, (ck.csv_bytes, ck.violations_bytes)))
+            for (out, size), crc in zip(sizes.items(), (ck.csv_crc, ck.violations_crc)):
+                read, found = 0, 0
+                try:
+                    with open(out, "rb") as f:
+                        while read < size and (chunk := f.read(min(size - read, 1 << 20))):
+                            read, found = read + len(chunk), zlib.crc32(chunk, found)
+                except FileNotFoundError:
+                    read = None
+                except OSError as exc:
+                    raise ValueError(f"output path {out} cannot be read: {exc}") from None
+                if read is None or read < size:
+                    has = "is missing" if read is None else f"has only {read}"
+                    raise refused(f"expects {size} bytes in {out}, which {has}", "the checkpoint")
+                if found != crc:
+                    raise refused(
+                        f"expects CRC-32 {crc:08x} of the first {size} bytes of {out}, "
+                        f"which have {found:08x}",
+                        "the checkpoint",
+                    )
+            codes = code_bytes(ck.order)
+            i = ck.next_index - 1
+            there = code_text(codes[i]) if i < len(codes) else None
+            if there != ck.last_code:
+                raise refused(
+                    f"names code {ck.last_code!r} at order {ck.order} index {i}, "
+                    f"but the enumeration has {there!r} there",
+                    "the checkpoint",
+                )
+        if path is not None:
+            tmp = cls.temporary(path)
+            try:
+                open(tmp, "ab").close()
+                tmp.unlink()
+            except OSError as exc:
+                raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
+        return ck, sizes, codes
 
 
 _TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
@@ -358,13 +392,15 @@ def _verify_batch(
 
 
 def _batches(
-    cfg: SweepConfig, order: int, index: int, resumed: dict[int, list[bytes]]
+    cfg: SweepConfig, order: int, index: int, codes: list[bytes]
 ) -> Iterator[tuple[int, int, list[bytes]]]:
     """``(order, next_index, batch)`` for every batch of the sweep from
-    ``index`` of ``order`` on, across orders; each order's code list lives
-    only while its own batches are cut."""
+    ``index`` of ``order`` on, across orders, with ``order``'s cut from
+    ``codes``, its enumeration; each order's code list lives only while its
+    own batches are cut."""
     for n in range(order, cfg.max_order + 1):
-        codes = resumed.pop(n, None) or code_bytes(n)
+        if n > order:
+            codes = code_bytes(n)
         i = index if n == order else 0
         while i < len(codes):
             batch = codes[i : i + CHECKPOINT_EVERY]
@@ -423,16 +459,6 @@ def _open_outputs(sizes: dict[Path, int]) -> list:
     return files
 
 
-def _params_mismatch(checkpoint: dict, run: dict) -> str:
-    """Each parameter on which a checkpoint and this run differ, with both
-    values."""
-    return "; ".join(
-        f"{key}: {checkpoint.get(key)} in the checkpoint, {run.get(key)} in this run"
-        for key in sorted(checkpoint.keys() | run.keys())
-        if checkpoint.get(key) != run.get(key)
-    )
-
-
 def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     """Stream all trees of orders 1..max_order through the bound checks.
 
@@ -445,32 +471,15 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     _subtree.cache_clear()
     _siblings.cache_clear()
     started = time.time()
-    # a fresh run resumes the empty checkpoint, whose offsets are all 0
-    ck = _Checkpoint(cfg.params())
-    # the resumed order's codes, enumerated once to check the checkpoint
-    resumed: dict[int, list[bytes]] = {}
-    paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
-    sizes = dict.fromkeys(paths, 0)
-    if cfg.checkpoint is not None and cfg.checkpoint.exists():
-        ck = _Checkpoint.load(cfg.checkpoint)
-        if ck.params != cfg.params():
-            raise ValueError(
-                "checkpoint parameters do not match this run; refusing to resume "
-                f"({_params_mismatch(ck.params, cfg.params())})"
-            )
-        ck.check_ranges(cfg.checkpoint, cfg.max_order)
-        # validate() keeps summary_out out of a checkpointed run
-        sizes = dict(zip(paths, (ck.csv_bytes, ck.violations_bytes)))
-        ck.check_files(cfg.checkpoint, sizes)
-        if ck.next_index > 0:
-            resumed[ck.order] = code_bytes(ck.order)
-            ck.check_place(cfg.checkpoint, resumed[ck.order])
-    if cfg.checkpoint is not None:
-        _Checkpoint.check_writable(cfg.checkpoint)
+    # a fresh run resumes the empty checkpoint; the resumed order's codes
+    # are enumerated once, to check the checkpoint and to cut its batches
+    ck, sizes, codes = _Checkpoint.resume(cfg)
     files = _open_outputs(sizes)
     out = files[0]
     if cfg.fmt == "csv" and not ck.csv_bytes:
-        out.write((CSV_HEADER + "\n").encode())
+        header = (CSV_HEADER + "\n").encode()
+        out.write(header)
+        ck.csv_crc = zlib.crc32(header)
     vio = files[1] if cfg.violations_out is not None else None
     base_elapsed = ck.elapsed
     summary: Optional[dict] = None
@@ -483,10 +492,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
 
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
     try:
-        batches = _batches(cfg, ck.order, ck.next_index, resumed)
+        batches = _batches(cfg, ck.order, ck.next_index, codes)
+        del codes  # the generator drops it once its order is cut
         for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
             out.write(text)
             out.flush()
+            ck.csv_crc = zlib.crc32(text, ck.csv_crc)
             ck.records += len(batch)
             ck.violation_count += violations.count(b"\n")
             grew = vio is not None and violations
@@ -494,6 +505,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 vio.write(violations)
                 vio.flush()
                 ck.violations_bytes = vio.tell()
+                ck.violations_crc = zlib.crc32(violations, ck.violations_crc)
             if summary is not None:
                 bucket = summary["orders"].setdefault(str(n), _tight_bucket())
                 bucket["trees"] += len(batch)

@@ -26,6 +26,9 @@ from treereg.trees import (
 
 from conftest import Killed, relabel, star_graph
 
+# the checkpoint layout a sweep writes and resumes
+VERSION = census_mod._Checkpoint.version
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -449,9 +452,28 @@ class TestVerifyCommand:
         assert repr(wrong) in err and repr(real) in err
         assert csv.read_bytes() == before
 
+    def test_resume_enumerates_its_order_once(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
+        common = ["--max-order", "10", "--out", str(tmp_path / "x.csv"),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(tmp_path / "ckpt.json")]
+        kill_at_dump(13)  # order 9's second batch, after its checkpoint at 10
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
+        enumerated = []
+        monkeypatch.setattr(census_mod, "code_bytes", lambda n: (
+            enumerated.append(n), code_bytes(n))[1])
+        assert run_cli("verify", *common) == 0
+        # one list of order 9 both checks the checkpoint and is cut in batches
+        assert enumerated == [9, 10]
+
     @pytest.mark.parametrize("content, names", [
-        (b'{"version": 2, "run_id": "x"}', ("missing keys", "next_index", "csv_bytes")),
-        (b'{"version": 2, "run_id": "x", "bogus": 1}', ("unexpected keys", "bogus")),
+        pytest.param(b'{"version": %d, "run_id": "x"}' % VERSION,
+                     ("missing keys", "next_index", "csv_bytes"), id="missing-keys"),
+        pytest.param(b'{"version": %d, "run_id": "x", "bogus": 1}' % VERSION,
+                     ("unexpected keys", "bogus"), id="unexpected-keys"),
         (b"[1, 2]", ("JSON object", "list")),
         (b"{not json", ("not valid JSON",)),
         (b"\xff\xfe{}", ("0xff", "delete it to start over")),
@@ -509,7 +531,7 @@ class TestVerifyCommand:
         assert csv.read_bytes() == before
 
     @pytest.mark.parametrize("key, value, allowed", [
-        ("next_index", -3, ">= 0"),
+        ("next_index", -3, ">= 1"),
         ("order", 99, "1..8"),
         ("order", 0, "1..8"),
         ("csv_bytes", -1, ">= 0"),
@@ -541,7 +563,8 @@ class TestVerifyCommand:
         assert f"key {key!r} is {value}, must be {allowed}" in err
         assert csv.read_bytes() == before
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    @pytest.mark.parametrize("version", [None, 1, VERSION - 1, VERSION + 1],
+                             ids=["None", "1", "previous", "next"])
     def test_checkpoint_of_another_version_is_refused(
         self, tmp_path, capsys, monkeypatch, kill_at_dump, version
     ):
@@ -566,7 +589,7 @@ class TestVerifyCommand:
         assert run_cli("verify", *common) == 2
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt} has version {version}" in err
-        assert "resumes only version 2; delete it to start over" in err
+        assert f"resumes only version {VERSION}; delete it to start over" in err
         assert (csv.read_bytes(), vio.read_bytes()) == before
 
     def test_unwritable_violations_path_is_refused_before_any_tree(
@@ -715,6 +738,37 @@ class TestVerifyCommand:
         assert f"checkpoint {ckpt} expects " in err and f" bytes in {target}, " in err
         assert ("has only 2" if change == "out cut" else "is missing") in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("change", [
+        "out overwritten", "index 0 at order 4", "violations a directory"])
+    def test_finished_checkpoint_is_held_to_its_bytes_and_place(
+        self, tmp_path, capsys, change
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        csv, vio = tmp_path / "a.csv", tmp_path / "a.jsonl"
+        common = ["--max-order", "6", "--out", str(csv), "--violations", str(vio),
+                  "--checkpoint", str(ckpt)]
+        assert run_cli("verify", *common) == 0
+        state = json.loads(ckpt.read_text())
+        if change == "out overwritten":
+            # the same length, so only the counted bytes tell
+            csv.write_bytes(b"x" * state["csv_bytes"])
+            expected = (f"checkpoint {ckpt} expects CRC-32 {state['csv_crc']:08x} of "
+                        f"the first {state['csv_bytes']} bytes of {csv}, which have ")
+        elif change == "index 0 at order 4":
+            # would resume order 4 from its start, and write 11 rows again
+            ckpt.write_text(json.dumps(dict(state, order=4, next_index=0)))
+            expected = (f"checkpoint {ckpt} is malformed (key 'next_index' is 0, "
+                        "must be >= 1); delete it to start over")
+        else:
+            vio.unlink()
+            vio.mkdir()
+            expected = f"output path {vio} cannot be read: "
+        before = {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        assert expected in capsys.readouterr().err
+        assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_outputs_are_fsynced_before_the_checkpoints_naming_them(
         self, tmp_path, monkeypatch
@@ -974,6 +1028,27 @@ class TestWorkerPool:
         assert (csv.read_bytes(), vio.read_bytes()) == ref
         assert not tmp.exists()
         assert json.loads(ckpt.read_text())["status"] == "complete"
+
+    @pytest.mark.parametrize("target", ["out", "violations"])
+    def test_resume_refuses_a_changed_counted_byte(
+        self, tmp_path, monkeypatch, kill_at_dump, capsys, probe, target
+    ):
+        csv, vio, ckpt, common = self.crash_mid_batch(
+            tmp_path, monkeypatch, kill_at_dump, "1")
+        state = json.loads(ckpt.read_text())
+        path = csv if target == "out" else vio
+        size = state["csv_bytes" if target == "out" else "violations_bytes"]
+        data = bytearray(path.read_bytes())
+        data[size // 2] ^= 1  # one bit, inside the counted bytes
+        path.write_bytes(bytes(data))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} expects CRC-32 " in err
+        assert f" of the first {size} bytes of {path}, " in err
+        assert err.endswith("; delete the checkpoint to start over\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_cuts_a_torn_last_row(self, tmp_path, monkeypatch, kill_at_dump, probe):
         ref = self.reference(tmp_path)
