@@ -296,7 +296,7 @@ def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     :func:`~treereg.invariants._level_pass`, which stays the reference and
     the witness path.  Nothing is
     validated: the input must be a level sequence such as
-    :func:`~treereg.trees.code_bytes` returns.  The fold recurses once per
+    :func:`~treereg.trees.code_runs` yields.  The fold recurses once per
     level and once per sibling, which suits every order a sweep reaches; a
     vertex with more than about 300 children passes Python's default
     recursion limit, and :func:`record_for_code` takes such a tree.

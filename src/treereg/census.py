@@ -5,8 +5,8 @@ line, plus its bound violations and, for a census, its tightness flags; the
 records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic.  One
-stream of batches of :data:`CHECKPOINT_EVERY` codes, each within one
-order, runs across every order, and
+stream of batches, each of whole first-block runs and at least
+:data:`CHECKPOINT_EVERY` codes, runs across every order, and
 :func:`_verify_batch` turns a batch into its joined output lines, violation
 JSONL lines and tight flags, appended to the two files as they come.  A
 batch is both the pool task and the unit of durable commit, and its size
@@ -33,9 +33,9 @@ its parameters differ from the run's (the refusal names each one that
 differs), when a file is missing, shorter than its offset or holds other
 bytes before it (each is read up to its offset for their CRC-32), or when
 its last code is not the one the enumeration puts just before its index;
-the sweep cuts that order's batches from the same enumeration.
+the sweep goes on from there in the same stream of that order's runs.
 
-Codes travel as ``bytes`` (:func:`code_bytes`), and records come from the
+Codes travel as ``bytes`` (:func:`code_runs`), and records come from the
 level sequence itself, with no Graph built, the homology oracle's included.
 Every tree, in either format, has its violations and tight flags, and its
 CSV row after the code text, from a tail that depends only on its key,
@@ -60,9 +60,10 @@ import json
 import os
 import time
 import zlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations, groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
@@ -77,17 +78,18 @@ from .bounds import (
     verify_record,
 )
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
-from .trees import code_bytes, code_text, code_texts, max_order_cap
+from .trees import code_batches, code_runs, code_text, code_texts, max_order_cap
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
 MIN_ORDER = 1
-# Codes per batch: the unit of durable commit (outputs fsynced, checkpoint
-# replaced) and the one pool task, so its fixed cost is paid once per batch.
+# The fewest codes in a batch of whole first-block runs: the unit of durable
+# commit (outputs fsynced, checkpoint replaced), the one pool task and the
+# unit of `enumerate`'s writes, so its fixed cost is paid once per batch.
 # Larger batches save little more time, and their transient rows (about
-# 250 B a tree) raise the peak resident set (BENCH_batch.json).  The sweep
-# reads it as it cuts each batch, and the size never changes output bytes.
+# 250 B a tree) raise the peak resident set (BENCH_batch.json).  The size
+# never changes output bytes.
 CHECKPOINT_EVERY = 4096
 
 
@@ -195,9 +197,9 @@ class _Checkpoint:
     @classmethod
     def resume(
         cls, cfg: SweepConfig
-    ) -> tuple["_Checkpoint", dict[Path, int], list[bytes]]:
+    ) -> tuple["_Checkpoint", dict[Path, int], Iterator[list[bytes]]]:
         """The checkpoint ``cfg`` resumes, each output path's offset in it,
-        and the enumeration of its order.
+        and the runs of its order from its index on.
 
         Without a checkpoint file that is the empty checkpoint, whose
         offsets are all 0.  A loaded one is refused (``ValueError``) before
@@ -212,7 +214,7 @@ class _Checkpoint:
         paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
         if path is None or not path.exists():
             ck, sizes = cls(cfg.params()), dict.fromkeys(paths, 0)
-            codes = code_bytes(ck.order)
+            runs = code_runs(ck.order)
         else:
 
             def refused(text: str, it: str = "it") -> ValueError:
@@ -297,12 +299,18 @@ class _Checkpoint:
                         f"which have {found:08x}",
                         "the checkpoint",
                     )
-            codes = code_bytes(ck.order)
-            i = ck.next_index - 1
-            there = code_text(codes[i]) if i < len(codes) else None
+            # walk the order's runs to the one that holds the last code
+            runs, i, there = code_runs(ck.order), ck.next_index - 1, None
+            for run in runs:
+                if i < len(run):
+                    there = code_text(run[i])
+                    runs = chain([run[i + 1 :]], runs)
+                    break
+                i -= len(run)
             if there != ck.last_code:
                 raise refused(
-                    f"names code {ck.last_code!r} at order {ck.order} index {i}, "
+                    f"names code {ck.last_code!r} at order {ck.order} "
+                    f"index {ck.next_index - 1}, "
                     f"but the enumeration has {there!r} there",
                     "the checkpoint",
                 )
@@ -313,7 +321,7 @@ class _Checkpoint:
                 tmp.unlink()
             except OSError as exc:
                 raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
-        return ck, sizes, codes
+        return ck, sizes, runs
 
 
 _TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
@@ -360,23 +368,23 @@ def _jsonl(v: Violation) -> str:
 def _verify_batch(
     codes: list[bytes], oracle_up_to: int, fmt: str
 ) -> tuple[bytes, bytes, list[tuple[bool, bool, bool]]]:
-    """Worker step: one batch of codes, all of one order, to its output
-    lines and its violations' JSONL lines (each joined, each line ending in
-    a newline) and each tree's tight flags.
+    """Worker step: one batch of codes to its output lines and its
+    violations' JSONL lines (each joined, each line ending in a newline)
+    and each tree's tight flags.
 
     Every tree takes one path: its :func:`code_kernel` key, with the forest
-    DP's reg appended at orders <= ``oracle_up_to``, picks the row tail
+    DP's reg appended if the tree's order <= ``oracle_up_to``, picks the row tail
     cached per key, and its violations and tight flags come from that tail.
     ``fmt`` picks only the line: the code text plus the tail for CSV, or
     for JSONL the :func:`record_for_code` record, which carries witnesses.
     """
-    oracle = len(codes[0]) <= oracle_up_to
     jsonl = fmt == "jsonl"
     lines: list[str] = []
     violations: list[str] = []
     tights: list[tuple[bool, bool, bool]] = []
     for levels, code in zip(codes, code_texts(codes)):
         key = code_kernel(levels)
+        oracle = len(levels) <= oracle_up_to
         if oracle:
             key += (forest_betti_table((levels,)).regularity(),)
         tail = _ROW_TAILS.get(key)
@@ -392,21 +400,18 @@ def _verify_batch(
 
 
 def _batches(
-    cfg: SweepConfig, order: int, index: int, codes: list[bytes]
+    cfg: SweepConfig, order: int, index: int, runs: Iterator[list[bytes]]
 ) -> Iterator[tuple[int, int, list[bytes]]]:
-    """``(order, next_index, batch)`` for every batch of the sweep from
-    ``index`` of ``order`` on, across orders, with ``order``'s cut from
-    ``codes``, its enumeration; each order's code list lives only while its
-    own batches are cut."""
-    for n in range(order, cfg.max_order + 1):
-        if n > order:
-            codes = code_bytes(n)
-        i = index if n == order else 0
-        while i < len(codes):
-            batch = codes[i : i + CHECKPOINT_EVERY]
-            i += len(batch)
-            yield n, i, batch
-        del codes
+    """Each batch from ``runs``, the rest of ``order`` after ``index``, on,
+    with the place of its last code: ``(order, next_index, batch)``."""
+    later = map(code_runs, range(order + 1, cfg.max_order + 1))
+    for batch in code_batches(chain(runs, *later), CHECKPOINT_EVERY):
+        n = len(batch[-1])
+        # the batch is in code order, so its codes of order n come last
+        last = len(batch) - bisect_left(batch, n, key=len)
+        index = index + last if n == order else last
+        order = n
+        yield order, index, batch
 
 
 def _results(
@@ -471,9 +476,9 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     _subtree.cache_clear()
     _siblings.cache_clear()
     started = time.time()
-    # a fresh run resumes the empty checkpoint; the resumed order's codes
+    # a fresh run resumes the empty checkpoint; the resumed order's runs
     # are enumerated once, to check the checkpoint and to cut its batches
-    ck, sizes, codes = _Checkpoint.resume(cfg)
+    ck, sizes, runs = _Checkpoint.resume(cfg)
     files = _open_outputs(sizes)
     out = files[0]
     if cfg.fmt == "csv" and not ck.csv_bytes:
@@ -492,8 +497,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
 
         pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
     try:
-        batches = _batches(cfg, ck.order, ck.next_index, codes)
-        del codes  # the generator drops it once its order is cut
+        batches = _batches(cfg, ck.order, ck.next_index, runs)
         for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
             out.write(text)
             out.flush()
@@ -507,12 +511,15 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 ck.violations_bytes = vio.tell()
                 ck.violations_crc = zlib.crc32(violations, ck.violations_crc)
             if summary is not None:
-                bucket = summary["orders"].setdefault(str(n), _tight_bucket())
-                bucket["trees"] += len(batch)
-                for k, key in enumerate(_TIGHT_KEYS):
-                    tight = [code for code, flags in zip(batch, tights) if flags[k]]
-                    bucket[key] += len(tight)
-                    bucket[key + "_codes"].extend(code_texts(tight))
+                # each code counts under its own order
+                for order, group in groupby(zip(batch, tights), lambda ct: len(ct[0])):
+                    codes, flags = zip(*group)
+                    bucket = summary["orders"].setdefault(str(order), _tight_bucket())
+                    bucket["trees"] += len(codes)
+                    for k, key in enumerate(_TIGHT_KEYS):
+                        tight = [code for code, f in zip(codes, flags) if f[k]]
+                        bucket[key] += len(tight)
+                        bucket[key + "_codes"].extend(code_texts(tight))
             ck.order = n
             ck.next_index = i
             ck.last_code = code_text(batch[-1])

@@ -145,20 +145,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-# Codes per write of `treereg enumerate`.
-_ENUMERATE_BATCH = 4096
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     cap = trees.max_order_cap()
     if not 1 <= args.order <= cap:
         raise ValueError(f"--order must be in 1..{cap}")
-    # code_bytes joins the codes as bytes, code_texts writes a batch of them
+    # code_runs joins the codes as bytes, code_texts writes a batch of them
     # at once, and each edge spec comes from its code's parents: no Graph
     write = sys.stdout.write
-    codes = trees.code_bytes(args.order)
-    for i in range(0, len(codes), _ENUMERATE_BATCH):
-        batch = codes[i : i + _ENUMERATE_BATCH]
+    runs = trees.code_runs(args.order)
+    for batch in trees.code_batches(runs, census_mod.CHECKPOINT_EVERY):
         texts = trees.code_texts(batch)
         if not args.codes_only:
             specs = map(edge_spec, map(trees.code_edges, batch))

@@ -8,17 +8,16 @@ deterministic total order every enumeration consumer relies on.
 
 Generation composes each code from canonical rooted subtrees (Otter 1948):
 a free tree is a center with rooted subtrees hanging off it, or a central
-edge joining two rooted halves of equal height.  :func:`code_bytes` builds
+edge joining two rooted halves of equal height.  :func:`code_runs` builds
 ascending tables of rooted subtrees and the forests they make, once per
-call, and joins each code from them as ``bytes``: a unicentral tree is its
-center over two tallest subtrees and a forest no larger than the second,
-and a bicentral tree is rooted at the smaller half's root with the larger
-half first.  So each isomorphism class appears exactly once without
-pairwise comparisons, and no Graph is built during enumeration.  The sweeps
-take the codes as sorted ``bytes``; labeled input goes through the
-adjacency-based canonicalizer, :func:`canonical_code`, which returns the
-same level sequence as a tuple of ints in O(n log n): it roots the tree at
-each center and orders children by AHU ranks, level by level.
+call, and yields the codes as ``bytes`` in ascending runs, one per first
+block, each a slice of two tables.  So each isomorphism class appears
+exactly once without pairwise comparisons or a sort of the codes, no
+order's codes are held at once, and no Graph is built.  The sweeps and
+``enumerate`` write them in :func:`code_batches`.  Labeled input goes
+through the adjacency-based canonicalizer, :func:`canonical_code`, which
+returns the same level sequence as a tuple of ints in O(n log n): it roots
+the tree at each center and orders children by AHU ranks, level by level.
 :func:`code_text`, :func:`graph_from_code` and :func:`tree_from_code` take
 either form.  :func:`code_parents` is the one check of a level sequence
 and decodes it for Graphs, records and ``enumerate``'s edge specs.
@@ -211,8 +210,10 @@ def tree_from_code(code: Sequence[int]) -> TreeWitness:
 
 # --- free trees composed from canonical rooted subtrees --------------------
 
-# Adds one to every level of a ``bytes`` code: a block one level deeper.
+# Adds one to, or takes one from, every level of a ``bytes`` code: a block
+# one level deeper, or a block's forest one level up.
 _DEEPER = bytes(range(1, 256)) + b"\xff"
+_UP = b"\0" + bytes(range(255))
 
 
 def _forests(m: int, h: int, tables: dict) -> list[bytes]:
@@ -238,62 +239,77 @@ def _blocks(s: int, h: int, tables: dict) -> list[bytes]:
     return [b"\1" + f.translate(_DEEPER) for f in _forests(s - 1, h - 1, tables)]
 
 
-def code_bytes(n: int) -> list[bytes]:
+def code_runs(n: int) -> Iterator[list[bytes]]:
     """Canonical codes of all non-isomorphic trees of order n, ascending, as
-    ``bytes`` (one level per byte; bytes order is the code order).
+    ``bytes`` (one level per byte; bytes order is the code order), in runs
+    that share a first block.
 
     A block is a canonical rooted tree written one level deep, and a forest
     is blocks joined in descending order: a root's child sequence.  A taller
     rooted tree has the larger code, since its code starts 0, 1, ...,
     height; so in an ascending table the blocks of height at most h come
-    first, and ``bisect`` finds every bound.  A unicentral tree of radius r
-    is ``0``, two blocks b1 >= b2 of height exactly r - 1, then a forest of
-    blocks <= b2.  A bicentral tree with halves A >= B of height r is
-    rooted at B's root with A as its first block, the larger of the two
-    rootings: ``0``, A one level deep, then B's forest.  The forest tables
-    live for one call; no Graph is built.
+    first, and ``bisect`` finds every bound.  A code is ``0``, its first
+    block X of height h, then a forest.  A bicentral tree with halves A >= B
+    is rooted at B's root with A as X, the larger of the two rootings, and
+    its forest is B's: led by a block of height h - 1, and at most A's.  A
+    unicentral tree's forest is led by a block of height h, at most X.  So
+    every bicentral code sorts below every unicentral one with the same X,
+    each run is two slices of ascending tables, and only the first blocks
+    are sorted.  The tables live while the generator does.
     """
     cap = max_order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside 1..{cap}")
-    if n < 3:
-        return [bytes(range(n))]
+    if n == 1:
+        yield [b"\0"]
+        return
     tables: dict[tuple[int, int], list[bytes]] = {}
-    codes: list[bytes] = []
-    for r in range(1, (n - 1) // 2 + 1):
-        # A block, or a forest it leads, at or above this path (the least
-        # block of height r - 1) has height exactly r - 1.
-        path = bytes(range(1, r + 1))
-        tallest = {}  # size -> the blocks of that size and height r - 1
-        for s in range(r, n - r):
-            ys = _blocks(s, r - 1, tables)
-            tallest[s] = ys[bisect_left(ys, path) :]
-        for s1, firsts in tallest.items():
-            for b1 in firsts:
-                for s2 in range(r, n - s1):
-                    seconds = tallest[s2]
-                    rest = _forests(n - 1 - s1 - s2, r - 1, tables)
-                    for b2 in islice(seconds, bisect_right(seconds, b1)):
-                        cut = bisect_left(rest, b2 + b"\2")
-                        codes.extend(map((b"\0" + b1 + b2).__add__, islice(rest, cut)))
-        # bicentral: the forests of halves A of a vertices and B <= A of
-        # n - a vertices, each half of height exactly r
-        for a in range(r + 1, n - r):
-            larger = _forests(a - 1, r - 1, tables)
-            smaller = _forests(n - a - 1, r - 1, tables)
-            low = bisect_left(smaller, path)
-            for top in islice(larger, bisect_left(larger, path), None):
-                high = bisect_right(smaller, top)
-                head = b"\0\1" + top.translate(_DEEPER)
-                codes.extend(map(head.__add__, islice(smaller, low, high)))
-    codes.sort()
-    return codes
+    for h in range((n - 2) // 2 + 1):
+        path = bytes(range(1, h + 2))  # the least block of height h
+        firsts, slices = [], {}
+        for s in range(h + 1, n - h):
+            ys = _blocks(s, h, tables)
+            firsts += islice(ys, bisect_left(ys, path), None)
+            # bicentral forests g start at the least of height h - 1, and
+            # unicentral f at path
+            g, f = _forests(n - 1 - s, h - 1, tables), _forests(n - 1 - s, h, tables)
+            slices[s] = g, bisect_left(g, path[:-1]), f, bisect_left(f, path)
+        firsts.sort()
+        for x in firsts:
+            g, g0, f, f0 = slices[len(x)]
+            head = b"\0" + x
+            # g up to A's forest, x's own one level up; f led by a block <= x
+            run = [
+                *map(head.__add__, islice(g, g0, bisect_right(g, x[1:].translate(_UP)))),
+                *map(head.__add__, islice(f, f0, bisect_left(f, x + b"\2"))),
+            ]
+            if run:
+                yield run
+
+
+def code_bytes(n: int) -> list[bytes]:
+    """The codes of :func:`code_runs` in one list."""
+    return [code for run in code_runs(n) for code in run]
+
+
+def code_batches(runs: Iterable[list[bytes]], size: int) -> Iterator[list[bytes]]:
+    """The codes of ``runs`` in order, in lists of whole runs of at least
+    ``size`` codes; only the last list may be shorter."""
+    batch: list[bytes] = []
+    for run in runs:
+        batch += run
+        if len(batch) >= size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:
     """One witness per isomorphism class of order-n trees, ascending code order."""
-    for code in code_bytes(n):
-        yield tree_from_code(code)
+    for run in code_runs(n):
+        for code in run:
+            yield tree_from_code(code)
 
 
 @cache

@@ -218,7 +218,7 @@ def test_criterion_9_checkpoint_resume_determinism(
                          "--violations", str(tmp_path / "ref.jsonl")]) == 0
         crash = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
-        kill_at_dump(11)  # order 8's third batch, which ends 46 trees in
+        kill_at_dump(11)  # the batch that ends 36 trees into order 9
         with pytest.raises(Killed):
             cli_main(["verify", "--max-order", "9", "--out", str(crash),
                       "--violations", str(tmp_path / "c.jsonl"),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from treereg.homology import FOREST_BETTI_ORDER_CAP
 from treereg.tables import TABLE4_TREES
 from treereg.trees import (
     canonical_code,
+    code_batches,
     code_bytes,
+    code_runs,
     code_text,
     graph_from_code,
     max_order_cap,
@@ -28,6 +31,8 @@ from conftest import Killed, relabel, star_graph
 
 # the checkpoint layout a sweep writes and resumes
 VERSION = census_mod._Checkpoint.version
+# sha256 of the CSV of `verify --max-order 16`
+ORDER16_SHA256 = "c0dcebee9b566c317c5dc7d73cf49b175f1932e9335ddde85e53b2ca0bb30047"
 
 
 def run_cli(*argv) -> int:
@@ -343,7 +348,7 @@ class TestVerifyCommand:
         ) == 0
         crash_csv = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
-        kill_at_dump(9)  # order 7's second batch, which ends 24 trees in
+        kill_at_dump(9)  # the batch that ends 21 trees into order 8
         with pytest.raises(Killed):
             run_cli(
                 "verify", "--max-order", "8", "--out", str(crash_csv),
@@ -366,15 +371,15 @@ class TestVerifyCommand:
     def test_resume_after_crash_on_checkpoint_boundary(
         self, tmp_path, monkeypatch, kill_at_dump
     ):
-        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         ref = tmp_path / "ref.csv"
         assert run_cli("verify", "--max-order", "7", "--out", str(ref),
                        "--violations", str(tmp_path / "r.jsonl")) == 0
         crash = tmp_path / "crash.csv"
         ckpt = tmp_path / "ckpt.json"
-        # the 8th batch is order 7's first, so the checkpoint before it
+        # the 3rd batch is order 7's first, so the checkpoint before it
         # sits at the end of order 6
-        kill_at_dump(8)
+        kill_at_dump(3)
         with pytest.raises(Killed):
             run_cli("verify", "--max-order", "7", "--out", str(crash),
                     "--violations", str(tmp_path / "c.jsonl"),
@@ -410,7 +415,7 @@ class TestVerifyCommand:
         common = ["--max-order", "10", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
                   "--checkpoint", str(ckpt)]
-        kill_at_dump(10)  # the checkpoint counts 35 rows
+        kill_at_dump(10)  # the checkpoint counts 94 rows
         with pytest.raises(Killed):
             run_cli("verify", *common)
         expected = json.loads(ckpt.read_text())["csv_bytes"]
@@ -431,14 +436,14 @@ class TestVerifyCommand:
         common = ["--max-order", "9", "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"),
                   "--checkpoint", str(ckpt)]
-        # orders 1..8 take 11 batches, so the kill comes at order 9's second
-        # batch, after the checkpoint at index 10 and with ten rows past it
-        kill_at_dump(13)
+        # order 9 starts in the 5th batch and the 6th ends 15 trees in, so
+        # the kill comes at the 7th, with ten rows past that checkpoint
+        kill_at_dump(7)
         with pytest.raises(Killed):
             run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
         order, index = state["order"], state["next_index"]
-        assert (order, index) == (9, 10)
+        assert (order, index) == (9, 15)
         assert csv.stat().st_size > state["csv_bytes"]
         real = state["last_code"]
         wrong = "0 " + " ".join(["1"] * (order - 1))  # the star, never last here
@@ -459,14 +464,14 @@ class TestVerifyCommand:
         common = ["--max-order", "10", "--out", str(tmp_path / "x.csv"),
                   "--violations", str(tmp_path / "x.jsonl"),
                   "--checkpoint", str(tmp_path / "ckpt.json")]
-        kill_at_dump(13)  # order 9's second batch, after its checkpoint at 10
+        kill_at_dump(7)  # order 9's third batch, after its checkpoint at 15
         with pytest.raises(Killed):
             run_cli("verify", *common)
         enumerated = []
-        monkeypatch.setattr(census_mod, "code_bytes", lambda n: (
-            enumerated.append(n), code_bytes(n))[1])
+        monkeypatch.setattr(census_mod, "code_runs", lambda n: (
+            enumerated.append(n), code_runs(n))[1])
         assert run_cli("verify", *common) == 0
-        # one list of order 9 both checks the checkpoint and is cut in batches
+        # one stream of order 9 both checks the checkpoint and is cut in batches
         assert enumerated == [9, 10]
 
     @pytest.mark.parametrize("content, names", [
@@ -642,7 +647,7 @@ class TestVerifyCommand:
         assert not (tmp_path / "other.json.tmp").exists()
 
     def test_resume_names_each_parameter_that_differs(
-        self, tmp_path, capsys, kill_at_dump
+        self, tmp_path, capsys, monkeypatch, kill_at_dump
     ):
         ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
         assert run_cli("verify", "--max-order", "13", "--out", str(ref_csv),
@@ -650,9 +655,11 @@ class TestVerifyCommand:
         csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
         common = ["--out", str(csv), "--violations", str(vio),
                   "--checkpoint", str(tmp_path / "ck.json")]
-        # one batch per order: the checkpoint counts the 987 trees of orders
-        # 1-12, and order 13's rows are written past it
-        kill_at_dump(13)
+        # batches of at least 1000 trees: the checkpoint counts orders 1-12
+        # and the start of order 13, and the next batch's rows are written
+        # past it
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 1000)
+        kill_at_dump(2)
         with pytest.raises(Killed):
             run_cli("verify", "--max-order", "13", *common)
         capsys.readouterr()
@@ -786,6 +793,8 @@ class TestVerifyCommand:
             return found
 
         monkeypatch.setattr(census_mod, "verify_record", inject)
+        # orders 1-4 are the first batch, and the star's the second
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         events = []
         real_fsync, real_replace = os.fsync, os.replace
         monkeypatch.setattr(os, "fsync", lambda fd: (
@@ -909,12 +918,13 @@ class TestVerifyCommand:
                 "--out", str(csv), "--violations", str(tmp_path / "v.jsonl"),
                 "--checkpoint", str(ckpt)]
         if run == "resumed":
-            # orders 1-8 take 9 batches, then a kill at order 9's second
-            # batch; order 9 is an oracle order in both pins
-            kill_at_dump(11)
+            # a kill at the 5th batch, after the checkpoint 36 trees into
+            # order 9: that batch holds the end of order 9 and the start of
+            # order 10, the 9 pin's last oracle order and the first past it
+            kill_at_dump(5)
             with pytest.raises(Killed):
                 run_cli(*argv)
-            assert json.loads(ckpt.read_text())["next_index"] == 20
+            assert json.loads(ckpt.read_text())["next_index"] == 36
         assert run_cli(*argv, "--jobs", "2" if run == "jobs2" else "1") == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
 
@@ -938,9 +948,9 @@ class TestVerifyCommand:
 
 
 class TestWorkerPool:
-    """``--jobs 2`` against one process, with batches of 7 trees so that
-    batches of the next order are in flight while an order's last ones are
-    written, and resumes after a kill in the middle of order 10."""
+    """``--jobs 2`` against one process, with batches of at least 7 trees
+    so that batches of the next order are in flight while an order's last
+    ones are written, and resumes after a kill in the middle of order 10."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
@@ -981,14 +991,14 @@ class TestWorkerPool:
 
     @staticmethod
     def crash_mid_batch(tmp_path, monkeypatch, kill_at_dump, jobs):
-        """Kill at the checkpoint of order 10's 8th batch of 7, 56 trees into
-        the order; return the files and the run's arguments."""
+        """Kill at the checkpoint of the batch that ends 64 trees into order
+        10, after the one at 55; return the files and the run's arguments."""
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
         csv, vio = tmp_path / "x.csv", tmp_path / "x.jsonl"
         ckpt = tmp_path / "ck.json"
         common = ["--max-order", "10", "--jobs", jobs,
                   "--checkpoint", str(ckpt), "--out", str(csv), "--violations", str(vio)]
-        kill_at_dump(27)  # orders 1-9 take 19 batches
+        kill_at_dump(20)  # orders 1-9 take 12 batches and end in the 13th
         with pytest.raises(Killed):
             run_cli("verify", *common)
         return csv, vio, ckpt, common
@@ -1023,7 +1033,7 @@ class TestWorkerPool:
         kill_at_dump(2)
         with pytest.raises(Killed):
             run_cli("verify", *common)
-        assert json.loads(ckpt.read_text())["next_index"] == 56
+        assert json.loads(ckpt.read_text())["next_index"] == 64
         assert run_cli("verify", *common) == 1
         assert (csv.read_bytes(), vio.read_bytes()) == ref
         assert not tmp.exists()
@@ -1083,7 +1093,7 @@ class TestWorkerPool:
     ):
         _, vio, ckpt, _ = self.crash_mid_batch(tmp_path, monkeypatch, kill_at_dump, "1")
         state = json.loads(ckpt.read_text())
-        assert (state["order"], state["next_index"]) == (10, 49)
+        assert (state["order"], state["next_index"]) == (10, 55)
         assert all(isinstance(value, (str, int, float))
                    for key, value in state.items() if key != "params")
         counted = vio.read_bytes()[: state["violations_bytes"]]
@@ -1096,8 +1106,8 @@ class TestWorkerPool:
         cuts = []
         monkeypatch.setattr(census_mod._Checkpoint, "dump", lambda ck, path: (
             cuts.append((ck.order, ck.next_index)), real_dump(ck, path)))
-        outputs = set()
-        for size in (1000, CHECKPOINT_EVERY, 4097):
+        outputs, layouts = set(), set()
+        for size in (1000, CHECKPOINT_EVERY, 6000):
             monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", size)
             for jobs in ("1", "2"):
                 csv, vio = tmp_path / "r.csv", tmp_path / "v.jsonl"
@@ -1107,8 +1117,10 @@ class TestWorkerPool:
                 assert run_cli("verify", "--max-order", "15", "--jobs", jobs,
                                "--checkpoint", str(ckpt),
                                "--out", str(csv), "--violations", str(vio)) == 1
-                assert (15, size) in cuts  # order 15's first batch ends there
+                layouts.add((size, tuple(cuts)))
                 outputs.add((csv.read_bytes(), vio.read_bytes()))
+        # each size cuts its own batches, the same with either --jobs
+        assert len(layouts) == 3
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -1122,6 +1134,49 @@ class TestWorkerPool:
             outputs[jobs] = out.read_bytes(), summary.read_bytes()
         assert outputs[1] == outputs[2]
         assert json.loads(outputs[1][1])["orders"]["10"]["lb_tight_codes"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("place", ["batch across orders", "index inside a run"])
+    def test_resume_gives_the_order_16_pin(
+        self, tmp_path, monkeypatch, capsys, kill_at_dump, jobs, place
+    ):
+        csv, ckpt = tmp_path / "x.csv", tmp_path / "ck.json"
+        common = ["--max-order", "16", "--jobs", jobs, "--out", str(csv),
+                  "--violations", str(tmp_path / "x.jsonl"), "--checkpoint", str(ckpt)]
+        with monkeypatch.context() as m:
+            if place == "batch across orders":
+                kill_at_dump(4)  # the batch of order 15's end and order 16's start
+            else:
+                # batches of exactly CHECKPOINT_EVERY codes, cut inside a run,
+                # as a sweep of this checkpoint version once cut them
+                m.setattr(census_mod, "code_batches", lambda runs, size: code_batches(
+                    ([code] for run in runs for code in run), size))
+                kill_at_dump(3)
+            with pytest.raises(Killed):
+                run_cli("verify", *common)
+        state = json.loads(ckpt.read_text())
+        order, index = state["order"], state["next_index"]
+        if place == "batch across orders":
+            rows = csv.read_bytes()[state["csv_bytes"]:].splitlines()
+            assert {int(row.split(b",")[1]) for row in rows} == {15, 16}
+        else:
+            assert index not in set(accumulate(map(len, code_runs(order))))
+            # the code after the last one, in the same run, is refused there
+            codes = code_bytes(order)
+            wrong, real = code_text(codes[index]), code_text(codes[index - 1])
+            ckpt.write_text(json.dumps(dict(state, last_code=wrong)))
+            before = csv.read_bytes()
+            capsys.readouterr()
+            assert run_cli("verify", *common) == 2
+            assert capsys.readouterr().err == (
+                f"treereg: error: checkpoint {ckpt} names code {wrong!r} at order "
+                f"{order} index {index - 1}, but the enumeration has {real!r} "
+                "there; delete the checkpoint to start over\n"
+            )
+            assert csv.read_bytes() == before
+            ckpt.write_text(json.dumps(state))
+        assert run_cli("verify", *common) == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == ORDER16_SHA256
 
     def test_crash_leaves_no_worker_and_resumes_byte_identical(
         self, tmp_path, monkeypatch, kill_at_dump
@@ -1140,25 +1195,25 @@ class TestWorkerPool:
 
         def stalls_on_order_8(record):
             # order 8's first batches are in flight when the kill comes at
-            # the 9th batch, in order 7; a pool that waited for them would stall
+            # the 4th batch, in order 7; a pool that waited for them would stall
             if record.n == 8:
                 time.sleep(30)
             return real(record)
 
         with monkeypatch.context() as m:
             m.setattr(census_mod, "verify_record", stalls_on_order_8)
-            kill_at_dump(9)
+            kill_at_dump(4)
             started = time.monotonic()
             with pytest.raises(Killed):
                 run_cli("verify", *common)
             assert time.monotonic() - started < 15
         assert multiprocessing.active_children() == []
-        # the rows through the killed batch's 24th tree are written, and
+        # the rows through the killed batch's 21st tree are written, and
         # none past it
         lines = csv.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 1 + 24
+        assert len(lines) == 1 + 21
         assert b"".join(lines) == b"".join(ref_csv.read_bytes().splitlines(
-            keepends=True)[:25])
+            keepends=True)[:22])
         assert run_cli("verify", *common) == 0
         assert csv.read_bytes() == ref_csv.read_bytes()
         assert vio.read_bytes() == ref_vio.read_bytes()

@@ -1,6 +1,8 @@
 """Canonical codes, enumeration, counting, and random generation."""
 
 import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from treereg.graphs import TreeWitness, from_edge_list, path_graph
 from treereg.trees import (
     _code_levels,
     canonical_code,
+    code_batches,
     code_bytes,
+    code_runs,
     code_text,
     code_texts,
     count_trees,
@@ -128,6 +132,46 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_leaf_extension_oracle(self, n):
         assert {tuple(c) for c in code_bytes(n)} == leaf_extension_codes(n)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_runs_ascend_by_first_block_and_count_every_tree(self, n):
+        # a code's first block runs from its byte 1 up to its next level 1
+        def first_block(code):
+            end = code.find(1, 2)
+            return code[1:] if end < 0 else code[1:end]
+
+        runs = list(code_runs(n))
+        codes = [code for run in runs for code in run]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(run and len({first_block(code) for code in run}) == 1 for run in runs)
+        assert len({first_block(run[0]) for run in runs}) == len(runs)
+        assert len(codes) == count_trees(n)
+
+    def test_order_20_runs(self):
+        sizes = [len(run) for run in code_runs(20)]
+        assert (len(sizes), max(sizes), sum(sizes)) == (54_548, 7_566, 823_065)
+
+    def test_runs_of_order_18_hold_no_order_in_memory(self):
+        # the forest tables and one run at a time, against 8.7 MB for the
+        # order's list of codes
+        tracemalloc.start()
+        try:
+            for _ in code_runs(18):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_batches_are_whole_runs_of_at_least_size_codes(self, size):
+        runs = list(code_runs(12))
+        batches = list(code_batches(iter(runs), size))
+        assert [code for batch in batches for code in batch] == code_bytes(12)
+        assert all(len(batch) >= size for batch in batches[:-1])
+        ends = set(accumulate(map(len, runs)))
+        assert all(end in ends for end in accumulate(map(len, batches)))
+        assert list(code_batches(iter([]), size)) == []
 
     def test_code_text_of_bytes_joins_every_level(self):
         # the order-20 path is the one cap-order code with a two-digit level
