@@ -9,11 +9,12 @@ stream of batches, each of whole first-block runs and at least
 :data:`CHECKPOINT_EVERY` codes, runs across every order, and
 :func:`_verify_batch` turns a batch into its joined output lines, violation
 JSONL lines and tight flags, appended to the two files as they come.  A
-batch is both the pool task and the unit of durable commit, and its size
+batch is both a worker's task and the unit of durable commit, and its size
 never changes the output bytes.  Without workers it runs in process; with
-``jobs`` workers at most ``2 * jobs`` batches are in flight and their
-results are taken in submission order, so the workers carry on while a
-batch is written and the bytes equal a serial run's.  Both files, and a
+``jobs`` forked workers each holds one batch at a time, over its own pipe,
+and the results are taken in batch order, so the workers carry on while a
+batch is written and the bytes equal a serial run's.  The workers share no
+lock, so the run kills them at its end or on any error without waiting.  Both files, and a
 census's summary, are opened before any is truncated or any tree is swept,
 so an unwritable one leaves the others as they were; before them, the
 checkpoint's temporary file is made and removed again, so an unwritable
@@ -51,7 +52,7 @@ tight flags, is built once per run from a record by :func:`_record`,
 inequalities each stay in one place.  The format picks only the line: a
 JSONL line, which carries witnesses, is the :func:`record_for_code`
 record.  ``multiprocessing`` is imported
-only when a sweep starts a pool.
+only when a sweep starts workers.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .trees import code_batches, code_runs, code_text, code_texts, max_order_cap
 
 if TYPE_CHECKING:
-    from multiprocessing.pool import Pool
+    from multiprocessing.connection import Connection
 
 MIN_ORDER = 1
 # The fewest codes in a batch of whole first-block runs: the unit of durable
-# commit (outputs fsynced, checkpoint replaced), the one pool task and the
+# commit (outputs fsynced, checkpoint replaced), one worker's task and the
 # unit of `enumerate`'s writes, so its fixed cost is paid once per batch.
 # Larger batches save little more time, and their transient rows (about
 # 250 B a tree) raise the peak resident set (BENCH_batch.json).  The size
@@ -414,31 +415,87 @@ def _batches(
         yield order, index, batch
 
 
+def _serve(
+    conn: Connection, callers: list[Connection], oracle_up_to: int, fmt: str
+) -> None:
+    """A worker: each batch ``conn`` brings goes back as its
+    :func:`_verify_batch` result, or as the exception that stopped it,
+    until the caller is gone.  It first closes its copies of the caller's
+    ends, ``callers``, so that it then sees the caller's death on ``conn``."""
+    for end in callers:
+        end.close()
+    try:
+        while True:
+            batch = conn.recv()
+            try:
+                result = _verify_batch(batch, oracle_up_to, fmt)
+            except Exception as exc:  # the caller raises it
+                result = exc
+            conn.send(result)
+    except (EOFError, OSError):
+        pass  # the caller is gone
+
+
+def _start_workers(cfg: SweepConfig, workers: list) -> None:
+    """Fork ``cfg.jobs`` workers into ``workers``, each as its process and
+    the caller's end of its own pipe.  They share no lock or queue, so
+    killing one, mid-send or not, leaves nothing another waits on."""
+    import multiprocessing  # only workers need it; it slows start-up
+
+    ctx = multiprocessing.get_context("fork")
+    for _ in range(cfg.jobs):
+        ours, theirs = ctx.Pipe()
+        callers = [end for _, end in workers] + [ours]
+        proc = ctx.Process(
+            target=_serve, args=(theirs, callers, cfg.oracle_up_to, cfg.fmt))
+        proc.start()
+        theirs.close()
+        workers.append((proc, ours))
+
+
+def _received(conn: Connection) -> tuple:
+    """A worker's next result, raised if it is an exception."""
+    try:
+        result = conn.recv()
+    except EOFError:
+        raise ChildProcessError("a --jobs worker exited before returning its batch") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _results(
     cfg: SweepConfig,
-    pool: Optional[Pool],
+    workers: list,
     batches: Iterator[tuple[int, int, list[bytes]]],
 ) -> Iterator[tuple[int, int, list[bytes], tuple]]:
     """Each batch with its :func:`_verify_batch` result, in batch order.
 
-    In process without a pool; with one, at most two batches per worker are
-    in flight, so the workers carry on while the caller writes a result and
-    only a few batches' codes are held at a time.
+    In process without workers.  With them, each holds one batch at a
+    time, taken in turn: a worker is sent its next batch as soon as its
+    result is read, before the caller writes that result, so the workers
+    carry on while it does.  Neither side sends while the other is sending
+    to it, so no pipe can fill both ways and stall them.
     """
-    if pool is None:
+    if not workers:
         for n, i, batch in batches:
             yield n, i, batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt)
         return
-    window: deque = deque()
-    for n, i, batch in batches:
-        task = pool.apply_async(_verify_batch, (batch, cfg.oracle_up_to, cfg.fmt))
-        window.append((n, i, batch, task))
-        if len(window) >= 2 * cfg.jobs:
-            n, i, batch, task = window.popleft()
-            yield n, i, batch, task.get()
-    while window:
-        n, i, batch, task = window.popleft()
-        yield n, i, batch, task.get()
+    flight: deque = deque()  # ((n, i, batch), conn), earliest first
+    for item in batches:
+        done = None
+        if len(flight) < len(workers):
+            conn = workers[len(flight)][1]
+        else:
+            done, conn = flight.popleft()
+            result = _received(conn)
+        conn.send(item[2])
+        flight.append((item, conn))
+        if done is not None:
+            yield *done, result
+    while flight:
+        done, conn = flight.popleft()
+        yield *done, _received(conn)
 
 
 def _open_outputs(sizes: dict[Path, int]) -> list:
@@ -491,14 +548,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     if cfg.summary_out is not None:
         summary = {"total": 0, "orders": {}}
 
-    pool = None
-    if cfg.jobs > 1:
-        import multiprocessing  # only a pool needs it; it slows start-up
-
-        pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
+    workers: list = []
     try:
+        if cfg.jobs > 1:
+            _start_workers(cfg, workers)
         batches = _batches(cfg, ck.order, ck.next_index, runs)
-        for n, i, batch, (text, violations, tights) in _results(cfg, pool, batches):
+        for n, i, batch, (text, violations, tights) in _results(cfg, workers, batches):
             out.write(text)
             out.flush()
             ck.csv_crc = zlib.crc32(text, ck.csv_crc)
@@ -535,17 +590,15 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             summary["total"] = ck.records
             # the summary's file is the last one opened
             files[-1].write(json.dumps(summary, indent=1, sort_keys=True).encode())
-    except BaseException:
-        # workers may still hold queued batches; stop them rather than wait
-        if pool is not None:
-            pool.terminate()
-        raise
     finally:
         for f in files:
             f.close()
-        if pool is not None:
-            pool.close()
-            pool.join()
+        # a worker holds nothing the run still needs, at the end or after an
+        # error, so none is waited for: each is killed, then reaped
+        for proc, conn in workers:
+            proc.kill()
+            proc.join()
+            conn.close()
 
     ck.status = "complete"
     ck.elapsed = base_elapsed + (time.time() - started)

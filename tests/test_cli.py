@@ -1195,15 +1195,17 @@ class TestWorkerPool:
 
         def stalls_on_order_8(record):
             # order 8's first batches are in flight when the kill comes at
-            # the 4th batch, in order 7; a pool that waited for them would stall
+            # the 4th batch, in order 7; a run that waited for them would
+            # stall until the deadline, and no longer if the kill never came
             if record.n == 8:
-                time.sleep(30)
+                time.sleep(max(0.0, deadline - time.monotonic()))
             return real(record)
 
         with monkeypatch.context() as m:
             m.setattr(census_mod, "verify_record", stalls_on_order_8)
             kill_at_dump(4)
             started = time.monotonic()
+            deadline = started + 30
             with pytest.raises(Killed):
                 run_cli("verify", *common)
             assert time.monotonic() - started < 15
@@ -1231,6 +1233,73 @@ class TestWorkerPool:
                        "--violations", str(tmp_path / "x.jsonl")) == 2
         assert "broken check at n=" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_is_refused_not_waited_for(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+        import os
+
+        real = census_mod.verify_record
+
+        def dies_on_order_8(record):
+            if record.n == 8:
+                os._exit(1)
+            return real(record)
+
+        monkeypatch.setattr(census_mod, "verify_record", dies_on_order_8)
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
+        assert run_cli("verify", "--max-order", "9", "--jobs", "2",
+                       "--out", str(tmp_path / "x.csv"),
+                       "--violations", str(tmp_path / "x.jsonl")) == 2
+        assert capsys.readouterr().err == (
+            "treereg: error: a --jobs worker exited before returning its batch\n")
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_run_leaves_no_worker_and_prints_nothing(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import treereg
+
+        ckpt = tmp_path / "ck.json"
+        src = Path(treereg.__file__).resolve().parents[1]
+        with open(tmp_path / "err.txt", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "treereg.cli", "verify", "--max-order", "20",
+                 "--jobs", "2", "--out", str(tmp_path / "r.csv"),
+                 "--violations", str(tmp_path / "v.jsonl"), "--checkpoint", str(ckpt)],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            # the first checkpoint: the workers hold the next batches
+            deadline = time.monotonic() + 60
+            while not ckpt.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ckpt.exists()
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            workers = children.read_text().split()
+            assert len(workers) == 2
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+
+        def running(pid: str) -> bool:
+            try:
+                status = Path(f"/proc/{pid}/status").read_text()
+            except FileNotFoundError:
+                return False
+            return "\nState:\tZ" not in status
+
+        deadline = time.monotonic() + 30
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(int(pid), signal.SIGKILL)
+        assert left == []
+        assert (tmp_path / "err.txt").read_bytes() == b""
 
     @pytest.mark.parametrize("excess", [1, 100000])
     def test_more_jobs_than_cpus_is_refused_before_any_fork(
