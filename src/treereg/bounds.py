@@ -6,11 +6,11 @@ floor((n-p+d+5)/6), ``ub_tree_np`` is n-p, ``ub_tree_23`` is
 floor((2n-p)/3), ``wub_d`` is ceil((2n-d-1)/2), ``wub_p`` is
 floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
-A tree given as a level sequence gets its invariants from
-:func:`code_kernel`, a fold that visits each distinct rooted subtree and
-each distinct run of siblings once per sweep and feeds the sweep's CSV
-rows, and its full record, witnesses included, from
-:func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`, a
+The trees of a first-block run get their invariants from
+:func:`run_kernel`, a fold that visits each distinct rooted subtree and
+each distinct forest once per sweep and feeds the sweep's CSV rows
+(:func:`code_kernel` is the same fold on one code), and a tree's full
+record, witnesses included, from :func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`, a
 thin adapter over :func:`record_for_code` on the tree's preorder.  So every
 record gets n, p, d, im, alpha and both witnesses from one linear pass over
 a level sequence, :func:`~treereg.invariants._level_pass` (also the fold's
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .graphs import TreeWitness
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .invariants import _level_pass
-from .trees import canonical_code, code_text
+from .trees import canonical_code, code_run, code_text
 
 # Each CSV column names a field of the record or, for a bound, of its
 # BoundSet; both the header and every row are built from this one list.
@@ -282,37 +282,41 @@ def _subtree(block: bytes) -> tuple:
     return _finish(_forest(block)) if block else _LEAF
 
 
-def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
-    """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence encodes.
+def run_kernel(head: bytes, forests: list[bytes]) -> list[tuple]:
+    """``(n, p, d, im, alpha)`` of each tree ``head + forest`` of a run of
+    :func:`~treereg.trees.forest_runs`.
 
-    A memoized fold over rooted subtrees that folds only the root's first
-    child per tree: the bytes after the first level-1 byte, up to the next,
-    are that child's block, whose summary :func:`_subtree` caches, and the
-    rest of the code is the other children, whose fold state
-    :func:`_siblings` caches, keyed by that suffix and built one sibling at
-    a time.  Each distinct block and suffix is folded once until the caches
-    are cleared (``census.run_verify`` clears both at the start of every
-    sweep).  The recurrences are those of
-    :func:`~treereg.invariants._level_pass`, which stays the reference and
-    the witness path.  Nothing is
-    validated: the input must be a level sequence such as
-    :func:`~treereg.trees.code_runs` yields.  The fold recurses once per
-    level and once per sibling, which suits every order a sweep reaches; a
-    vertex with more than about 300 children passes Python's default
-    recursion limit, and :func:`record_for_code` takes such a tree.
+    A memoized fold over rooted subtrees: the root's first child, whose
+    block follows its level-1 byte in ``head``, has its summary from
+    :func:`_subtree` once per run, and each forest, the root's other
+    children, its fold state from :func:`_siblings`, keyed by the forest
+    itself (a table entry of :func:`~treereg.trees.forest_runs`, so the
+    cache holds no copy and each hashes once) and built one sibling at a
+    time.  A root with no forest has one child, and so is a pendant.  Each
+    distinct block and forest is folded once until the caches are cleared
+    (``census.run_verify`` clears both at the start of every sweep).  The
+    recurrences are those of :func:`~treereg.invariants._level_pass`,
+    which stays the reference and the witness path.  Nothing is validated.
+    The fold recurses once per level and once per sibling, which suits
+    every order a sweep reaches; a vertex with more than about 300
+    children passes Python's default recursion limit, and
+    :func:`record_for_code` takes such a tree.
     """
-    n = len(code)
-    if n == 1:
-        return 1, 0, 0, 0, 1
-    # _forest(code[1:]) split here, which spares a copy and a call per tree
-    # and tells whether the root has one child, and so is a pendant
-    end = code.find(1, 2)
-    one_child = end < 0
-    if one_child:
-        end = n
-    state = _step(_siblings(code[end:]), _subtree(code[2:end]))
-    _, _, im, inc, exc, _, d, leaves = _finish(state)
-    return n, leaves + one_child, d, im, inc if inc > exc else exc
+    if len(head) == 1:
+        return [(1, 0, 0, 0, 1)]
+    n = len(head) + len(forests[0])
+    first = _subtree(head[2:])
+    keys = []
+    for forest in forests:
+        _, _, im, inc, exc, _, d, leaves = _finish(_step(_siblings(forest), first))
+        keys.append((n, leaves + (not forest), d, im, inc if inc > exc else exc))
+    return keys
+
+
+def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
+    """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence
+    encodes: :func:`run_kernel` on its one-tree run."""
+    return run_kernel(*code_run(code))[0]
 
 
 def record_for_code(levels: Sequence[int], with_oracle: bool = False) -> InvariantRecord:

@@ -6,9 +6,11 @@ records file holds CSV rows (resumable from a checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic.  One
 stream of batches, each of whole first-block runs and at least
-:data:`CHECKPOINT_EVERY` codes, runs across every order, and
-:func:`_verify_batch` turns a batch into its joined output lines, violation
-JSONL lines and tight flags, appended to the two files as they come.  A
+:data:`CHECKPOINT_EVERY` codes, runs across every order, enumerated over
+one set of forest tables that the run, its resume walk included, shares
+and drops as it ends.  :func:`_verify_batch` turns a batch into its
+joined output lines, violation JSONL lines and tight flags, appended to
+the two files as they come.  A
 batch is both a worker's task and the unit of durable commit, and its size
 never changes the output bytes.  Without workers it runs in process; with
 ``jobs`` forked workers each holds one batch at a time, over its own pipe,
@@ -36,18 +38,21 @@ bytes before it (each is read up to its offset for their CRC-32), or when
 its last code is not the one the enumeration puts just before its index;
 the sweep goes on from there in the same stream of that order's runs.
 
-Codes travel as ``bytes`` (:func:`code_runs`), and records come from the
-level sequence itself, with no Graph built, the homology oracle's included.
+Trees travel as runs (:func:`forest_runs`), a head and its forests, and
+a code, ``head + forest``, is joined only where one is needed.  Records
+come from the level sequence itself, with no Graph built, the homology
+oracle's included.
 Every tree, in either format, has its violations and tight flags, and its
 CSV row after the code text, from a tail that depends only on its key,
 (n, p, d, im, alpha) and, at the oracle's orders, reg.  :func:`code_texts`
 gives a whole batch's texts in a few C-level byte operations (a batch with
 a two-digit level joins each code's level strings instead), and
-:func:`code_kernel` folds the key from the tree's first rooted subtree and
-the cached state of its siblings, each distinct subtree and sibling suffix
-once per run; at the oracle's orders the forest DP's reg of the level
-sequence is appended to it.  Each distinct tail, with its violations and
-tight flags, is built once per run from a record by :func:`_record`,
+:func:`run_kernel` folds each key from its run's first rooted subtree,
+summarized once per run, and the cached state of its forest, each
+distinct subtree and forest once per sweep; at the oracle's orders the
+forest DP's reg of the level sequence is appended to it.  Each distinct
+tail, with its violations and tight flags, is built once per run from a
+record by :func:`_record`,
 ``csv_row`` and :func:`verify_record`, so the row format and the
 inequalities each stay in one place.  The format picks only the line: a
 JSONL line, which carries witnesses, is the :func:`record_for_code`
@@ -61,7 +66,6 @@ import json
 import os
 import time
 import zlib
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, combinations, groupby
@@ -74,12 +78,20 @@ from .bounds import (
     _record,
     _siblings,
     _subtree,
-    code_kernel,
     record_for_code,
+    run_kernel,
     verify_record,
 )
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
-from .trees import code_batches, code_runs, code_text, code_texts, max_order_cap
+from .trees import (
+    Run,
+    batch_codes,
+    code_batches,
+    code_text,
+    code_texts,
+    forest_runs,
+    max_order_cap,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -197,10 +209,11 @@ class _Checkpoint:
 
     @classmethod
     def resume(
-        cls, cfg: SweepConfig
-    ) -> tuple["_Checkpoint", dict[Path, int], Iterator[list[bytes]]]:
+        cls, cfg: SweepConfig, tables: dict
+    ) -> tuple["_Checkpoint", dict[Path, int], Iterator[Run]]:
         """The checkpoint ``cfg`` resumes, each output path's offset in it,
-        and the runs of its order from its index on.
+        and the runs of its order from its index on, enumerated over
+        ``tables``.
 
         Without a checkpoint file that is the empty checkpoint, whose
         offsets are all 0.  A loaded one is refused (``ValueError``) before
@@ -215,7 +228,7 @@ class _Checkpoint:
         paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
         if path is None or not path.exists():
             ck, sizes = cls(cfg.params()), dict.fromkeys(paths, 0)
-            runs = code_runs(ck.order)
+            runs = forest_runs(ck.order, tables)
         else:
 
             def refused(text: str, it: str = "it") -> ValueError:
@@ -268,9 +281,9 @@ class _Checkpoint:
                             "checkpoint parameters do not match this run; "
                             f"refusing to resume ({differ})"
                         )
-                # counts and offsets are >= 0, and a sweep dumps only after
-                # a batch, so its index is >= 1 in one of this run's orders
-                if expected is int and key != "version":
+                # counts, offsets and time are >= 0, and a sweep dumps only
+                # after a batch, so its index is >= 1 in one of this run's orders
+                if expected in (int, float) and key != "version":
                     low = MIN_ORDER if key == "order" else 1 if key == "next_index" else 0
                     high = cfg.max_order if key == "order" else None
                     if value < low or (high is not None and value > high):
@@ -301,13 +314,14 @@ class _Checkpoint:
                         "the checkpoint",
                     )
             # walk the order's runs to the one that holds the last code
-            runs, i, there = code_runs(ck.order), ck.next_index - 1, None
-            for run in runs:
-                if i < len(run):
-                    there = code_text(run[i])
-                    runs = chain([run[i + 1 :]], runs)
+            runs, i, there = forest_runs(ck.order, tables), ck.next_index - 1, None
+            for head, forests in runs:
+                if i < len(forests):
+                    there = code_text(head + forests[i])
+                    if i + 1 < len(forests):
+                        runs = chain([(head, forests[i + 1 :])], runs)
                     break
-                i -= len(run)
+                i -= len(forests)
             if there != ck.last_code:
                 raise refused(
                     f"names code {ck.last_code!r} at order {ck.order} "
@@ -367,13 +381,13 @@ def _jsonl(v: Violation) -> str:
 
 
 def _verify_batch(
-    codes: list[bytes], oracle_up_to: int, fmt: str
+    runs: list[Run], oracle_up_to: int, fmt: str
 ) -> tuple[bytes, bytes, list[tuple[bool, bool, bool]]]:
-    """Worker step: one batch of codes to its output lines and its
+    """Worker step: one batch of runs to its output lines and its
     violations' JSONL lines (each joined, each line ending in a newline)
     and each tree's tight flags.
 
-    Every tree takes one path: its :func:`code_kernel` key, with the forest
+    Every tree takes one path: its :func:`run_kernel` key, with the forest
     DP's reg appended if the tree's order <= ``oracle_up_to``, picks the row tail
     cached per key, and its violations and tight flags come from that tail.
     ``fmt`` picks only the line: the code text plus the tail for CSV, or
@@ -383,8 +397,9 @@ def _verify_batch(
     lines: list[str] = []
     violations: list[str] = []
     tights: list[tuple[bool, bool, bool]] = []
-    for levels, code in zip(codes, code_texts(codes)):
-        key = code_kernel(levels)
+    codes = batch_codes(runs)
+    keys = [key for run in runs for key in run_kernel(*run)]
+    for levels, code, key in zip(codes, code_texts(codes), keys):
         oracle = len(levels) <= oracle_up_to
         if oracle:
             key += (forest_betti_table((levels,)).regularity(),)
@@ -400,16 +415,23 @@ def _verify_batch(
     return "\n".join(lines).encode(), "".join(violations).encode(), tights
 
 
+def _order(run: Run) -> int:
+    """The order of a run's trees."""
+    head, forests = run
+    return len(head) + len(forests[0])
+
+
 def _batches(
-    cfg: SweepConfig, order: int, index: int, runs: Iterator[list[bytes]]
-) -> Iterator[tuple[int, int, list[bytes]]]:
+    cfg: SweepConfig, order: int, index: int, runs: Iterator[Run], tables: dict
+) -> Iterator[tuple[int, int, list[Run]]]:
     """Each batch from ``runs``, the rest of ``order`` after ``index``, on,
-    with the place of its last code: ``(order, next_index, batch)``."""
-    later = map(code_runs, range(order + 1, cfg.max_order + 1))
+    with the place of its last code: ``(order, next_index, batch)``.  Every
+    later order is enumerated over ``tables``."""
+    later = (forest_runs(n, tables) for n in range(order + 1, cfg.max_order + 1))
     for batch in code_batches(chain(runs, *later), CHECKPOINT_EVERY):
-        n = len(batch[-1])
-        # the batch is in code order, so its codes of order n come last
-        last = len(batch) - bisect_left(batch, n, key=len)
+        n = _order(batch[-1])
+        # the batch is in code order, so its runs of order n come last
+        last = sum(len(run[1]) for run in batch if _order(run) == n)
         index = index + last if n == order else last
         order = n
         yield order, index, batch
@@ -467,8 +489,8 @@ def _received(conn: Connection) -> tuple:
 def _results(
     cfg: SweepConfig,
     workers: list,
-    batches: Iterator[tuple[int, int, list[bytes]]],
-) -> Iterator[tuple[int, int, list[bytes], tuple]]:
+    batches: Iterator[tuple[int, int, list[Run]]],
+) -> Iterator[tuple[int, int, list[Run], tuple]]:
     """Each batch with its :func:`_verify_batch` result, in batch order.
 
     In process without workers.  With them, each holds one batch at a
@@ -532,10 +554,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     _ROW_TAILS.clear()
     _subtree.cache_clear()
     _siblings.cache_clear()
-    started = time.time()
+    started = time.monotonic()
     # a fresh run resumes the empty checkpoint; the resumed order's runs
-    # are enumerated once, to check the checkpoint and to cut its batches
-    ck, sizes, runs = _Checkpoint.resume(cfg)
+    # are enumerated once, to check the checkpoint and to cut its batches,
+    # and every order's over one set of tables, which lives while the run does
+    tables: dict = {}
+    ck, sizes, runs = _Checkpoint.resume(cfg, tables)
     files = _open_outputs(sizes)
     out = files[0]
     if cfg.fmt == "csv" and not ck.csv_bytes:
@@ -552,12 +576,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     try:
         if cfg.jobs > 1:
             _start_workers(cfg, workers)
-        batches = _batches(cfg, ck.order, ck.next_index, runs)
+        batches = _batches(cfg, ck.order, ck.next_index, runs, tables)
         for n, i, batch, (text, violations, tights) in _results(cfg, workers, batches):
             out.write(text)
             out.flush()
             ck.csv_crc = zlib.crc32(text, ck.csv_crc)
-            ck.records += len(batch)
+            ck.records += len(tights)
             ck.violation_count += violations.count(b"\n")
             grew = vio is not None and violations
             if grew:
@@ -567,7 +591,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 ck.violations_crc = zlib.crc32(violations, ck.violations_crc)
             if summary is not None:
                 # each code counts under its own order
-                for order, group in groupby(zip(batch, tights), lambda ct: len(ct[0])):
+                pairs = zip(batch_codes(batch), tights)
+                for order, group in groupby(pairs, lambda ct: len(ct[0])):
                     codes, flags = zip(*group)
                     bucket = summary["orders"].setdefault(str(order), _tight_bucket())
                     bucket["trees"] += len(codes)
@@ -577,9 +602,10 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                         bucket[key + "_codes"].extend(code_texts(tight))
             ck.order = n
             ck.next_index = i
-            ck.last_code = code_text(batch[-1])
+            head, forests = batch[-1]
+            ck.last_code = code_text(head + forests[-1])
             ck.csv_bytes = out.tell()
-            ck.elapsed = base_elapsed + (time.time() - started)
+            ck.elapsed = base_elapsed + (time.monotonic() - started)
             if cfg.checkpoint is not None:
                 # the outputs must be on disk before the offsets that name them
                 os.fsync(out.fileno())
@@ -601,7 +627,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             conn.close()
 
     ck.status = "complete"
-    ck.elapsed = base_elapsed + (time.time() - started)
+    ck.elapsed = base_elapsed + (time.monotonic() - started)
     if cfg.checkpoint is not None:
         ck.dump(cfg.checkpoint)
     return ck, summary

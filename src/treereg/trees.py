@@ -8,13 +8,14 @@ deterministic total order every enumeration consumer relies on.
 
 Generation composes each code from canonical rooted subtrees (Otter 1948):
 a free tree is a center with rooted subtrees hanging off it, or a central
-edge joining two rooted halves of equal height.  :func:`code_runs` builds
-ascending tables of rooted subtrees and the forests they make, once per
-call, and yields the codes as ``bytes`` in ascending runs, one per first
-block, each a slice of two tables.  So each isomorphism class appears
-exactly once without pairwise comparisons or a sort of the codes, no
-order's codes are held at once, and no Graph is built.  The sweeps and
-``enumerate`` write them in :func:`code_batches`.  Labeled input goes
+edge joining two rooted halves of equal height.  :func:`forest_runs`
+builds ascending tables of rooted subtrees and the forests they make, in a
+dict its caller may share across orders, and yields the codes as ``bytes``
+in ascending runs, one per first block, each a head and a slice of two
+tables.  So each isomorphism class appears exactly once without pairwise
+comparisons or a sort of the codes, no order's codes are held at once, and
+no Graph is built.  The sweeps and ``enumerate`` take the runs in
+:func:`code_batches`.  Labeled input goes
 through the adjacency-based canonicalizer, :func:`canonical_code`, which
 returns the same level sequence as a tuple of ints in O(n log n): it roots
 the tree at each center and orders children by AHU ranks, level by level.
@@ -239,7 +240,12 @@ def _blocks(s: int, h: int, tables: dict) -> list[bytes]:
     return [b"\1" + f.translate(_DEEPER) for f in _forests(s - 1, h - 1, tables)]
 
 
-def code_runs(n: int) -> Iterator[list[bytes]]:
+# A run of codes that share a first block: its head, the root's 0 and that
+# block, and its forests; its codes are head + forest.
+Run = tuple[bytes, list[bytes]]
+
+
+def forest_runs(n: int, tables: dict) -> Iterator[Run]:
     """Canonical codes of all non-isomorphic trees of order n, ascending, as
     ``bytes`` (one level per byte; bytes order is the code order), in runs
     that share a first block.
@@ -254,16 +260,16 @@ def code_runs(n: int) -> Iterator[list[bytes]]:
     its forest is B's: led by a block of height h - 1, and at most A's.  A
     unicentral tree's forest is led by a block of height h, at most X.  So
     every bicentral code sorts below every unicentral one with the same X,
-    each run is two slices of ascending tables, and only the first blocks
-    are sorted.  The tables live while the generator does.
+    each run's forests are two slices of ascending tables, the tables' own
+    entries, and only the first blocks are sorted.  ``tables`` serves every
+    order, so a sweep passes one dict to all of its orders.
     """
     cap = max_order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside 1..{cap}")
     if n == 1:
-        yield [b"\0"]
+        yield b"\0", [b""]
         return
-    tables: dict[tuple[int, int], list[bytes]] = {}
     for h in range((n - 2) // 2 + 1):
         path = bytes(range(1, h + 2))  # the least block of height h
         firsts, slices = [], {}
@@ -277,32 +283,51 @@ def code_runs(n: int) -> Iterator[list[bytes]]:
         firsts.sort()
         for x in firsts:
             g, g0, f, f0 = slices[len(x)]
-            head = b"\0" + x
             # g up to A's forest, x's own one level up; f led by a block <= x
-            run = [
-                *map(head.__add__, islice(g, g0, bisect_right(g, x[1:].translate(_UP)))),
-                *map(head.__add__, islice(f, f0, bisect_left(f, x + b"\2"))),
-            ]
-            if run:
-                yield run
+            forests = g[g0 : bisect_right(g, x[1:].translate(_UP))]
+            forests += f[f0 : bisect_left(f, x + b"\2")]
+            if forests:
+                yield b"\0" + x, forests
+
+
+def code_runs(n: int) -> Iterator[list[bytes]]:
+    """The runs of :func:`forest_runs`, each as its list of codes."""
+    for head, forests in forest_runs(n, {}):
+        yield [head + forest for forest in forests]
 
 
 def code_bytes(n: int) -> list[bytes]:
-    """The codes of :func:`code_runs` in one list."""
+    """The codes of :func:`forest_runs` in one list."""
     return [code for run in code_runs(n) for code in run]
 
 
-def code_batches(runs: Iterable[list[bytes]], size: int) -> Iterator[list[bytes]]:
-    """The codes of ``runs`` in order, in lists of whole runs of at least
-    ``size`` codes; only the last list may be shorter."""
-    batch: list[bytes] = []
+def code_batches(runs: Iterable[Run], size: int) -> Iterator[list[Run]]:
+    """``runs`` in order, in lists of whole runs of at least ``size`` codes;
+    only the last list may hold fewer."""
+    batch: list[Run] = []
+    count = 0
     for run in runs:
-        batch += run
-        if len(batch) >= size:
+        batch.append(run)
+        count += len(run[1])
+        if count >= size:
             yield batch
-            batch = []
+            batch, count = [], 0
     if batch:
         yield batch
+
+
+def code_run(code: bytes) -> Run:
+    """A ``bytes`` code as a one-tree run: its head, up to the root's second
+    child, and the rest as its one forest."""
+    end = code.find(1, 2)
+    if end < 0:
+        end = len(code)
+    return code[:end], [code[end:]]
+
+
+def batch_codes(batch: Iterable[Run]) -> list[bytes]:
+    """The codes of a batch of runs, in order."""
+    return [head + forest for head, forests in batch for forest in forests]
 
 
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:

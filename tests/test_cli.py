@@ -1,9 +1,12 @@
 """CLI behavior: subcommands, checkpoint/resume, determinism."""
 
+import gc
 import hashlib
 import json
 import random
 import re
+import sys
+import time
 from itertools import accumulate
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from treereg.trees import (
     code_bytes,
     code_runs,
     code_text,
+    forest_runs,
     graph_from_code,
     max_order_cap,
     tree_from_code,
@@ -468,11 +472,45 @@ class TestVerifyCommand:
         with pytest.raises(Killed):
             run_cli("verify", *common)
         enumerated = []
-        monkeypatch.setattr(census_mod, "code_runs", lambda n: (
-            enumerated.append(n), code_runs(n))[1])
+        monkeypatch.setattr(census_mod, "forest_runs", lambda n, tables: (
+            enumerated.append(n), forest_runs(n, tables))[1])
         assert run_cli("verify", *common) == 0
         # one stream of order 9 both checks the checkpoint and is cut in batches
         assert enumerated == [9, 10]
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_one_set_of_tables_serves_a_run_and_dies_with_it(
+        self, tmp_path, monkeypatch, kill_at_dump, resumed
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
+        common = ["--max-order", "10", "--out", str(tmp_path / "x.csv"),
+                  "--checkpoint", str(tmp_path / "ckpt.json")]
+        if resumed:
+            kill_at_dump(7)  # in order 9
+            with pytest.raises(Killed):
+                run_cli("verify", *common)
+        seen = []
+        monkeypatch.setattr(census_mod, "forest_runs", lambda n, tables: (
+            seen.append((n, tables)), forest_runs(n, tables))[1])
+        assert run_cli("verify", *common) == 0
+        orders, dicts = zip(*seen)
+        # the resume walk and every later order enumerate over one dict
+        assert orders == tuple(range(9 if resumed else 1, 11))
+        tables = dicts[0]
+        assert tables and all(t is tables for t in dicts)
+        del seen, dicts
+        gc.collect()
+        # once the run has returned, this test holds its tables' only reference
+        assert sys.getrefcount(tables) == 2
+
+    def test_elapsed_ignores_a_wall_clock_step(self, tmp_path, monkeypatch):
+        # the wall clock goes back an hour at each reading
+        steps = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(steps)))
+        ckpt = tmp_path / "ckpt.json"
+        ck, _ = run_verify(SweepConfig(max_order=9, out_csv=tmp_path / "x.csv",
+                                       checkpoint=ckpt))
+        assert 0 <= ck.elapsed == json.loads(ckpt.read_text())["elapsed"] < 600
 
     @pytest.mark.parametrize("content, names", [
         pytest.param(b'{"version": %d, "run_id": "x"}' % VERSION,
@@ -747,7 +785,8 @@ class TestVerifyCommand:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("change", [
-        "out overwritten", "index 0 at order 4", "violations a directory"])
+        "out overwritten", "index 0 at order 4", "elapsed negative",
+        "violations a directory"])
     def test_finished_checkpoint_is_held_to_its_bytes_and_place(
         self, tmp_path, capsys, change
     ):
@@ -767,6 +806,11 @@ class TestVerifyCommand:
             ckpt.write_text(json.dumps(dict(state, order=4, next_index=0)))
             expected = (f"checkpoint {ckpt} is malformed (key 'next_index' is 0, "
                         "must be >= 1); delete it to start over")
+        elif change == "elapsed negative":
+            # as a run timed by a wall clock that stepped back could store it
+            ckpt.write_text(json.dumps(dict(state, elapsed=-1.5)))
+            expected = (f"checkpoint {ckpt} is malformed (key 'elapsed' is -1.5, "
+                        "must be >= 0); delete it to start over")
         else:
             vio.unlink()
             vio.mkdir()
@@ -1150,7 +1194,7 @@ class TestWorkerPool:
                 # batches of exactly CHECKPOINT_EVERY codes, cut inside a run,
                 # as a sweep of this checkpoint version once cut them
                 m.setattr(census_mod, "code_batches", lambda runs, size: code_batches(
-                    ([code] for run in runs for code in run), size))
+                    ((head, [f]) for head, forests in runs for f in forests), size))
                 kill_at_dump(3)
             with pytest.raises(Killed):
                 run_cli("verify", *common)

@@ -16,6 +16,7 @@ from treereg.bounds import (
     code_kernel,
     record_for_code,
     record_for_tree,
+    run_kernel,
 )
 from treereg.cli import main
 from treereg.graphs import Graph, TreeWitness
@@ -28,6 +29,9 @@ from treereg.trees import (
     _rooted_levels,
     canonical_code,
     code_bytes,
+    code_run,
+    code_text,
+    forest_runs,
     graph_from_code,
     tree_from_code,
 )
@@ -123,6 +127,33 @@ def test_fold_matches_the_array_pass(n):
         assert code_kernel(code) == _level_pass(code)[:5]
 
 
+def assert_run_keys_match_the_array_pass(n, step):
+    # every step-th tree of order n, its key from its whole run's fold, so
+    # the run's first block is folded once for all of its forests
+    index = 0
+    for head, forests in forest_runs(n, {}):
+        picked = range(-index % step, len(forests), step)
+        if picked:
+            keys = run_kernel(head, forests)
+            assert len(keys) == len(forests)
+            for i in picked:
+                code = head + forests[i]
+                assert keys[i] == _level_pass(code)[:5], code_text(code)
+        index += len(forests)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_run_fold_matches_the_array_pass(n):
+    _subtree.cache_clear()
+    _siblings.cache_clear()
+    assert_run_keys_match_the_array_pass(n, 1)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_run_fold_matches_the_array_pass_on_every_500th_tree(n):
+    assert_run_keys_match_the_array_pass(n, 500)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.integers(0, 19))
 def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
@@ -193,8 +224,8 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
 def assert_fast_row_matches_the_record_path(levels, oracle=False):
     slow = record_for_tree(tree_from_code(levels), with_oracle=oracle)
     oracle_up_to = len(levels) if oracle else 0
-    text, violations, tights = census_mod._verify_batch(
-        [bytes(levels)], oracle_up_to, "csv")
+    run = code_run(bytes(levels))
+    text, violations, tights = census_mod._verify_batch([run], oracle_up_to, "csv")
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
         json.dumps(v.to_json_dict(), sort_keys=True).encode() + b"\n"
@@ -204,7 +235,7 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     # a JSONL line carries the witnesses; its violations and flags are the
     # CSV call's, from the same cached tail
     line, jsonl_violations, jsonl_tights = census_mod._verify_batch(
-        [bytes(levels)], oracle_up_to, "jsonl")
+        [run], oracle_up_to, "jsonl")
     assert line == (slow.to_jsonl() + "\n").encode()
     assert (jsonl_violations, jsonl_tights) == (violations, tights)
 

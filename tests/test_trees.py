@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treereg.graphs import TreeWitness, from_edge_list, path_graph
 from treereg.trees import (
     _code_levels,
+    batch_codes,
     canonical_code,
     code_batches,
     code_bytes,
@@ -18,6 +18,7 @@ from treereg.trees import (
     code_texts,
     count_trees,
     enumerate_trees,
+    forest_runs,
     graph_from_code,
     max_order_cap,
     tree_from_code,
@@ -163,14 +164,38 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 4_000_000
 
+    def test_one_set_of_tables_serves_every_order(self):
+        tables = {}
+        for n in range(1, 19):
+            runs = list(forest_runs(n, tables))
+            assert batch_codes(runs) == code_bytes(n), n
+            # a run's forests are its tables' own entries, not copies (order
+            # 1 is the root alone, from no table)
+            entries = {id(forest) for table in tables.values() for forest in table}
+            assert n == 1 or all(id(f) in entries for _, fs in runs for f in fs), n
+
+    def test_shared_tables_of_orders_1_to_18_hold_no_order_in_memory(self):
+        # the order-18 walk's own bound: nearly every table of a smaller
+        # order is one of order 18's too
+        tracemalloc.start()
+        try:
+            tables = {}
+            for n in range(1, 19):
+                for _ in forest_runs(n, tables):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     @pytest.mark.parametrize("size", [1, 7, 100])
     def test_batches_are_whole_runs_of_at_least_size_codes(self, size):
-        runs = list(code_runs(12))
+        runs = list(forest_runs(12, {}))
         batches = list(code_batches(iter(runs), size))
-        assert [code for batch in batches for code in batch] == code_bytes(12)
-        assert all(len(batch) >= size for batch in batches[:-1])
-        ends = set(accumulate(map(len, runs)))
-        assert all(end in ends for end in accumulate(map(len, batches)))
+        # each batch is whole runs, in order
+        assert [run for batch in batches for run in batch] == runs
+        assert [code for batch in batches for code in batch_codes(batch)] == code_bytes(12)
+        assert all(len(batch_codes(batch)) >= size for batch in batches[:-1])
         assert list(code_batches(iter([]), size)) == []
 
     def test_code_text_of_bytes_joins_every_level(self):
