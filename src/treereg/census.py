@@ -24,10 +24,13 @@ checkpoint path touches no output either.  The checkpoint is a single
 versioned JSON file of offsets, counts and the CRC-32 of each file's bytes
 up to its offset, written atomically after every batch once it and each
 file whose offset it advances are fsynced; it and its temporary file must
-be neither output, and it resumes whatever batch size wrote it.  Every run
-is a resume, and :meth:`_Checkpoint.resume` is where a run learns what it
-resumes: a fresh run resumes the empty checkpoint, and a finished one
-resumes with no batch left.  Every run opens its files in one call and
+be neither output, and it resumes whatever batch size wrote it.  Its one
+record of the sweep's place is ``records``, the number of trees written:
+the orders before the last of them are skipped by :func:`count_trees`,
+with no enumeration.  Every run is a resume, and
+:meth:`_Checkpoint.resume` is where a run learns what it resumes: a fresh
+run resumes the empty checkpoint, and a finished one resumes with no
+batch left.  Every run opens its files in one call and
 cuts each back to its offset (0 when fresh), so a resumed run finishes
 with byte-identical output, and a finished rerun drops whatever was
 appended past the offsets.  A loaded checkpoint is refused before any file
@@ -35,8 +38,8 @@ is touched when it is not a well-formed checkpoint of this version, when
 its parameters differ from the run's (the refusal names each one that
 differs), when a file is missing, shorter than its offset or holds other
 bytes before it (each is read up to its offset for their CRC-32), or when
-its last code is not the one the enumeration puts just before its index;
-the sweep goes on from there in the same stream of that order's runs.
+its last code is not the enumeration's tree number ``records``; the sweep
+goes on from there in the same stream of runs.
 
 Trees travel as runs (:func:`forest_runs`), a head and its forests, and
 a code, ``head + forest``, is joined only where one is needed.  Records
@@ -89,6 +92,7 @@ from .trees import (
     code_batches,
     code_text,
     code_texts,
+    count_trees,
     forest_runs,
     max_order_cap,
 )
@@ -182,17 +186,15 @@ class SweepConfig:
 class _Checkpoint:
     params: dict
     status: str = "running"  # for readers; the sweep never reads it
-    order: int = MIN_ORDER
-    next_index: int = 0
     last_code: str = ""
     csv_bytes: int = 0
     csv_crc: int = 0  # zlib.crc32 of the first csv_bytes bytes
-    records: int = 0
+    records: int = 0  # the sweep's place: the trees it has written
     violations_bytes: int = 0
     violations_crc: int = 0
     violation_count: int = 0
     elapsed: float = 0.0
-    version: int = 3  # the layout this sweep writes, and the only one it resumes
+    version: int = 4  # the layout this sweep writes, and the only one it resumes
 
     @staticmethod
     def temporary(path: Path) -> Path:
@@ -209,26 +211,30 @@ class _Checkpoint:
 
     @classmethod
     def resume(
-        cls, cfg: SweepConfig, tables: dict
+        cls, cfg: SweepConfig
     ) -> tuple["_Checkpoint", dict[Path, int], Iterator[Run]]:
         """The checkpoint ``cfg`` resumes, each output path's offset in it,
-        and the runs of its order from its index on, enumerated over
-        ``tables``.
+        and the runs of every tree after its ``records`` trees, through
+        ``cfg.max_order``, enumerated over one set of forest tables.
 
         Without a checkpoint file that is the empty checkpoint, whose
         offsets are all 0.  A loaded one is refused (``ValueError``) before
         any output is touched unless it is a well-formed checkpoint of this
         version with this run's parameters, each file it counts holds its
-        offset's bytes with their CRC-32, and the enumeration has its last
-        code just before its index.  Last, a checkpoint path is refused
-        unless its temporary file can be made; the file is removed again,
-        with any a killed dump left there.
+        offset's bytes with their CRC-32, and the enumeration's tree number
+        ``records`` is its last code.  Whole orders before that tree are
+        skipped by their :func:`count_trees`, and only its own order is
+        walked.  Last, a checkpoint path is refused unless its temporary
+        file can be made; the file is removed again, with any a killed dump
+        left there.
         """
         path = cfg.checkpoint
         paths = [p for p in (cfg.out_csv, cfg.violations_out, cfg.summary_out) if p]
+        tables: dict = {}
+        order = MIN_ORDER
         if path is None or not path.exists():
             ck, sizes = cls(cfg.params()), dict.fromkeys(paths, 0)
-            runs = forest_runs(ck.order, tables)
+            runs = forest_runs(order, tables)
         else:
 
             def refused(text: str, it: str = "it") -> ValueError:
@@ -266,31 +272,21 @@ class _Checkpoint:
                         f"is malformed (key {key!r} must be {expected.__name__}, "
                         f"found {type(value).__name__})"
                     )
-                if key == "params":
-                    # older checkpoints hold the batch size, which never
-                    # changes the bytes
-                    value.pop("checkpoint_every", None)
-                    if value != run:
-                        differ = "; ".join(
-                            f"{k}: {value.get(k)} in the checkpoint, "
-                            f"{run.get(k)} in this run"
-                            for k in sorted(value.keys() | run.keys())
-                            if value.get(k) != run.get(k)
-                        )
-                        raise ValueError(
-                            "checkpoint parameters do not match this run; "
-                            f"refusing to resume ({differ})"
-                        )
+                if key == "params" and value != run:
+                    differ = "; ".join(
+                        f"{k}: {value.get(k)} in the checkpoint, {run.get(k)} in this run"
+                        for k in sorted(value.keys() | run.keys())
+                        if value.get(k) != run.get(k)
+                    )
+                    raise ValueError(
+                        "checkpoint parameters do not match this run; "
+                        f"refusing to resume ({differ})"
+                    )
                 # counts, offsets and time are >= 0, and a sweep dumps only
-                # after a batch, so its index is >= 1 in one of this run's orders
-                if expected in (int, float) and key != "version":
-                    low = MIN_ORDER if key == "order" else 1 if key == "next_index" else 0
-                    high = cfg.max_order if key == "order" else None
-                    if value < low or (high is not None and value > high):
-                        allowed = f">= {low}" if high is None else f"{low}..{high}"
-                        raise refused(
-                            f"is malformed (key {key!r} is {value}, must be {allowed})"
-                        )
+                # after a batch, so it has written at least one record
+                low = 1 if key == "records" else 0
+                if expected in (int, float) and key != "version" and value < low:
+                    raise refused(f"is malformed (key {key!r} is {value}, must be >= {low})")
             ck = cls(**data)
             # validate() keeps summary_out out of a checkpointed run
             sizes = dict(zip(paths, (ck.csv_bytes, ck.violations_bytes)))
@@ -313,8 +309,13 @@ class _Checkpoint:
                         f"which have {found:08x}",
                         "the checkpoint",
                     )
-            # walk the order's runs to the one that holds the last code
-            runs, i, there = forest_runs(ck.order, tables), ck.next_index - 1, None
+            # skip the orders before the last code by count, then walk its
+            # order's runs to it; a count past the sweep's end finds none
+            index = ck.records - 1
+            while order < cfg.max_order and index >= count_trees(order):
+                index -= count_trees(order)
+                order += 1
+            runs, i, there = forest_runs(order, tables), index, None
             for head, forests in runs:
                 if i < len(forests):
                     there = code_text(head + forests[i])
@@ -324,8 +325,7 @@ class _Checkpoint:
                 i -= len(forests)
             if there != ck.last_code:
                 raise refused(
-                    f"names code {ck.last_code!r} at order {ck.order} "
-                    f"index {ck.next_index - 1}, "
+                    f"names code {ck.last_code!r} at order {order} index {index}, "
                     f"but the enumeration has {there!r} there",
                     "the checkpoint",
                 )
@@ -336,7 +336,8 @@ class _Checkpoint:
                 tmp.unlink()
             except OSError as exc:
                 raise ValueError(f"--checkpoint {path} is not writable: {exc}") from None
-        return ck, sizes, runs
+        later = (forest_runs(n, tables) for n in range(order + 1, cfg.max_order + 1))
+        return ck, sizes, chain(runs, *later)
 
 
 _TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
@@ -415,28 +416,6 @@ def _verify_batch(
     return "\n".join(lines).encode(), "".join(violations).encode(), tights
 
 
-def _order(run: Run) -> int:
-    """The order of a run's trees."""
-    head, forests = run
-    return len(head) + len(forests[0])
-
-
-def _batches(
-    cfg: SweepConfig, order: int, index: int, runs: Iterator[Run], tables: dict
-) -> Iterator[tuple[int, int, list[Run]]]:
-    """Each batch from ``runs``, the rest of ``order`` after ``index``, on,
-    with the place of its last code: ``(order, next_index, batch)``.  Every
-    later order is enumerated over ``tables``."""
-    later = (forest_runs(n, tables) for n in range(order + 1, cfg.max_order + 1))
-    for batch in code_batches(chain(runs, *later), CHECKPOINT_EVERY):
-        n = _order(batch[-1])
-        # the batch is in code order, so its runs of order n come last
-        last = sum(len(run[1]) for run in batch if _order(run) == n)
-        index = index + last if n == order else last
-        order = n
-        yield order, index, batch
-
-
 def _serve(
     conn: Connection, callers: list[Connection], oracle_up_to: int, fmt: str
 ) -> None:
@@ -487,10 +466,8 @@ def _received(conn: Connection) -> tuple:
 
 
 def _results(
-    cfg: SweepConfig,
-    workers: list,
-    batches: Iterator[tuple[int, int, list[Run]]],
-) -> Iterator[tuple[int, int, list[Run], tuple]]:
+    cfg: SweepConfig, workers: list, batches: Iterator[list[Run]]
+) -> Iterator[tuple[list[Run], tuple]]:
     """Each batch with its :func:`_verify_batch` result, in batch order.
 
     In process without workers.  With them, each holds one batch at a
@@ -500,24 +477,24 @@ def _results(
     to it, so no pipe can fill both ways and stall them.
     """
     if not workers:
-        for n, i, batch in batches:
-            yield n, i, batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt)
+        for batch in batches:
+            yield batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt)
         return
-    flight: deque = deque()  # ((n, i, batch), conn), earliest first
-    for item in batches:
+    flight: deque = deque()  # (batch, conn), earliest first
+    for batch in batches:
         done = None
         if len(flight) < len(workers):
             conn = workers[len(flight)][1]
         else:
             done, conn = flight.popleft()
             result = _received(conn)
-        conn.send(item[2])
-        flight.append((item, conn))
+        conn.send(batch)
+        flight.append((batch, conn))
         if done is not None:
-            yield *done, result
+            yield done, result
     while flight:
         done, conn = flight.popleft()
-        yield *done, _received(conn)
+        yield done, _received(conn)
 
 
 def _open_outputs(sizes: dict[Path, int]) -> list:
@@ -557,9 +534,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     started = time.monotonic()
     # a fresh run resumes the empty checkpoint; the resumed order's runs
     # are enumerated once, to check the checkpoint and to cut its batches,
-    # and every order's over one set of tables, which lives while the run does
-    tables: dict = {}
-    ck, sizes, runs = _Checkpoint.resume(cfg, tables)
+    # and every order's over one set of tables, which goes with the stream
+    ck, sizes, runs = _Checkpoint.resume(cfg)
     files = _open_outputs(sizes)
     out = files[0]
     if cfg.fmt == "csv" and not ck.csv_bytes:
@@ -576,8 +552,8 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     try:
         if cfg.jobs > 1:
             _start_workers(cfg, workers)
-        batches = _batches(cfg, ck.order, ck.next_index, runs, tables)
-        for n, i, batch, (text, violations, tights) in _results(cfg, workers, batches):
+        batches = code_batches(runs, CHECKPOINT_EVERY)
+        for batch, (text, violations, tights) in _results(cfg, workers, batches):
             out.write(text)
             out.flush()
             ck.csv_crc = zlib.crc32(text, ck.csv_crc)
@@ -600,8 +576,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                         tight = [code for code, f in zip(codes, flags) if f[k]]
                         bucket[key] += len(tight)
                         bucket[key + "_codes"].extend(code_texts(tight))
-            ck.order = n
-            ck.next_index = i
             head, forests = batch[-1]
             ck.last_code = code_text(head + forests[-1])
             ck.csv_bytes = out.tell()

@@ -290,15 +290,9 @@ def forest_runs(n: int, tables: dict) -> Iterator[Run]:
                 yield b"\0" + x, forests
 
 
-def code_runs(n: int) -> Iterator[list[bytes]]:
-    """The runs of :func:`forest_runs`, each as its list of codes."""
-    for head, forests in forest_runs(n, {}):
-        yield [head + forest for forest in forests]
-
-
 def code_bytes(n: int) -> list[bytes]:
     """The codes of :func:`forest_runs` in one list."""
-    return [code for run in code_runs(n) for code in run]
+    return batch_codes(forest_runs(n, {}))
 
 
 def code_batches(runs: Iterable[Run], size: int) -> Iterator[list[Run]]:
@@ -332,9 +326,9 @@ def batch_codes(batch: Iterable[Run]) -> list[bytes]:
 
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:
     """One witness per isomorphism class of order-n trees, ascending code order."""
-    for run in code_runs(n):
-        for code in run:
-            yield tree_from_code(code)
+    for head, forests in forest_runs(n, {}):
+        for forest in forests:
+            yield tree_from_code(head + forest)
 
 
 @cache

@@ -23,8 +23,8 @@ from treereg.trees import (
     canonical_code,
     code_batches,
     code_bytes,
-    code_runs,
     code_text,
+    count_trees,
     forest_runs,
     graph_from_code,
     max_order_cap,
@@ -41,6 +41,16 @@ ORDER16_SHA256 = "c0dcebee9b566c317c5dc7d73cf49b175f1932e9335ddde85e53b2ca0bb300
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def place(state: dict) -> tuple[int, int]:
+    """The order of a checkpoint's last code and the index just past it in
+    that order, from the number of records it counts."""
+    order, index = 1, state["records"]
+    while index > count_trees(order):
+        index -= count_trees(order)
+        order += 1
+    return order, index
 
 
 class TestInvariantsCommand:
@@ -389,7 +399,7 @@ class TestVerifyCommand:
                     "--violations", str(tmp_path / "c.jsonl"),
                     "--checkpoint", str(ckpt))
         state = json.loads(ckpt.read_text())
-        assert (state["order"], state["next_index"]) == (6, len(code_bytes(6)))
+        assert place(state) == (6, len(code_bytes(6)))
         assert run_cli("verify", "--max-order", "7", "--out", str(crash),
                        "--violations", str(tmp_path / "c.jsonl"),
                        "--checkpoint", str(ckpt)) == 0
@@ -446,7 +456,7 @@ class TestVerifyCommand:
         with pytest.raises(Killed):
             run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
-        order, index = state["order"], state["next_index"]
+        order, index = place(state)
         assert (order, index) == (9, 15)
         assert csv.stat().st_size > state["csv_bytes"]
         real = state["last_code"]
@@ -460,6 +470,38 @@ class TestVerifyCommand:
         assert f"order {order} index {index - 1}" in err
         assert repr(wrong) in err and repr(real) in err
         assert csv.read_bytes() == before
+
+    @pytest.mark.parametrize("shift", [1, -1, 1000],
+                             ids=["one more", "one fewer", "past the total"])
+    def test_resume_refuses_a_record_count_off_its_last_code(
+        self, tmp_path, capsys, monkeypatch, kill_at_dump, shift
+    ):
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
+        ckpt = tmp_path / "ckpt.json"
+        common = ["--max-order", "9", "--out", str(tmp_path / "x.csv"),
+                  "--violations", str(tmp_path / "x.jsonl"),
+                  "--checkpoint", str(ckpt)]
+        kill_at_dump(7)  # the checkpoint 15 trees into order 9
+        with pytest.raises(Killed):
+            run_cli("verify", *common)
+        state = json.loads(ckpt.read_text())
+        records = state["records"] + shift
+        ckpt.write_text(json.dumps(dict(state, records=records)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        # the count alone places the last code: orders 1-8 hold 48 trees,
+        # and the sweep's 95 trees end at order 9's index 46
+        index = records - 1 - sum(map(count_trees, range(1, 9)))
+        codes = code_bytes(9)
+        there = code_text(codes[index]) if index < len(codes) else None
+        assert (there is None) == (records > 95)
+        assert capsys.readouterr().err == (
+            f"treereg: error: checkpoint {ckpt} names code {state['last_code']!r} at "
+            f"order 9 index {index}, but the enumeration has {there!r} there; "
+            "delete the checkpoint to start over\n"
+        )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_enumerates_its_order_once(
         self, tmp_path, capsys, monkeypatch, kill_at_dump
@@ -484,6 +526,7 @@ class TestVerifyCommand:
     ):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 10)
         common = ["--max-order", "10", "--out", str(tmp_path / "x.csv"),
+                  "--violations", str(tmp_path / "x.jsonl"),
                   "--checkpoint", str(tmp_path / "ckpt.json")]
         if resumed:
             kill_at_dump(7)  # in order 9
@@ -514,7 +557,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("content, names", [
         pytest.param(b'{"version": %d, "run_id": "x"}' % VERSION,
-                     ("missing keys", "next_index", "csv_bytes"), id="missing-keys"),
+                     ("missing keys", "records", "csv_bytes"), id="missing-keys"),
         pytest.param(b'{"version": %d, "run_id": "x", "bogus": 1}' % VERSION,
                      ("unexpected keys", "bogus"), id="unexpected-keys"),
         (b"[1, 2]", ("JSON object", "list")),
@@ -545,7 +588,7 @@ class TestVerifyCommand:
         assert not csv.exists() and not vio.exists()
 
     @pytest.mark.parametrize("key, value, expected, found", [
-        ("next_index", "10", "int", "str"),
+        ("elapsed", "10", "float", "str"),
         ("csv_bytes", None, "int", "NoneType"),
         ("violations_bytes", {}, "int", "dict"),
         ("last_code", [], "str", "list"),
@@ -574,11 +617,9 @@ class TestVerifyCommand:
         assert csv.read_bytes() == before
 
     @pytest.mark.parametrize("key, value, allowed", [
-        ("next_index", -3, ">= 1"),
-        ("order", 99, "1..8"),
-        ("order", 0, "1..8"),
+        ("records", 0, ">= 1"),
+        ("records", -1, ">= 1"),
         ("csv_bytes", -1, ">= 0"),
-        ("records", -1, ">= 0"),
         ("violations_bytes", -1, ">= 0"),
         ("violation_count", -1, ">= 0"),
     ])
@@ -596,8 +637,6 @@ class TestVerifyCommand:
             run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
         state[key] = value
-        if key == "order":
-            state["next_index"] = 0
         ckpt.write_text(json.dumps(state))
         before = csv.read_bytes()
         assert run_cli("verify", *common) == 2
@@ -606,8 +645,8 @@ class TestVerifyCommand:
         assert f"key {key!r} is {value}, must be {allowed}" in err
         assert csv.read_bytes() == before
 
-    @pytest.mark.parametrize("version", [None, 1, VERSION - 1, VERSION + 1],
-                             ids=["None", "1", "previous", "next"])
+    @pytest.mark.parametrize("version", [None, 1, 3, VERSION - 1, VERSION + 1],
+                             ids=["None", "1", "3", "previous", "next"])
     def test_checkpoint_of_another_version_is_refused(
         self, tmp_path, capsys, monkeypatch, kill_at_dump, version
     ):
@@ -625,7 +664,11 @@ class TestVerifyCommand:
                      "last_completed_code": {"6": "0 1 2 1 1 1"}, "csv_bytes": 130,
                      "records": 10, "violations": [], "elapsed": 0.01}
         else:
-            state = dict(json.loads(ckpt.read_text()), version=version)
+            state = json.loads(ckpt.read_text())
+            # version 3 also held the place as an order and an index in it
+            order, index = place(state)
+            state.update(version=version, **(
+                {"order": order, "next_index": index} if version == 3 else {}))
         ckpt.write_text(json.dumps(state))
         vio.write_bytes(b'{"check": "x", "detail": "y", "tree_code": "0 1"}\n')
         before = csv.read_bytes(), vio.read_bytes()
@@ -803,9 +846,10 @@ class TestVerifyCommand:
                         f"the first {state['csv_bytes']} bytes of {csv}, which have ")
         elif change == "index 0 at order 4":
             # would resume order 4 from its start, and write 11 rows again
-            ckpt.write_text(json.dumps(dict(state, order=4, next_index=0)))
-            expected = (f"checkpoint {ckpt} is malformed (key 'next_index' is 0, "
-                        "must be >= 1); delete it to start over")
+            ckpt.write_text(json.dumps(dict(state, records=3)))
+            expected = (f"checkpoint {ckpt} names code {state['last_code']!r} at order 3 "
+                        f"index 0, but the enumeration has {code_text(code_bytes(3)[0])!r} "
+                        "there; delete the checkpoint to start over")
         elif change == "elapsed negative":
             # as a run timed by a wall clock that stepped back could store it
             ckpt.write_text(json.dumps(dict(state, elapsed=-1.5)))
@@ -968,7 +1012,7 @@ class TestVerifyCommand:
             kill_at_dump(5)
             with pytest.raises(Killed):
                 run_cli(*argv)
-            assert json.loads(ckpt.read_text())["next_index"] == 36
+            assert place(json.loads(ckpt.read_text())) == (9, 36)
         assert run_cli(*argv, "--jobs", "2" if run == "jobs2" else "1") == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
 
@@ -1077,7 +1121,7 @@ class TestWorkerPool:
         kill_at_dump(2)
         with pytest.raises(Killed):
             run_cli("verify", *common)
-        assert json.loads(ckpt.read_text())["next_index"] == 64
+        assert place(json.loads(ckpt.read_text())) == (10, 64)
         assert run_cli("verify", *common) == 1
         assert (csv.read_bytes(), vio.read_bytes()) == ref
         assert not tmp.exists()
@@ -1114,14 +1158,25 @@ class TestWorkerPool:
         assert (csv.read_bytes(), vio.read_bytes()) == ref
 
     def test_old_checkpoint_resumes_at_any_batch_size(
-        self, tmp_path, monkeypatch, kill_at_dump, probe
+        self, tmp_path, monkeypatch, kill_at_dump, capsys, probe
     ):
         ref = self.reference(tmp_path)
         csv, vio, ckpt, common = self.crash_mid_batch(
             tmp_path, monkeypatch, kill_at_dump, "1")
-        # checkpoints once named the batch size among their parameters
+        # only checkpoints of an older version named the batch size among
+        # their parameters; one of this version that names it is refused
         state = json.loads(ckpt.read_text())
-        state["params"]["checkpoint_every"] = 1000
+        params = dict(state["params"], checkpoint_every=1000)
+        ckpt.write_text(json.dumps(dict(state, params=params)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("verify", *common) == 2
+        assert capsys.readouterr().err == (
+            "treereg: error: checkpoint parameters do not match this run; refusing "
+            "to resume (checkpoint_every: 1000 in the checkpoint, None in this run)\n"
+        )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the checkpoint of batches of 7 resumes at the default size
         ckpt.write_text(json.dumps(state))
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", CHECKPOINT_EVERY)
         assert run_cli("verify", *common) == 1
@@ -1137,7 +1192,7 @@ class TestWorkerPool:
     ):
         _, vio, ckpt, _ = self.crash_mid_batch(tmp_path, monkeypatch, kill_at_dump, "1")
         state = json.loads(ckpt.read_text())
-        assert (state["order"], state["next_index"]) == (10, 55)
+        assert place(state) == (10, 55)
         assert all(isinstance(value, (str, int, float))
                    for key, value in state.items() if key != "params")
         counted = vio.read_bytes()[: state["violations_bytes"]]
@@ -1149,7 +1204,7 @@ class TestWorkerPool:
         real_dump = census_mod._Checkpoint.dump
         cuts = []
         monkeypatch.setattr(census_mod._Checkpoint, "dump", lambda ck, path: (
-            cuts.append((ck.order, ck.next_index)), real_dump(ck, path)))
+            cuts.append(ck.records), real_dump(ck, path)))
         outputs, layouts = set(), set()
         for size in (1000, CHECKPOINT_EVERY, 6000):
             monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", size)
@@ -1180,15 +1235,15 @@ class TestWorkerPool:
         assert json.loads(outputs[1][1])["orders"]["10"]["lb_tight_codes"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("place", ["batch across orders", "index inside a run"])
+    @pytest.mark.parametrize("where", ["batch across orders", "index inside a run"])
     def test_resume_gives_the_order_16_pin(
-        self, tmp_path, monkeypatch, capsys, kill_at_dump, jobs, place
+        self, tmp_path, monkeypatch, capsys, kill_at_dump, jobs, where
     ):
         csv, ckpt = tmp_path / "x.csv", tmp_path / "ck.json"
         common = ["--max-order", "16", "--jobs", jobs, "--out", str(csv),
                   "--violations", str(tmp_path / "x.jsonl"), "--checkpoint", str(ckpt)]
         with monkeypatch.context() as m:
-            if place == "batch across orders":
+            if where == "batch across orders":
                 kill_at_dump(4)  # the batch of order 15's end and order 16's start
             else:
                 # batches of exactly CHECKPOINT_EVERY codes, cut inside a run,
@@ -1199,12 +1254,13 @@ class TestWorkerPool:
             with pytest.raises(Killed):
                 run_cli("verify", *common)
         state = json.loads(ckpt.read_text())
-        order, index = state["order"], state["next_index"]
-        if place == "batch across orders":
+        order, index = place(state)
+        if where == "batch across orders":
             rows = csv.read_bytes()[state["csv_bytes"]:].splitlines()
             assert {int(row.split(b",")[1]) for row in rows} == {15, 16}
         else:
-            assert index not in set(accumulate(map(len, code_runs(order))))
+            runs = forest_runs(order, {})
+            assert index not in set(accumulate(len(forests) for _, forests in runs))
             # the code after the last one, in the same run, is refused there
             codes = code_bytes(order)
             wrong, real = code_text(codes[index]), code_text(codes[index - 1])

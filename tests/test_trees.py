@@ -13,7 +13,6 @@ from treereg.trees import (
     canonical_code,
     code_batches,
     code_bytes,
-    code_runs,
     code_text,
     code_texts,
     count_trees,
@@ -141,7 +140,7 @@ class TestEnumeration:
             end = code.find(1, 2)
             return code[1:] if end < 0 else code[1:end]
 
-        runs = list(code_runs(n))
+        runs = [[head + f for f in forests] for head, forests in forest_runs(n, {})]
         codes = [code for run in runs for code in run]
         assert all(a < b for a, b in zip(codes, codes[1:]))
         assert all(run and len({first_block(code) for code in run}) == 1 for run in runs)
@@ -149,16 +148,16 @@ class TestEnumeration:
         assert len(codes) == count_trees(n)
 
     def test_order_20_runs(self):
-        sizes = [len(run) for run in code_runs(20)]
+        sizes = [len(forests) for _, forests in forest_runs(20, {})]
         assert (len(sizes), max(sizes), sum(sizes)) == (54_548, 7_566, 823_065)
 
     def test_runs_of_order_18_hold_no_order_in_memory(self):
-        # the forest tables and one run at a time, against 8.7 MB for the
-        # order's list of codes
+        # the forest tables and one run's joined codes at a time, against
+        # 8.7 MB for the order's list of codes
         tracemalloc.start()
         try:
-            for _ in code_runs(18):
-                pass
+            for head, forests in forest_runs(18, {}):
+                [head + forest for forest in forests]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
