@@ -1,18 +1,20 @@
 """The one sweep behind `treereg verify` and `treereg census`.
 
 Every tree of orders 1..max_order goes enumeration -> record -> output
-line, plus its bound violations and, for a census, its tightness flags; the
-records file holds CSV rows (resumable from a checkpoint) or JSONL records.
+line, plus its bound violations and, for a census, its place in the
+tightness summary; the records file holds CSV rows (resumable from a
+checkpoint) or JSONL records.
 
 Trees stream in (order, code) order, so output is deterministic.  One
 stream of batches, each of whole first-block runs and at least
 :data:`CHECKPOINT_EVERY` codes, runs across every order, enumerated over
 one set of forest tables that the run, its resume walk included, shares
-and drops as it ends.  :func:`_verify_batch` turns a batch into its
-joined output lines, violation JSONL lines and tight flags, appended to
-the two files as they come.  A
-batch is both a worker's task and the unit of durable commit, and its size
-never changes the output bytes.  Without workers it runs in process; with
+and drops as it ends.  :func:`_verify_batch` turns a batch into two byte
+strings, its joined output lines and violation JSONL lines, appended to
+the two files as they come.  A batch is both a worker's task and the unit
+of durable commit, and its size never changes the output bytes.  A
+census's summary is counted in process as each row is made, so a run with
+a summary is refused workers.  Without workers a batch runs in process; with
 ``jobs`` forked workers each holds one batch at a time, over its own pipe,
 and the results are taken in batch order, so the workers carry on while a
 batch is written and the bytes equal a serial run's.  The workers share no
@@ -41,21 +43,21 @@ bytes before it (each is read up to its offset for their CRC-32), or when
 its last code is not the enumeration's tree number ``records``; the sweep
 goes on from there in the same stream of runs.
 
-Trees travel as runs (:func:`forest_runs`), a head and its forests, and
-a code, ``head + forest``, is joined only where one is needed.  Records
-come from the level sequence itself, with no Graph built, the homology
-oracle's included.
-Every tree, in either format, has its violations and tight flags, and its
-CSV row after the code text, from a tail that depends only on its key,
+Trees travel as runs (:func:`forest_runs`), a head and its forests, from
+enumeration to the written bytes, and a code, ``head + forest``, is joined
+only at the oracle's orders and for a JSONL line.  Records come from the
+level sequence itself, with no Graph built, the homology oracle's included.
+Every tree, in either format, has its violations, the bounds it meets, and
+its CSV row after the code text, from a tail that depends only on its key,
 (n, p, d, im, alpha) and, at the oracle's orders, reg.  :func:`code_texts`
-gives a whole batch's texts in a few C-level byte operations (a batch with
-a two-digit level joins each code's level strings instead), and
+joins a whole batch's texts straight from its runs in a few C-level byte
+operations (a batch with a two-digit level texts each code instead), and
 :func:`run_kernel` folds each key from its run's first rooted subtree,
 summarized once per run, and the cached state of its forest, each
 distinct subtree and forest once per sweep; at the oracle's orders the
 forest DP's reg of the level sequence is appended to it.  Each distinct
-tail, with its violations and tight flags, is built once per run from a
-record by :func:`_record`,
+tail, with its violations and the names of the bounds it meets, is built
+once per run from a record by :func:`_record`,
 ``csv_row`` and :func:`verify_record`, so the row format and the
 inequalities each stay in one place.  The format picks only the line: a
 JSONL line, which carries witnesses, is the :func:`record_for_code`
@@ -71,7 +73,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
@@ -88,7 +90,6 @@ from .bounds import (
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .trees import (
     Run,
-    batch_codes,
     code_batches,
     code_text,
     code_texts,
@@ -170,6 +171,9 @@ class SweepConfig:
         # a resume restores neither the tightness buckets nor the format
         if self.checkpoint is not None and self.summary_out is not None:
             raise ValueError("checkpoint cannot be combined with summary_out")
+        # the summary is counted in process, where no worker's batch reaches
+        if self.jobs > 1 and self.summary_out is not None:
+            raise ValueError("jobs > 1 cannot be combined with summary_out")
         if self.checkpoint is not None and self.fmt != "csv":
             raise ValueError(f"checkpoint cannot be combined with fmt={self.fmt!r}")
 
@@ -344,20 +348,15 @@ _TIGHT_KEYS = ("lb_tight", "ub_tight", "wub_tight")
 
 
 def _tight_bucket() -> dict:
-    return {
-        "trees": 0,
-        "lb_tight": 0,
-        "ub_tight": 0,
-        "wub_tight": 0,
-        "lb_tight_codes": [],
-        "ub_tight_codes": [],
-        "wub_tight_codes": [],
-    }
+    """An order's summary: its trees, and the count and codes of each bound's
+    tight trees."""
+    bucket: dict = {"trees": 0, **dict.fromkeys(_TIGHT_KEYS, 0)}
+    return bucket | {key + "_codes": [] for key in _TIGHT_KEYS}
 
 
 # A CSV row after its code, the row's violations as (check, detail) pairs,
-# and its tight flags.
-_Tail = tuple[str, list[tuple[str, str]], tuple[bool, bool, bool]]
+# and the names in _TIGHT_KEYS of the bounds it meets.
+_Tail = tuple[str, list[tuple[str, str]], tuple[str, ...]]
 
 # (n, p, d, im, alpha), with the oracle's reg appended at the oracle's
 # orders, -> its _Tail.  run_verify empties it, and the kernel's subtree
@@ -374,7 +373,7 @@ def _row_tail(key: tuple) -> _Tail:
     reg = key[5] if len(key) > 5 else None
     record = _record("", *key[:5], reg, (), ())
     checks = [(v.check, v.detail) for v in verify_record(record)]
-    return record.csv_row(), checks, (record.lb_tight, record.ub_tight, record.wub_tight)
+    return record.csv_row(), checks, tuple(k for k in _TIGHT_KEYS if getattr(record, k))
 
 
 def _jsonl(v: Violation) -> str:
@@ -382,38 +381,50 @@ def _jsonl(v: Violation) -> str:
 
 
 def _verify_batch(
-    runs: list[Run], oracle_up_to: int, fmt: str
-) -> tuple[bytes, bytes, list[tuple[bool, bool, bool]]]:
+    runs: list[Run], oracle_up_to: int, fmt: str, summary: Optional[dict] = None
+) -> tuple[bytes, bytes]:
     """Worker step: one batch of runs to its output lines and its
-    violations' JSONL lines (each joined, each line ending in a newline)
-    and each tree's tight flags.
+    violations' JSONL lines, each joined, each line ending in a newline;
+    in process, each tree is also counted in ``summary``.
 
-    Every tree takes one path: its :func:`run_kernel` key, with the forest
-    DP's reg appended if the tree's order <= ``oracle_up_to``, picks the row tail
-    cached per key, and its violations and tight flags come from that tail.
+    A run is one order, so the oracle is decided once per run.  Every tree
+    takes one path: its :func:`run_kernel` key, with the forest DP's reg
+    appended at the oracle's orders, picks the row tail cached per key,
+    and its violations and the bounds it meets come from that tail.
     ``fmt`` picks only the line: the code text plus the tail for CSV, or
     for JSONL the :func:`record_for_code` record, which carries witnesses.
+    A code, ``head + forest``, is built only for the oracle and for JSONL.
     """
     jsonl = fmt == "jsonl"
     lines: list[str] = []
     violations: list[str] = []
-    tights: list[tuple[bool, bool, bool]] = []
-    codes = batch_codes(runs)
-    keys = [key for run in runs for key in run_kernel(*run)]
-    for levels, code, key in zip(codes, code_texts(codes), keys):
-        oracle = len(levels) <= oracle_up_to
-        if oracle:
-            key += (forest_betti_table((levels,)).regularity(),)
-        tail = _ROW_TAILS.get(key)
-        if tail is None:
-            tail = _ROW_TAILS[key] = _row_tail(key)
-        row, checks, tight = tail
-        lines.append(record_for_code(levels, oracle).to_jsonl() if jsonl else code + row)
-        for check, detail in checks:
-            violations.append(_jsonl(Violation(code, check, detail)))
-        tights.append(tight)
+    # zip takes each forest before its text, so a run's zip stops at its end
+    texts = iter(code_texts(runs))
+    for head, forests in runs:
+        n = len(head) + len(forests[0])
+        oracle = n <= oracle_up_to
+        bucket = None
+        if summary is not None:
+            bucket = summary["orders"].setdefault(str(n), _tight_bucket())
+            bucket["trees"] += len(forests)
+        for forest, code, key in zip(forests, texts, run_kernel(head, forests)):
+            if oracle or jsonl:
+                levels = head + forest
+                if oracle:
+                    key += (forest_betti_table((levels,)).regularity(),)
+            tail = _ROW_TAILS.get(key)
+            if tail is None:
+                tail = _ROW_TAILS[key] = _row_tail(key)
+            row, checks, tight = tail
+            lines.append(record_for_code(levels, oracle).to_jsonl() if jsonl else code + row)
+            for check, detail in checks:
+                violations.append(_jsonl(Violation(code, check, detail)))
+            if bucket is not None:
+                for name in tight:
+                    bucket[name] += 1
+                    bucket[name + "_codes"].append(code)
     lines.append("")
-    return "\n".join(lines).encode(), "".join(violations).encode(), tights
+    return "\n".join(lines).encode(), "".join(violations).encode()
 
 
 def _serve(
@@ -466,19 +477,20 @@ def _received(conn: Connection) -> tuple:
 
 
 def _results(
-    cfg: SweepConfig, workers: list, batches: Iterator[list[Run]]
+    cfg: SweepConfig, workers: list, batches: Iterator[list[Run]], summary: Optional[dict]
 ) -> Iterator[tuple[list[Run], tuple]]:
     """Each batch with its :func:`_verify_batch` result, in batch order.
 
-    In process without workers.  With them, each holds one batch at a
-    time, taken in turn: a worker is sent its next batch as soon as its
-    result is read, before the caller writes that result, so the workers
-    carry on while it does.  Neither side sends while the other is sending
-    to it, so no pipe can fill both ways and stall them.
+    In process without workers, and only then counted into ``summary``.
+    With them, each holds one batch at a time, taken in turn: a worker is
+    sent its next batch as soon as its result is read, before the caller
+    writes that result, so the workers carry on while it does.  Neither
+    side sends while the other is sending to it, so no pipe can fill both
+    ways and stall them.
     """
     if not workers:
         for batch in batches:
-            yield batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt)
+            yield batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, summary)
         return
     flight: deque = deque()  # (batch, conn), earliest first
     for batch in batches:
@@ -544,20 +556,18 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
         ck.csv_crc = zlib.crc32(header)
     vio = files[1] if cfg.violations_out is not None else None
     base_elapsed = ck.elapsed
-    summary: Optional[dict] = None
-    if cfg.summary_out is not None:
-        summary = {"total": 0, "orders": {}}
+    summary = {"total": 0, "orders": {}} if cfg.summary_out is not None else None
 
     workers: list = []
     try:
         if cfg.jobs > 1:
             _start_workers(cfg, workers)
         batches = code_batches(runs, CHECKPOINT_EVERY)
-        for batch, (text, violations, tights) in _results(cfg, workers, batches):
+        for batch, (text, violations) in _results(cfg, workers, batches, summary):
             out.write(text)
             out.flush()
             ck.csv_crc = zlib.crc32(text, ck.csv_crc)
-            ck.records += len(tights)
+            ck.records += sum(len(forests) for _, forests in batch)
             ck.violation_count += violations.count(b"\n")
             grew = vio is not None and violations
             if grew:
@@ -565,17 +575,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 vio.flush()
                 ck.violations_bytes = vio.tell()
                 ck.violations_crc = zlib.crc32(violations, ck.violations_crc)
-            if summary is not None:
-                # each code counts under its own order
-                pairs = zip(batch_codes(batch), tights)
-                for order, group in groupby(pairs, lambda ct: len(ct[0])):
-                    codes, flags = zip(*group)
-                    bucket = summary["orders"].setdefault(str(order), _tight_bucket())
-                    bucket["trees"] += len(codes)
-                    for k, key in enumerate(_TIGHT_KEYS):
-                        tight = [code for code, f in zip(codes, flags) if f[k]]
-                        bucket[key] += len(tight)
-                        bucket[key + "_codes"].extend(code_texts(tight))
             head, forests = batch[-1]
             ck.last_code = code_text(head + forests[-1])
             ck.csv_bytes = out.tell()

@@ -149,14 +149,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     cap = trees.max_order_cap()
     if not 1 <= args.order <= cap:
         raise ValueError(f"--order must be in 1..{cap}")
-    # a batch's runs join into codes as bytes, code_texts writes them at
-    # once, and each edge spec comes from its code's parents: no Graph
+    # code_texts writes a batch's texts straight from its runs, and each
+    # edge spec comes from its code's parents: no Graph
     write = sys.stdout.write
     runs = trees.forest_runs(args.order, {})
     for batch in trees.code_batches(runs, census_mod.CHECKPOINT_EVERY):
-        codes = trees.batch_codes(batch)
-        texts = trees.code_texts(codes)
+        texts = trees.code_texts(batch)
         if not args.codes_only:
+            codes = [head + forest for head, forests in batch for forest in forests]
             specs = map(edge_spec, map(trees.code_edges, codes))
             texts = [text + "\t" + spec for text, spec in zip(texts, specs)]
         write("\n".join(texts) + "\n")

@@ -15,7 +15,8 @@ in ascending runs, one per first block, each a head and a slice of two
 tables.  So each isomorphism class appears exactly once without pairwise
 comparisons or a sort of the codes, no order's codes are held at once, and
 no Graph is built.  The sweeps and ``enumerate`` take the runs in
-:func:`code_batches`.  Labeled input goes
+:func:`code_batches`, and :func:`code_texts` writes a batch's texts
+straight from its runs, with no code object built.  Labeled input goes
 through the adjacency-based canonicalizer, :func:`canonical_code`, which
 returns the same level sequence as a tuple of ints in O(n log n): it roots
 the tree at each center and orders children by AHU ranks, level by level.
@@ -53,9 +54,6 @@ def max_order_cap() -> int:
     return cap
 
 
-# The text of every level a byte can hold.
-_LEVEL_TEXT = tuple(map(str, range(256)))
-
 # code_texts joins codes on this byte; its hex is the "ee" the texts split at.
 _SEP = b"\xee"
 # A one-digit level k becomes the byte 0xkF, whose hex less its "f" is k;
@@ -64,26 +62,29 @@ _SEP = b"\xee"
 _HEX_LEVEL = bytes(16 * k + 15 if k < 10 else _SEP[0] for k in range(256))
 
 
-def code_texts(codes: Sequence[bytes]) -> list[str]:
-    """The space-separated texts of non-empty ``bytes`` level sequences.
+def code_texts(runs: Sequence[Run]) -> list[str]:
+    """The space-separated texts of a batch's codes, ``head + forest`` for
+    each forest of each run in turn.
 
-    A batch whose levels all have one digit takes a few C-level calls
-    whatever its size: join on the separator, translate each level k to
-    the byte 0xkF, write the hex with a space between bytes, drop every
-    "f", and split at the separators' "ee".  A batch with a level of two
-    or more digits (at the default cap only the order-20 path, which
-    reaches level 10) joins each code's level strings instead.
+    No code object is built.  A batch whose levels all have one digit
+    takes a few C-level calls whatever its size: join each run's forests
+    on the separator, each after its head, then the runs, translate each
+    level k to the byte 0xkF, write the hex with a space between bytes,
+    drop every "f", and split at the separators' "ee".  A batch with a
+    level of two or more digits (at the default cap only the order-20
+    path, which reaches level 10) takes :func:`code_text` of each code.
     """
-    joined = _SEP.join(codes).translate(_HEX_LEVEL)
+    joined = _SEP.join([head + (_SEP + head).join(forests) for head, forests in runs])
+    joined = joined.translate(_HEX_LEVEL)
     # an empty batch also lands here: it has no separator, not -1 of them
-    if joined.count(_SEP) != len(codes) - 1:
-        return [" ".join([_LEVEL_TEXT[x] for x in code]) for code in codes]
+    if joined.count(_SEP) != sum(len(forests) for _, forests in runs) - 1:
+        return [code_text(head + forest) for head, forests in runs for forest in forests]
     return joined.hex(" ").replace("f", "").split(" ee ")
 
 
 def code_text(levels: Iterable[int]) -> str:
     """A level sequence (tuple or ``bytes``) as its space-separated text,
-    the text :func:`code_texts` gives a batch of ``bytes`` codes."""
+    the text :func:`code_texts` gives each code of a batch of runs."""
     return " ".join(map(str, levels))
 
 
@@ -292,7 +293,7 @@ def forest_runs(n: int, tables: dict) -> Iterator[Run]:
 
 def code_bytes(n: int) -> list[bytes]:
     """The codes of :func:`forest_runs` in one list."""
-    return batch_codes(forest_runs(n, {}))
+    return [head + forest for head, forests in forest_runs(n, {}) for forest in forests]
 
 
 def code_batches(runs: Iterable[Run], size: int) -> Iterator[list[Run]]:
@@ -317,11 +318,6 @@ def code_run(code: bytes) -> Run:
     if end < 0:
         end = len(code)
     return code[:end], [code[end:]]
-
-
-def batch_codes(batch: Iterable[Run]) -> list[bytes]:
-    """The codes of a batch of runs, in order."""
-    return [head + forest for head, forests in batch for forest in forests]
 
 
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:

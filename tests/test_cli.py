@@ -1224,15 +1224,24 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_census_bytes_match_one_process(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
-        outputs = {}
+        # a summary is counted in process only, so it is held to itself at
+        # the default batch size, one batch here, and the records to one
+        # process with workers
+        summaries = []
+        for size in (CHECKPOINT_EVERY, 7):
+            monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", size)
+            summary = tmp_path / f"s{size}.json"
+            run_verify(SweepConfig(max_order=10, out_csv=tmp_path / f"c{size}.{fmt}",
+                                   fmt=fmt, summary_out=summary))
+            summaries.append(summary.read_bytes())
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["orders"]["10"]["lb_tight_codes"]
+        records = {}
         for jobs in (1, 2):
-            out, summary = tmp_path / f"r{jobs}.{fmt}", tmp_path / f"s{jobs}.json"
-            run_verify(SweepConfig(max_order=10, out_csv=out, fmt=fmt,
-                                   summary_out=summary, jobs=jobs))
-            outputs[jobs] = out.read_bytes(), summary.read_bytes()
-        assert outputs[1] == outputs[2]
-        assert json.loads(outputs[1][1])["orders"]["10"]["lb_tight_codes"]
+            out = tmp_path / f"r{jobs}.{fmt}"
+            run_verify(SweepConfig(max_order=10, out_csv=out, fmt=fmt, jobs=jobs))
+            records[jobs] = out.read_bytes()
+        assert records[1] == records[2]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("where", ["batch across orders", "index inside a run"])
@@ -1535,4 +1544,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError) as err:
             run_verify(cfg)
         assert all(field in str(err.value) for field in fields)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_refuse_a_summary(self, tmp_path):
+        # the summary is counted where each row is made, which no worker's
+        # batch reaches
+        cfg = SweepConfig(max_order=4, out_csv=tmp_path / "r.out",
+                          summary_out=tmp_path / "s.json", jobs=2)
+        with pytest.raises(ValueError) as err:
+            run_verify(cfg)
+        assert all(field in str(err.value) for field in ("jobs", "summary_out"))
         assert list(tmp_path.iterdir()) == []

@@ -225,19 +225,27 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     slow = record_for_tree(tree_from_code(levels), with_oracle=oracle)
     oracle_up_to = len(levels) if oracle else 0
     run = code_run(bytes(levels))
-    text, violations, tights = census_mod._verify_batch([run], oracle_up_to, "csv")
+    # the summary bucket holds the one tree, listed under each bound it meets
+    bucket = {"trees": 1}
+    for key in census_mod._TIGHT_KEYS:
+        tight = getattr(slow, key)
+        bucket[key], bucket[key + "_codes"] = int(tight), [slow.tree_code] * tight
+    summary = {"total": 0, "orders": {}}
+    text, violations = census_mod._verify_batch([run], oracle_up_to, "csv", summary)
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
         json.dumps(v.to_json_dict(), sort_keys=True).encode() + b"\n"
         for v in census_mod.verify_record(slow)
     )
-    assert tights == [(slow.lb_tight, slow.ub_tight, slow.wub_tight)]
-    # a JSONL line carries the witnesses; its violations and flags are the
+    assert summary == {"total": 0, "orders": {str(len(levels)): bucket}}
+    # a JSONL line carries the witnesses; its violations and bucket are the
     # CSV call's, from the same cached tail
-    line, jsonl_violations, jsonl_tights = census_mod._verify_batch(
-        [run], oracle_up_to, "jsonl")
+    summary = {"total": 0, "orders": {}}
+    line, jsonl_violations = census_mod._verify_batch(
+        [run], oracle_up_to, "jsonl", summary)
     assert line == (slow.to_jsonl() + "\n").encode()
-    assert (jsonl_violations, jsonl_tights) == (violations, tights)
+    assert jsonl_violations == violations
+    assert summary == {"total": 0, "orders": {str(len(levels)): bucket}}
 
 
 @pytest.fixture(params=["verify_record", "probe"])

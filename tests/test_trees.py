@@ -6,13 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treereg.census import CHECKPOINT_EVERY
 from treereg.graphs import TreeWitness, from_edge_list, path_graph
 from treereg.trees import (
     _code_levels,
-    batch_codes,
     canonical_code,
     code_batches,
     code_bytes,
+    code_run,
     code_text,
     code_texts,
     count_trees,
@@ -167,7 +168,7 @@ class TestEnumeration:
         tables = {}
         for n in range(1, 19):
             runs = list(forest_runs(n, tables))
-            assert batch_codes(runs) == code_bytes(n), n
+            assert [head + f for head, fs in runs for f in fs] == code_bytes(n), n
             # a run's forests are its tables' own entries, not copies (order
             # 1 is the root alone, from no table)
             entries = {id(forest) for table in tables.values() for forest in table}
@@ -193,8 +194,9 @@ class TestEnumeration:
         batches = list(code_batches(iter(runs), size))
         # each batch is whole runs, in order
         assert [run for batch in batches for run in batch] == runs
-        assert [code for batch in batches for code in batch_codes(batch)] == code_bytes(12)
-        assert all(len(batch_codes(batch)) >= size for batch in batches[:-1])
+        codes = [[head + f for head, fs in batch for f in fs] for batch in batches]
+        assert [code for batch in codes for code in batch] == code_bytes(12)
+        assert all(len(batch) >= size for batch in codes[:-1])
         assert list(code_batches(iter([]), size)) == []
 
     def test_code_text_of_bytes_joins_every_level(self):
@@ -207,22 +209,30 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_code_texts_join_every_level(self, n):
-        codes = code_bytes(n)
-        assert code_texts(codes) == [" ".join(map(str, c)) for c in codes]
+        expected = [" ".join(map(str, c)) for c in code_bytes(n)]
+        for size in (5, CHECKPOINT_EVERY):
+            batches = code_batches(forest_runs(n, {}), size)
+            assert [text for batch in batches for text in code_texts(batch)] == expected
 
     def test_code_texts_fall_back_for_a_two_digit_level(self):
-        # the order-20 path, alone and amid one-digit codes, whose batch
-        # would otherwise come out as hex
+        # the order-20 path, alone and amid runs of one-digit codes, whose
+        # batch would otherwise come out as hex
         path20 = bytes(canonical_code(path_graph(20)))
         assert max(path20) == 10
-        batch = code_bytes(7)[:5] + [path20] + code_bytes(9)[-5:]
-        for codes in ([path20], batch):
-            assert code_texts(codes) == [" ".join(map(str, c)) for c in codes]
+        runs = list(forest_runs(9, {}))
+        batch = runs[:2] + [code_run(path20)] + runs[-2:]
+        for runs in ([code_run(path20)], batch):
+            expected = [" ".join(map(str, h + f)) for h, fs in runs for f in fs]
+            assert code_texts(runs) == expected
 
     def test_code_texts_of_one_code_and_of_none(self):
-        assert code_texts([bytes([0, 1, 2, 1, 1])]) == ["0 1 2 1 1"]
-        assert code_texts([b"\0"]) == ["0"]
+        assert code_texts([code_run(bytes([0, 1, 2, 1, 1]))]) == ["0 1 2 1 1"]
+        assert code_texts([(b"\0", [b""])]) == ["0"]
         assert code_texts([]) == []
+
+    def test_code_texts_of_any_codes_as_one_run_with_no_head(self):
+        codes = code_bytes(7)[::3] + code_bytes(5)
+        assert code_texts([(b"", codes)]) == [" ".join(map(str, c)) for c in codes]
 
     def test_bicentral_layout_is_rerooted(self):
         # the fork's centers root it as 0 1 2 1 1 and 0 1 2 2 1; the code is
