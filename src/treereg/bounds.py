@@ -8,12 +8,12 @@ floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
 The trees of a first-block run get their invariants from
 :func:`run_kernel`, a fold that visits each distinct rooted subtree and
-each distinct forest once per sweep and feeds the sweep's CSV rows
-(:func:`code_kernel` is the same fold on one code), and a tree's full
-record, witnesses included, from :func:`record_for_code`.  A labeled tree takes :func:`record_for_tree`, a
-thin adapter over :func:`record_for_code` on the tree's preorder.  So every
-record gets n, p, d, im, alpha and both witnesses from one linear pass over
-a level sequence, :func:`~treereg.invariants._level_pass` (also the fold's
+each distinct forest once per sweep and feeds the sweep's CSV rows, and
+a tree's full record, witnesses included, from :func:`record_for_code`.
+A labeled tree takes :func:`record_for_tree`, a thin adapter over
+:func:`record_for_code` on the tree's preorder.  So every record gets n,
+p, d, im, alpha and both witnesses from one linear pass over a level
+sequence, :func:`~treereg.invariants._level_pass` (also the fold's
 reference), and ``reg`` from the forest DP on it; no record builds a Graph.
 """
 
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .graphs import TreeWitness
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
 from .invariants import _level_pass
-from .trees import canonical_code, code_run, code_text
+from .trees import canonical_code, code_text
 
 # Each CSV column names a field of the record or, for a bound, of its
 # BoundSet; both the header and every row are built from this one list.
@@ -313,17 +313,11 @@ def run_kernel(head: bytes, forests: list[bytes]) -> list[tuple]:
     return keys
 
 
-def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
-    """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence
-    encodes: :func:`run_kernel` on its one-tree run."""
-    return run_kernel(*code_run(code))[0]
-
-
 def record_for_code(levels: Sequence[int], with_oracle: bool = False) -> InvariantRecord:
     """The record of the tree a level sequence encodes, in O(n) and no Graph.
 
     :func:`~treereg.invariants._level_pass` validates the sequence and
-    gives the invariants, by the recurrences :func:`code_kernel` folds, and
+    gives the invariants, by the recurrences :func:`run_kernel` folds, and
     the witnesses.  Vertex v is position v of the sequence, so the labels, and
     with them the witnesses, are those of
     :func:`~treereg.trees.graph_from_code`; ``tree_code`` is the input as

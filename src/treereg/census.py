@@ -9,16 +9,18 @@ Trees stream in (order, code) order, so output is deterministic.  One
 stream of batches, each of whole first-block runs and at least
 :data:`CHECKPOINT_EVERY` codes, runs across every order, enumerated over
 one set of forest tables that the run, its resume walk included, shares
-and drops as it ends.  :func:`_verify_batch` turns a batch into two byte
-strings, its joined output lines and violation JSONL lines, appended to
-the two files as they come.  A batch is both a worker's task and the unit
-of durable commit, and its size never changes the output bytes.  A
-census's summary is counted in process as each row is made, so a run with
-a summary is refused workers.  Without workers a batch runs in process; with
-``jobs`` forked workers each holds one batch at a time, over its own pipe,
-and the results are taken in batch order, so the workers carry on while a
-batch is written and the bytes equal a serial run's.  The workers share no
-lock, so the run kills them at its end or on any error without waiting.  Both files, and a
+and drops as it ends.  :func:`_verify_batch` turns a batch into its tree
+count, its last code's text and two byte strings, its joined output lines
+and violation JSONL lines, appended to the two files as they come.  A
+batch is the unit of durable commit, and its size never changes the output
+bytes.  A census's summary is counted in process as each row is made, so a
+run with a summary is refused workers.  Without workers a batch runs in
+process.  With ``jobs`` workers, each is forked after the resume, walks the
+stream it inherits over its own copy of the tables, and keeps every
+``jobs``-th batch, whose results it sends over its own one-way pipe; the
+parent sends nothing, reads the results in batch order and writes them, so
+the bytes equal a serial run's.  The workers share no lock, so the run
+kills them at its end or on any error without waiting.  Both files, and a
 census's summary, are opened before any is truncated or any tree is swept,
 so an unwritable one leaves the others as they were; before them, the
 checkpoint's temporary file is made and removed again, so an unwritable
@@ -71,9 +73,8 @@ import json
 import os
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, combinations
+from itertools import chain, combinations, cycle, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
@@ -103,7 +104,7 @@ if TYPE_CHECKING:
 
 MIN_ORDER = 1
 # The fewest codes in a batch of whole first-block runs: the unit of durable
-# commit (outputs fsynced, checkpoint replaced), one worker's task and the
+# commit (outputs fsynced, checkpoint replaced), one worker's result and the
 # unit of `enumerate`'s writes, so its fixed cost is paid once per batch.
 # Larger batches save little more time, and their transient rows (about
 # 250 B a tree) raise the peak resident set (BENCH_batch.json).  The size
@@ -382,10 +383,11 @@ def _jsonl(v: Violation) -> str:
 
 def _verify_batch(
     runs: list[Run], oracle_up_to: int, fmt: str, summary: Optional[dict] = None
-) -> tuple[bytes, bytes]:
-    """Worker step: one batch of runs to its output lines and its
-    violations' JSONL lines, each joined, each line ending in a newline;
-    in process, each tree is also counted in ``summary``.
+) -> tuple[int, str, bytes, bytes]:
+    """One batch of runs to its tree count, its last code's text, its
+    output lines and its violations' JSONL lines, each joined, each line
+    ending in a newline; in process, each tree is also counted in
+    ``summary``.
 
     A run is one order, so the oracle is decided once per run.  Every tree
     takes one path: its :func:`run_kernel` key, with the forest DP's reg
@@ -424,49 +426,61 @@ def _verify_batch(
                     bucket[name] += 1
                     bucket[name + "_codes"].append(code)
     lines.append("")
-    return "\n".join(lines).encode(), "".join(violations).encode()
+    head, forests = runs[-1]
+    return (
+        sum(len(forests) for _, forests in runs),
+        code_text(head + forests[-1]),
+        "\n".join(lines).encode(),
+        "".join(violations).encode(),
+    )
 
 
 def _serve(
-    conn: Connection, callers: list[Connection], oracle_up_to: int, fmt: str
+    conn: Connection, parents: list[Connection], batches: Iterator[list[Run]], cfg: SweepConfig
 ) -> None:
-    """A worker: each batch ``conn`` brings goes back as its
-    :func:`_verify_batch` result, or as the exception that stopped it,
-    until the caller is gone.  It first closes its copies of the caller's
-    ends, ``callers``, so that it then sees the caller's death on ``conn``."""
-    for end in callers:
+    """A worker: each of its ``batches`` goes to ``conn`` as its
+    :func:`_verify_batch` result, in order, then ``None``; a batch that
+    raises goes as its exception instead, and ends the worker.  It first
+    closes its copies of the parent's ends, ``parents``, so that a send
+    fails once the parent is gone, and it then exits quietly."""
+    for end in parents:
         end.close()
     try:
-        while True:
-            batch = conn.recv()
-            try:
-                result = _verify_batch(batch, oracle_up_to, fmt)
-            except Exception as exc:  # the caller raises it
-                result = exc
-            conn.send(result)
-    except (EOFError, OSError):
-        pass  # the caller is gone
+        try:
+            for batch in batches:
+                conn.send(_verify_batch(batch, cfg.oracle_up_to, cfg.fmt))
+            result = None
+        except Exception as exc:  # the parent raises it
+            result = exc
+        conn.send(result)
+    except OSError:
+        pass  # the parent is gone
 
 
-def _start_workers(cfg: SweepConfig, workers: list) -> None:
+def _start_workers(cfg: SweepConfig, workers: list, batches: Iterator[list[Run]]) -> None:
     """Fork ``cfg.jobs`` workers into ``workers``, each as its process and
-    the caller's end of its own pipe.  They share no lock or queue, so
-    killing one, mid-send or not, leaves nothing another waits on."""
+    the read end of its own one-way pipe.  Worker ``k`` inherits ``batches``
+    where the resume left it, walks it over its own copy of the forest
+    tables and serves batch ``k`` and every ``cfg.jobs``-th one after it
+    (:func:`_serve`), so the parent sends nothing.  They share no lock or
+    queue, so killing one, mid-send or not, leaves nothing another waits
+    on."""
     import multiprocessing  # only workers need it; it slows start-up
 
     ctx = multiprocessing.get_context("fork")
-    for _ in range(cfg.jobs):
-        ours, theirs = ctx.Pipe()
-        callers = [end for _, end in workers] + [ours]
-        proc = ctx.Process(
-            target=_serve, args=(theirs, callers, cfg.oracle_up_to, cfg.fmt))
+    for k in range(cfg.jobs):
+        ours, theirs = ctx.Pipe(duplex=False)
+        parents = [end for _, end in workers] + [ours]
+        share = islice(batches, k, None, cfg.jobs)
+        proc = ctx.Process(target=_serve, args=(theirs, parents, share, cfg))
         proc.start()
         theirs.close()
         workers.append((proc, ours))
 
 
-def _received(conn: Connection) -> tuple:
-    """A worker's next result, raised if it is an exception."""
+def _received(conn: Connection) -> Optional[tuple]:
+    """A worker's next result, or its ``None`` past its last batch, raised
+    if it is an exception."""
     try:
         result = conn.recv()
     except EOFError:
@@ -478,35 +492,24 @@ def _received(conn: Connection) -> tuple:
 
 def _results(
     cfg: SweepConfig, workers: list, batches: Iterator[list[Run]], summary: Optional[dict]
-) -> Iterator[tuple[list[Run], tuple]]:
-    """Each batch with its :func:`_verify_batch` result, in batch order.
+) -> Iterator[tuple[int, str, bytes, bytes]]:
+    """Each batch's :func:`_verify_batch` result, in batch order.
 
     In process without workers, and only then counted into ``summary``.
-    With them, each holds one batch at a time, taken in turn: a worker is
-    sent its next batch as soon as its result is read, before the caller
-    writes that result, so the workers carry on while it does.  Neither
-    side sends while the other is sending to it, so no pipe can fill both
-    ways and stall them.
+    With them, batch ``i`` is read from worker ``i % len(workers)`` until
+    one sends ``None``.  A worker sends its own batches in order and
+    nothing else, so the one read from always has its next result coming,
+    and the others carry on meanwhile, each to one result ahead.
     """
     if not workers:
         for batch in batches:
-            yield batch, _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, summary)
+            yield _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, summary)
         return
-    flight: deque = deque()  # (batch, conn), earliest first
-    for batch in batches:
-        done = None
-        if len(flight) < len(workers):
-            conn = workers[len(flight)][1]
-        else:
-            done, conn = flight.popleft()
-            result = _received(conn)
-        conn.send(batch)
-        flight.append((batch, conn))
-        if done is not None:
-            yield done, result
-    while flight:
-        done, conn = flight.popleft()
-        yield done, _received(conn)
+    for _, conn in cycle(workers):
+        result = _received(conn)
+        if result is None:
+            return
+        yield result
 
 
 def _open_outputs(sizes: dict[Path, int]) -> list:
@@ -547,6 +550,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     # a fresh run resumes the empty checkpoint; the resumed order's runs
     # are enumerated once, to check the checkpoint and to cut its batches,
     # and every order's over one set of tables, which goes with the stream
+    # (into each --jobs worker, as its own copy)
     ck, sizes, runs = _Checkpoint.resume(cfg)
     files = _open_outputs(sizes)
     out = files[0]
@@ -560,14 +564,14 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
 
     workers: list = []
     try:
-        if cfg.jobs > 1:
-            _start_workers(cfg, workers)
         batches = code_batches(runs, CHECKPOINT_EVERY)
-        for batch, (text, violations) in _results(cfg, workers, batches, summary):
+        if cfg.jobs > 1:
+            _start_workers(cfg, workers, batches)
+        for records, last_code, text, violations in _results(cfg, workers, batches, summary):
             out.write(text)
             out.flush()
             ck.csv_crc = zlib.crc32(text, ck.csv_crc)
-            ck.records += sum(len(forests) for _, forests in batch)
+            ck.records += records
             ck.violation_count += violations.count(b"\n")
             grew = vio is not None and violations
             if grew:
@@ -575,8 +579,7 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
                 vio.flush()
                 ck.violations_bytes = vio.tell()
                 ck.violations_crc = zlib.crc32(violations, ck.violations_crc)
-            head, forests = batch[-1]
-            ck.last_code = code_text(head + forests[-1])
+            ck.last_code = last_code
             ck.csv_bytes = out.tell()
             ck.elapsed = base_elapsed + (time.monotonic() - started)
             if cfg.checkpoint is not None:

@@ -311,15 +311,6 @@ def code_batches(runs: Iterable[Run], size: int) -> Iterator[list[Run]]:
         yield batch
 
 
-def code_run(code: bytes) -> Run:
-    """A ``bytes`` code as a one-tree run: its head, up to the root's second
-    child, and the rest as its one forest."""
-    end = code.find(1, 2)
-    if end < 0:
-        end = len(code)
-    return code[:end], [code[end:]]
-
-
 def enumerate_trees(n: int) -> Iterator[TreeWitness]:
     """One witness per isomorphism class of order-n trees, ascending code order."""
     for head, forests in forest_runs(n, {}):

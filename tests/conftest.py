@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
+from treereg.bounds import run_kernel
 from treereg.census import _Checkpoint
 from treereg.graphs import (
     Graph,
@@ -24,7 +25,7 @@ from treereg.invariants import (
     BRUTE_FORCE_ORDER_CAP,
     _edge_conflict_masks,
 )
-from treereg.trees import _code_levels, graph_from_code
+from treereg.trees import Run, _code_levels, graph_from_code
 
 
 def star_graph(leaves: int) -> Graph:
@@ -417,3 +418,18 @@ def three_leg_spider() -> Graph:
 @pytest.fixture
 def four_leg_spider() -> Graph:
     return spider((2, 2, 2, 2))
+
+
+def code_run(code: bytes) -> Run:
+    """A ``bytes`` code as a one-tree run: its head, up to the root's second
+    child, and the rest as its one forest."""
+    end = code.find(1, 2)
+    if end < 0:
+        end = len(code)
+    return code[:end], [code[end:]]
+
+
+def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
+    """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence
+    encodes: ``bounds.run_kernel`` on its one-tree run."""
+    return run_kernel(*code_run(code))[0]

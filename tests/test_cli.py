@@ -1243,6 +1243,65 @@ class TestWorkerPool:
             records[jobs] = out.read_bytes()
         assert records[1] == records[2]
 
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_the_parent_takes_no_run_from_the_stream(
+        self, tmp_path, monkeypatch, kill_at_dump, resumed
+    ):
+        if resumed:
+            _, _, ckpt, common = self.crash_mid_batch(
+                tmp_path, monkeypatch, kill_at_dump, "2")
+            order, index = place(json.loads(ckpt.read_text()))
+        else:
+            monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
+            common = ["--max-order", "10", "--jobs", "2", "--out", str(tmp_path / "x.csv"),
+                      "--violations", str(tmp_path / "x.jsonl")]
+        taken = []
+
+        def recorded(n, tables):
+            # a worker appends to its own copy of the list
+            for run in forest_runs(n, tables):
+                taken.append((n, run))
+                yield run
+
+        monkeypatch.setattr(census_mod, "forest_runs", recorded)
+        if not resumed:
+            # the wrapper sees every run that one process takes
+            assert run_cli("verify", *common[:2], "--jobs", "1", *common[4:]) == 0
+            assert len(taken) == sum(1 for n in range(1, 11) for _ in forest_runs(n, {}))
+            taken.clear()
+        assert run_cli("verify", *common) == 0
+        # a resume walks its order to the checkpoint's last code, and no further
+        walk = []
+        if resumed:
+            for run in forest_runs(order, {}):
+                if index <= 0:
+                    break
+                walk.append((order, run))
+                index -= len(run[1])
+        assert taken == walk
+
+    @pytest.mark.parametrize("max_order, size, batches", [
+        (8, CHECKPOINT_EVERY, 1), (7, 10, 3), (9, 10, 10), (10, 7, 25)])
+    def test_every_batch_count_ends_at_the_end_marker(
+        self, tmp_path, monkeypatch, max_order, size, batches
+    ):
+        # batch i is read from worker i % 2 until it sends its end marker,
+        # which comes from worker 1 after one batch or an odd count and from
+        # worker 0 after an even count; a finished checkpoint leaves none
+        monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", size)
+        runs = (run for n in range(1, max_order + 1) for run in forest_runs(n, {}))
+        assert len(list(code_batches(runs, size))) == batches
+        outputs = {}
+        for jobs in ("1", "2"):
+            csv, vio = tmp_path / f"r{jobs}.csv", tmp_path / f"v{jobs}.jsonl"
+            common = ["--max-order", str(max_order), "--jobs", jobs, "--out", str(csv),
+                      "--violations", str(vio), "--checkpoint", str(tmp_path / f"{jobs}.json")]
+            assert run_cli("verify", *common) == 0
+            outputs[jobs] = csv.read_bytes(), vio.read_bytes()
+        assert outputs["2"] == outputs["1"]
+        assert run_cli("verify", *common) == 0
+        assert (csv.read_bytes(), vio.read_bytes()) == outputs["1"]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("where", ["batch across orders", "index inside a run"])
     def test_resume_gives_the_order_16_pin(

@@ -13,7 +13,6 @@ from treereg.bounds import (
     Violation,
     _siblings,
     _subtree,
-    code_kernel,
     record_for_code,
     record_for_tree,
     run_kernel,
@@ -29,14 +28,13 @@ from treereg.trees import (
     _rooted_levels,
     canonical_code,
     code_bytes,
-    code_run,
     code_text,
     forest_runs,
     graph_from_code,
     tree_from_code,
 )
 
-from conftest import random_tree, relabel, structural_invariants
+from conftest import code_kernel, code_run, random_tree, relabel, structural_invariants
 
 
 def assert_same_record(levels, with_oracle=False):
@@ -231,7 +229,9 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
         tight = getattr(slow, key)
         bucket[key], bucket[key + "_codes"] = int(tight), [slow.tree_code] * tight
     summary = {"total": 0, "orders": {}}
-    text, violations = census_mod._verify_batch([run], oracle_up_to, "csv", summary)
+    records, last_code, text, violations = census_mod._verify_batch(
+        [run], oracle_up_to, "csv", summary)
+    assert (records, last_code) == (1, slow.tree_code)
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
         json.dumps(v.to_json_dict(), sort_keys=True).encode() + b"\n"
@@ -241,7 +241,7 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     # a JSONL line carries the witnesses; its violations and bucket are the
     # CSV call's, from the same cached tail
     summary = {"total": 0, "orders": {}}
-    line, jsonl_violations = census_mod._verify_batch(
+    _, _, line, jsonl_violations = census_mod._verify_batch(
         [run], oracle_up_to, "jsonl", summary)
     assert line == (slow.to_jsonl() + "\n").encode()
     assert jsonl_violations == violations

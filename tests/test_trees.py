@@ -13,7 +13,6 @@ from treereg.trees import (
     canonical_code,
     code_batches,
     code_bytes,
-    code_run,
     code_text,
     code_texts,
     count_trees,
@@ -26,6 +25,7 @@ from treereg.trees import (
 from treereg.tables import TABLE4_TREES
 
 from conftest import (
+    code_run,
     leaf_extension_codes,
     prufer_to_edges,
     prufer_tree_ids,
