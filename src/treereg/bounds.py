@@ -15,12 +15,13 @@ A labeled tree takes :func:`record_for_tree`, a thin adapter over
 p, d, im, alpha and both witnesses from one linear pass over a level
 sequence, :func:`~treereg.invariants._level_pass` (also the fold's
 reference), and ``reg`` from the forest DP on it; no record builds a Graph.
+A record derives its bounds and tightness flags from those numbers itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Optional, Sequence
 
@@ -84,13 +85,27 @@ def evaluate_bounds(n: int, p: int, d: int) -> BoundSet:
     )
 
 
+def bound_parameters(n: int, p: int) -> int:
+    """The pendant count the bounds are evaluated at.
+
+    The 2-vertex tree is handled throughout as the one-leaf star (p = 1):
+    with p = 2 the n-p upper bound would degenerate to 0 and sit below the
+    actual invariant, so the single-edge case uses the star parameters.
+    """
+    return 1 if n == 2 else p
+
+
 @dataclass(frozen=True)
 class InvariantRecord:
     """One census row: structural data, invariants, bounds, tightness flags.
 
-    ``bounds`` is None only for the one-vertex tree, whose parameters fall
-    outside every bound's domain.  ``reg`` is None above the oracle cap.
-    The witness fields make every reported number checkable in O(n^2).
+    Only the nine measured fields are constructor arguments; ``bounds`` and
+    the flags are derived from them as the record is made, and again by
+    ``dataclasses.replace``.  ``bounds`` is None, and every flag False, only
+    for the one-vertex tree, whose parameters fall outside every bound's
+    domain; an impossible (n, p, d) raises ``ValueError``.  ``reg`` is None
+    above the oracle cap.  The witness fields make every reported number
+    checkable in O(n^2).
     """
 
     tree_code: str
@@ -100,12 +115,21 @@ class InvariantRecord:
     im: int
     alpha: int
     reg: Optional[int]
-    bounds: Optional[BoundSet]
-    lb_tight: bool
-    ub_tight: bool
-    wub_tight: bool
     im_witness: tuple[tuple[int, int], ...]
     alpha_witness: tuple[int, ...]
+    bounds: Optional[BoundSet] = field(init=False)
+    lb_tight: bool = field(init=False)
+    ub_tight: bool = field(init=False)
+    wub_tight: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        b = None
+        if self.n >= 2:
+            b = evaluate_bounds(self.n, bound_parameters(self.n, self.p), self.d)
+        object.__setattr__(self, "bounds", b)
+        object.__setattr__(self, "lb_tight", b is not None and self.im == b.lb_tree)
+        object.__setattr__(self, "ub_tight", b is not None and self.im == b.ub_tree)
+        object.__setattr__(self, "wub_tight", b is not None and self.alpha == b.wub)
 
     def csv_row(self) -> str:
         def cell(name: str) -> str:
@@ -118,71 +142,12 @@ class InvariantRecord:
         return ",".join(map(cell, CSV_COLUMNS))
 
     def to_json_dict(self) -> dict:
-        return {
-            "tree_code": self.tree_code,
-            "n": self.n,
-            "p": self.p,
-            "d": self.d,
-            "im": self.im,
-            "alpha": self.alpha,
-            "reg": self.reg,
-            "lb_tight": self.lb_tight,
-            "ub_tight": self.ub_tight,
-            "wub_tight": self.wub_tight,
-            "im_witness": [list(e) for e in self.im_witness],
-            "alpha_witness": list(self.alpha_witness),
-            "bounds": None if self.bounds is None else asdict(self.bounds),
-        }
+        # the witnesses stay tuples, which json writes as lists
+        bounds = None if self.bounds is None else {**vars(self.bounds)}
+        return {**vars(self), "bounds": bounds}
 
     def to_jsonl(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
-
-
-def bound_parameters(n: int, p: int) -> int:
-    """The pendant count the bounds are evaluated at.
-
-    The 2-vertex tree is handled throughout as the one-leaf star (p = 1):
-    with p = 2 the n-p upper bound would degenerate to 0 and sit below the
-    actual invariant, so the single-edge case uses the star parameters.
-    """
-    return 1 if n == 2 else p
-
-
-def _record(
-    tree_code: str,
-    n: int,
-    p: int,
-    d: int,
-    im: int,
-    alpha: int,
-    reg: Optional[int],
-    im_witness: tuple[tuple[int, int], ...],
-    alpha_witness: tuple[int, ...],
-) -> InvariantRecord:
-    """Evaluate the bounds at (n, p, d) and flag which ones im and alpha meet."""
-    if n >= 2:
-        bounds = evaluate_bounds(n, bound_parameters(n, p), d)
-        lb_tight = im == bounds.lb_tree
-        ub_tight = im == bounds.ub_tree
-        wub_tight = alpha == bounds.wub
-    else:
-        bounds = None
-        lb_tight = ub_tight = wub_tight = False
-    return InvariantRecord(
-        tree_code=tree_code,
-        n=n,
-        p=p,
-        d=d,
-        im=im,
-        alpha=alpha,
-        reg=reg,
-        bounds=bounds,
-        lb_tight=lb_tight,
-        ub_tight=ub_tight,
-        wub_tight=wub_tight,
-        im_witness=im_witness,
-        alpha_witness=alpha_witness,
-    )
 
 
 def record_for_tree(t: TreeWitness, with_oracle: bool = False) -> InvariantRecord:
@@ -329,7 +294,7 @@ def record_for_code(levels: Sequence[int], with_oracle: bool = False) -> Invaria
     reg = None
     if with_oracle and n <= FOREST_BETTI_ORDER_CAP:
         reg = forest_betti_table((levels,)).regularity()
-    return _record(code_text(levels), n, p, d, im, alpha, reg, matching, independent)
+    return InvariantRecord(code_text(levels), n, p, d, im, alpha, reg, matching, independent)
 
 
 @dataclass(frozen=True)

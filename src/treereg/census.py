@@ -59,12 +59,13 @@ summarized once per run, and the cached state of its forest, each
 distinct subtree and forest once per sweep; at the oracle's orders the
 forest DP's reg of the level sequence is appended to it.  Each distinct
 tail, with its violations and the names of the bounds it meets, is built
-once per run from a record by :func:`_record`,
-``csv_row`` and :func:`verify_record`, so the row format and the
-inequalities each stay in one place.  The format picks only the line: a
-JSONL line, which carries witnesses, is the :func:`record_for_code`
-record.  ``multiprocessing`` is imported
-only when a sweep starts workers.
+once per run from an :class:`InvariantRecord` of the key, which derives
+its bounds and flags itself, by ``csv_row`` and :func:`verify_record`, so
+the row format and the inequalities each stay in one place.  The format
+picks only the line: a JSONL line, which carries witnesses, is the
+:func:`record_for_code` record, and at the oracle's orders the key takes
+its reg from that record.  ``multiprocessing`` is imported only when a
+sweep starts workers.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
 
 from .bounds import (
     CSV_HEADER,
+    InvariantRecord,
     Violation,
-    _record,
     _siblings,
     _subtree,
     record_for_code,
@@ -372,7 +373,7 @@ _ROW_TAILS: dict[tuple, _Tail] = {}
 
 def _row_tail(key: tuple) -> _Tail:
     reg = key[5] if len(key) > 5 else None
-    record = _record("", *key[:5], reg, (), ())
+    record = InvariantRecord("", *key[:5], reg, (), ())
     checks = [(v.check, v.detail) for v in verify_record(record)]
     return record.csv_row(), checks, tuple(k for k in _TIGHT_KEYS if getattr(record, k))
 
@@ -394,7 +395,8 @@ def _verify_batch(
     appended at the oracle's orders, picks the row tail cached per key,
     and its violations and the bounds it meets come from that tail.
     ``fmt`` picks only the line: the code text plus the tail for CSV, or
-    for JSONL the :func:`record_for_code` record, which carries witnesses.
+    for JSONL the :func:`record_for_code` record, which carries witnesses
+    and, at the oracle's orders, the key's reg, so the DP runs once a tree.
     A code, ``head + forest``, is built only for the oracle and for JSONL.
     """
     jsonl = fmt == "jsonl"
@@ -410,29 +412,27 @@ def _verify_batch(
             bucket = summary["orders"].setdefault(str(n), _tight_bucket())
             bucket["trees"] += len(forests)
         for forest, code, key in zip(forests, texts, run_kernel(head, forests)):
-            if oracle or jsonl:
-                levels = head + forest
+            if jsonl:
+                record = record_for_code(head + forest, oracle)
                 if oracle:
-                    key += (forest_betti_table((levels,)).regularity(),)
+                    key += (record.reg,)
+            elif oracle:
+                key += (forest_betti_table((head + forest,)).regularity(),)
             tail = _ROW_TAILS.get(key)
             if tail is None:
                 tail = _ROW_TAILS[key] = _row_tail(key)
             row, checks, tight = tail
-            lines.append(record_for_code(levels, oracle).to_jsonl() if jsonl else code + row)
+            lines.append(record.to_jsonl() if jsonl else code + row)
             for check, detail in checks:
                 violations.append(_jsonl(Violation(code, check, detail)))
             if bucket is not None:
                 for name in tight:
                     bucket[name] += 1
                     bucket[name + "_codes"].append(code)
+    # one line a tree, and ``code`` is the batch's last
+    trees = len(lines)
     lines.append("")
-    head, forests = runs[-1]
-    return (
-        sum(len(forests) for _, forests in runs),
-        code_text(head + forests[-1]),
-        "\n".join(lines).encode(),
-        "".join(violations).encode(),
-    )
+    return trees, code, "\n".join(lines).encode(), "".join(violations).encode()
 
 
 def _serve(

@@ -1,8 +1,10 @@
 """Bound formulas, records, tightness flags, and soundness checks."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treereg.bounds import (
     CSV_HEADER,
@@ -159,16 +161,51 @@ class TestRecords:
         assert payload["im_witness"] and payload["alpha_witness"]
 
 
+class TestRecordType:
+    """A record's bounds and tight flags are derived from its own numbers."""
+
+    @pytest.mark.parametrize("name", ["bounds", "lb_tight", "ub_tight", "wub_tight"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            InvariantRecord("0 1", 2, 2, 1, 1, 1, None, ((0, 1),), (0,), **{name: None})
+
+    @given(st.data())
+    def test_flags_are_the_comparisons_with_the_bounds(self, data):
+        n = data.draw(st.integers(1, 40), "n")
+        p = data.draw(st.integers(1, n), "p") if n > 1 else 0
+        d = data.draw(st.integers(1, n - 1), "d") if n > 1 else 0
+        im = data.draw(st.integers(0, n), "im")
+        alpha = data.draw(st.integers(0, n), "alpha")
+        r = InvariantRecord("", n, p, d, im, alpha, None, (), ())
+        if n == 1:
+            assert r.bounds is None
+            assert not (r.lb_tight or r.ub_tight or r.wub_tight)
+            return
+        b = evaluate_bounds(n, bound_parameters(n, p), d)
+        assert r.bounds == b
+        assert (r.lb_tight, r.ub_tight, r.wub_tight) == (
+            im == b.lb_tree, im == b.ub_tree, alpha == b.wub)
+
+    def test_an_impossible_triple_is_refused(self):
+        with pytest.raises(ValueError, match="p must"):
+            InvariantRecord("", 5, 6, 2, 1, 3, None, (), ())
+
+    def test_replace_derives_the_flags_again(self):
+        r = next(r for r in map(record_for_tree, enumerate_trees(8)) if not r.lb_tight)
+        tight = replace(r, im=r.bounds.lb_tree)
+        assert tight.lb_tight and tight.bounds == r.bounds
+        assert not replace(tight, im=r.im).lb_tight
+        with pytest.raises(ValueError, match="lb_tight"):
+            replace(r, lb_tight=True)
+
+
 class TestVerifyRecord:
     def test_clean_record_has_no_violations(self):
         for t in enumerate_trees(7):
             assert verify_record(record_for_tree(t, with_oracle=True)) == []
 
     def _doctored(self, **overrides):
-        r = record_for_tree(TreeWitness(path_graph(7)))
-        fields = {k: getattr(r, k) for k in r.__dataclass_fields__}
-        fields.update(overrides)
-        return InvariantRecord(**fields)
+        return replace(record_for_tree(TreeWitness(path_graph(7))), **overrides)
 
     def test_lower_bound_violation_detected(self):
         r = self._doctored(im=1)  # below lb_tree = 2

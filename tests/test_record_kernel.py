@@ -7,6 +7,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treereg.bounds as bounds_mod
 import treereg.census as census_mod
 from treereg import homology
 from treereg.bounds import (
@@ -246,6 +247,24 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     assert line == (slow.to_jsonl() + "\n").encode()
     assert jsonl_violations == violations
     assert summary == {"total": 0, "orders": {str(len(levels)): bucket}}
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_a_jsonl_oracle_row_runs_the_betti_dp_once(n, monkeypatch):
+    calls = []
+    real = homology.forest_betti_table
+
+    def counted(walks):
+        calls.append(walks)
+        return real(walks)
+
+    monkeypatch.setattr(census_mod, "forest_betti_table", counted)
+    monkeypatch.setattr(bounds_mod, "forest_betti_table", counted)
+    monkeypatch.setattr(census_mod, "_ROW_TAILS", {})
+    for run in forest_runs(n, {}):
+        calls.clear()
+        census_mod._verify_batch([run], n, "jsonl")
+        assert len(calls) == len(run[1])
 
 
 @pytest.fixture(params=["verify_record", "probe"])
