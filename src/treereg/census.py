@@ -64,8 +64,10 @@ its bounds and flags itself, by ``csv_row`` and :func:`verify_record`, so
 the row format and the inequalities each stay in one place.  The format
 picks only the line: a JSONL line, which carries witnesses, is the
 :func:`record_for_code` record, and at the oracle's orders the key takes
-its reg from that record.  ``multiprocessing`` is imported only when a
-sweep starts workers.
+its reg from that record.  A worker is a plain ``os.fork`` with one
+``os.pipe``, onto which it pickles its results, since a pickle frames
+itself; ``pickle`` and ``signal`` are imported only when a sweep starts
+workers.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import zlib
 from dataclasses import dataclass, fields
 from itertools import chain, combinations, cycle, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, get_origin, get_type_hints
+from typing import BinaryIO, Iterator, Optional, get_origin, get_type_hints
 
 from .bounds import (
     CSV_HEADER,
@@ -99,9 +101,6 @@ from .trees import (
     forest_runs,
     max_order_cap,
 )
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 MIN_ORDER = 1
 # The fewest codes in a batch of whole first-block runs: the unit of durable
@@ -435,55 +434,65 @@ def _verify_batch(
     return trees, code, "\n".join(lines).encode(), "".join(violations).encode()
 
 
-def _serve(
-    conn: Connection, parents: list[Connection], batches: Iterator[list[Run]], cfg: SweepConfig
-) -> None:
-    """A worker: each of its ``batches`` goes to ``conn`` as its
-    :func:`_verify_batch` result, in order, then ``None``; a batch that
-    raises goes as its exception instead, and ends the worker.  It first
-    closes its copies of the parent's ends, ``parents``, so that a send
-    fails once the parent is gone, and it then exits quietly."""
-    for end in parents:
-        end.close()
+def _serve(w: int, parents: list[int], batches: Iterator[list[Run]], cfg: SweepConfig) -> None:
+    """A worker: each of its ``batches`` is pickled onto the pipe's write
+    end ``w`` as its :func:`_verify_batch` result, in order, then ``None``;
+    a batch that raises goes as its exception instead, and ends the worker.
+    It first closes its copies of the parent's read ends, ``parents``, so
+    that a write fails once the parent is gone, and it then exits quietly."""
+    import pickle  # loaded by the parent before it forked
+
+    for fd in parents:
+        os.close(fd)
     try:
-        try:
-            for batch in batches:
-                conn.send(_verify_batch(batch, cfg.oracle_up_to, cfg.fmt))
-            result = None
-        except Exception as exc:  # the parent raises it
-            result = exc
-        conn.send(result)
+        with open(w, "wb") as out:
+            try:
+                for batch in batches:
+                    pickle.dump(_verify_batch(batch, cfg.oracle_up_to, cfg.fmt), out)
+                    out.flush()
+                result = None
+            except Exception as exc:  # the parent raises it
+                result = exc
+            pickle.dump(result, out)
     except OSError:
         pass  # the parent is gone
 
 
 def _start_workers(cfg: SweepConfig, workers: list, batches: Iterator[list[Run]]) -> None:
-    """Fork ``cfg.jobs`` workers into ``workers``, each as its process and
-    the read end of its own one-way pipe.  Worker ``k`` inherits ``batches``
-    where the resume left it, walks it over its own copy of the forest
-    tables and serves batch ``k`` and every ``cfg.jobs``-th one after it
-    (:func:`_serve`), so the parent sends nothing.  They share no lock or
-    queue, so killing one, mid-send or not, leaves nothing another waits
-    on."""
-    import multiprocessing  # only workers need it; it slows start-up
+    """Fork ``cfg.jobs`` workers into ``workers``, each as its pid and the
+    read end of its own one-way pipe, opened as a file.  Worker ``k``
+    inherits ``batches`` where the resume left it, walks it over its own
+    copy of the forest tables and serves batch ``k`` and every
+    ``cfg.jobs``-th one after it (:func:`_serve`), so the parent sends
+    nothing.  They share no lock or queue, so killing one, mid-write or
+    not, leaves nothing another waits on.  A worker leaves only by
+    ``os._exit``, so it never unwinds into its parent's frames, which would
+    flush the parent's buffered output a second time and kill the other
+    workers."""
+    import pickle  # only workers need it; imported once, before any fork
 
-    ctx = multiprocessing.get_context("fork")
     for k in range(cfg.jobs):
-        ours, theirs = ctx.Pipe(duplex=False)
-        parents = [end for _, end in workers] + [ours]
+        r, w = os.pipe()
         share = islice(batches, k, None, cfg.jobs)
-        proc = ctx.Process(target=_serve, args=(theirs, parents, share, cfg))
-        proc.start()
-        theirs.close()
-        workers.append((proc, ours))
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _serve(w, [reader.fileno() for _, reader in workers] + [r], share, cfg)
+            finally:
+                os._exit(0)
+        workers.append((pid, open(r, "rb")))
+        os.close(w)
 
 
-def _received(conn: Connection) -> Optional[tuple]:
+def _received(reader: BinaryIO) -> Optional[tuple]:
     """A worker's next result, or its ``None`` past its last batch, raised
-    if it is an exception."""
+    if it is an exception.  A worker that died, before or in the middle of
+    a result, leaves the pipe at its end or a truncated pickle there."""
+    import pickle
+
     try:
-        result = conn.recv()
-    except EOFError:
+        result = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
         raise ChildProcessError("a --jobs worker exited before returning its batch") from None
     if isinstance(result, Exception):
         raise result
@@ -505,8 +514,8 @@ def _results(
         for batch in batches:
             yield _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, summary)
         return
-    for _, conn in cycle(workers):
-        result = _received(conn)
+    for _, reader in cycle(workers):
+        result = _received(reader)
         if result is None:
             return
         yield result
@@ -597,10 +606,12 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
             f.close()
         # a worker holds nothing the run still needs, at the end or after an
         # error, so none is waited for: each is killed, then reaped
-        for proc, conn in workers:
-            proc.kill()
-            proc.join()
-            conn.close()
+        if workers:
+            import signal  # like pickle, loaded only by a run with workers
+        for pid, reader in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
 
     ck.status = "complete"
     ck.elapsed = base_elapsed + (time.monotonic() - started)

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import re
 import sys
@@ -1056,6 +1057,31 @@ class TestWorkerPool:
 
         monkeypatch.setattr(census_mod, "verify_record", probe)
 
+    @pytest.fixture
+    def forked(self, monkeypatch) -> list[int]:
+        """The pids of the workers a run forks, as the parent records them."""
+        pids = []
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(census_mod.os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def reaped(pid: int) -> bool:
+        """Whether ``pid`` is no child of this process any more: neither
+        running nor a zombie left for a wait."""
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
     @pytest.mark.parametrize("oracle", [[], ["--oracle-up-to", "8"]])
     def test_verify_bytes_match_one_process(self, tmp_path, monkeypatch, probe, oracle):
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 7)
@@ -1347,11 +1373,8 @@ class TestWorkerPool:
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == ORDER16_SHA256
 
     def test_crash_leaves_no_worker_and_resumes_byte_identical(
-        self, tmp_path, monkeypatch, kill_at_dump
+        self, tmp_path, monkeypatch, kill_at_dump, forked
     ):
-        import multiprocessing
-        import time
-
         ref_csv, ref_vio = tmp_path / "ref.csv", tmp_path / "ref.jsonl"
         assert run_cli("verify", "--max-order", "9", "--out", str(ref_csv),
                        "--violations", str(ref_vio)) == 0
@@ -1377,7 +1400,8 @@ class TestWorkerPool:
             with pytest.raises(Killed):
                 run_cli("verify", *common)
             assert time.monotonic() - started < 15
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 2
+        assert [pid for pid in forked if not self.reaped(pid)] == []
         # the rows through the killed batch's 21st tree are written, and
         # none past it
         lines = csv.read_bytes().splitlines(keepends=True)
@@ -1388,9 +1412,7 @@ class TestWorkerPool:
         assert csv.read_bytes() == ref_csv.read_bytes()
         assert vio.read_bytes() == ref_vio.read_bytes()
 
-    def test_worker_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
-        import multiprocessing
-
+    def test_worker_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys, forked):
         def broken(record):
             raise ValueError(f"broken check at n={record.n}")
 
@@ -1400,27 +1422,58 @@ class TestWorkerPool:
                        "--out", str(tmp_path / "x.csv"),
                        "--violations", str(tmp_path / "x.jsonl")) == 2
         assert "broken check at n=" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 2
+        assert [pid for pid in forked if not self.reaped(pid)] == []
 
-    def test_a_dead_worker_is_refused_not_waited_for(self, tmp_path, monkeypatch, capsys):
-        import multiprocessing
-        import os
-
+    def dies_on_order_8(self, tmp_path, monkeypatch, capfd, forked, die) -> None:
+        """A ``--jobs 2`` sweep whose workers ``die()`` at their first tree
+        of order 8 exits 2 with the dead-worker error line and nothing
+        else, and leaves no worker behind."""
         real = census_mod.verify_record
 
-        def dies_on_order_8(record):
+        def dies(record):
             if record.n == 8:
-                os._exit(1)
+                die()
             return real(record)
 
-        monkeypatch.setattr(census_mod, "verify_record", dies_on_order_8)
+        monkeypatch.setattr(census_mod, "verify_record", dies)
         monkeypatch.setattr(census_mod, "CHECKPOINT_EVERY", 5)
         assert run_cli("verify", "--max-order", "9", "--jobs", "2",
                        "--out", str(tmp_path / "x.csv"),
                        "--violations", str(tmp_path / "x.jsonl")) == 2
-        assert capsys.readouterr().err == (
+        # the workers write at the fd level, where capfd sees them
+        assert capfd.readouterr().err == (
             "treereg: error: a --jobs worker exited before returning its batch\n")
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 2
+        assert [pid for pid in forked if not self.reaped(pid)] == []
+
+    def test_a_dead_worker_is_refused_not_waited_for(
+        self, tmp_path, monkeypatch, capfd, forked
+    ):
+        self.dies_on_order_8(tmp_path, monkeypatch, capfd, forked, lambda: os._exit(1))
+
+    def test_an_interrupted_worker_prints_no_traceback(
+        self, tmp_path, monkeypatch, capfd, forked
+    ):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        self.dies_on_order_8(tmp_path, monkeypatch, capfd, forked, interrupted)
+
+    def test_a_truncated_result_is_a_dead_worker(self):
+        import pickle
+
+        # a worker killed mid-write leaves a proper prefix of its result,
+        # which ends in EOF or in the middle of a pickle
+        data = pickle.dumps((3, "0101", b"1,2,3\n" * 20, b""))
+        for cut in range(len(data)):
+            r, w = os.pipe()
+            os.write(w, data[:cut])
+            os.close(w)
+            with open(r, "rb") as reader, pytest.raises(
+                ChildProcessError, match="^a --jobs worker exited before returning its batch$"
+            ):
+                census_mod._received(reader)
 
     def test_a_killed_run_leaves_no_worker_and_prints_nothing(self, tmp_path):
         import os
@@ -1473,14 +1526,12 @@ class TestWorkerPool:
     def test_more_jobs_than_cpus_is_refused_before_any_fork(
         self, tmp_path, monkeypatch, capsys, excess
     ):
-        import multiprocessing
-
         from treereg.census import _max_jobs
 
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(census_mod.os, "fork", no_fork)
         limit = _max_jobs()
         out = tmp_path / "x.csv"
         assert run_cli("verify", "--max-order", "5", "--jobs", str(limit + excess),

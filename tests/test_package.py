@@ -10,8 +10,9 @@ import treereg
 
 SRC = Path(treereg.__file__).resolve().parents[1]
 
-# Runs two small sweeps' commands in a bare interpreter and lists, in the
-# file named by its second argument, the modules they loaded.
+# Runs an enumeration and a one-process sweep in a bare interpreter, then a
+# sweep with two workers, and lists, in the file named by its second
+# argument, the modules loaded before and after that last sweep.
 _PROBE = """
 import sys
 bare = set(sys.modules)
@@ -23,9 +24,12 @@ from treereg.cli import main
 assert main(["enumerate", "--order", "3", "--codes-only"]) == 0
 assert main(["verify", "--max-order", "3", "--jobs", "1",
              "--out", out + "/r.csv", "--violations", out + "/v.jsonl"]) == 0
+serial = sorted(set(sys.modules) - bare)
+assert main(["verify", "--max-order", "3", "--jobs", "2",
+             "--out", out + "/r.csv", "--violations", out + "/v.jsonl"]) == 0
 import json
 with open(out + "/modules.json", "w") as f:
-    json.dump(sorted(set(sys.modules) - bare), f)
+    json.dump({"serial": serial, "jobs": sorted(set(sys.modules) - bare)}, f)
 """
 
 
@@ -86,13 +90,16 @@ def test_enumerate_and_verify_load_only_the_standard_library(tmp_path):
     subprocess.run([sys.executable, "-S", "-c", _PROBE, str(SRC), str(tmp_path)],
                    env=env, check=True, timeout=120)
     loaded = json.loads((tmp_path / "modules.json").read_text())
-    assert "treereg.census" in loaded
+    serial, jobs = set(loaded["serial"]), set(loaded["jobs"])
+    assert "treereg.census" in serial
     foreign = [
-        name for name in loaded
+        name for name in jobs
         if name.partition(".")[0] not in sys.stdlib_module_names
         and name.partition(".")[0] != "treereg"
     ]
     assert foreign == []
-    # a one-process sweep starts no pool, and a run id needs no uuid
-    assert "multiprocessing" not in loaded
-    assert "uuid" not in loaded
+    # a one-process sweep starts no worker, a worker is a plain fork whose
+    # results are pickled, and a run id needs no uuid
+    assert {"multiprocessing", "pickle", "uuid"} & serial == set()
+    assert {"multiprocessing", "uuid"} & jobs == set()
+    assert "pickle" in jobs
