@@ -6,11 +6,11 @@ floor((n-p+d+5)/6), ``ub_tree_np`` is n-p, ``ub_tree_23`` is
 floor((2n-p)/3), ``wub_d`` is ceil((2n-d-1)/2), ``wub_p`` is
 floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
-The trees of a first-block run get their invariants from
-:func:`run_kernel`, a fold that visits each distinct rooted subtree and
-each distinct forest once per sweep and feeds the sweep's CSV rows, and
-a tree's full record, witnesses included, from :func:`record_for_code`.
-A labeled tree takes :func:`record_for_tree`, a thin adapter over
+The trees of a first-block run get their invariants from a sweep's own
+:func:`kernel`, a fold that visits each distinct rooted subtree and each
+distinct forest once and feeds the sweep's CSV rows, and a tree's full
+record, witnesses included, from :func:`record_for_code`.  A labeled tree
+takes :func:`record_for_tree`, a thin adapter over
 :func:`record_for_code` on the tree's preorder.  So every record gets n,
 p, d, im, alpha and both witnesses from one linear pass over a level
 sequence, :func:`~treereg.invariants._level_pass` (also the fold's
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import TreeWitness
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
@@ -215,74 +215,68 @@ def _finish(state: tuple) -> tuple:
     return s0, s1, b2 if b2 > s1 else s1, inc, exc, h1, dia, leaves
 
 
-def _forest(forest: bytes) -> tuple:
-    """The fold's state over a non-empty forest: its first child's summary
-    folded onto its siblings' cached state.
-
-    A forest is children's blocks as they stand in the code, each one byte
-    at the children's level, then that child's descendants.
-    """
-    end = forest.find(forest[0], 1)
-    if end < 0:
-        end = len(forest)
-    return _step(_siblings(forest[end:]), _subtree(forest[1:end]))
-
-
-@cache
-def _siblings(forest: bytes) -> tuple:
-    """The fold's state over ``forest``, what follows a first child: built
-    one sibling at a time, each suffix once until the cache is cleared."""
-    return _forest(forest) if forest else _NO_CHILD
-
-
-@cache
-def _subtree(block: bytes) -> tuple:
-    """The summary of the vertex whose descendants are ``block``.
-
-    ``block`` holds the descendants' levels as they stand in the code, so a
-    non-empty block's bytes fix its depth and equal blocks are equal rooted
-    subtrees; the empty block is a leaf, whose summary is the same at every
-    depth.
-    """
-    return _finish(_forest(block)) if block else _LEAF
-
-
-def run_kernel(head: bytes, forests: list[bytes]) -> list[tuple]:
-    """``(n, p, d, im, alpha)`` of each tree ``head + forest`` of a run of
+def kernel() -> Callable[[bytes, list[bytes]], list[tuple]]:
+    """A fresh fold, ``run_kernel(head, forests)``, giving ``(n, p, d, im,
+    alpha)`` of each tree ``head + forest`` of a run of
     :func:`~treereg.trees.forest_runs`.
 
-    A memoized fold over rooted subtrees: the root's first child, whose
-    block follows its level-1 byte in ``head``, has its summary from
-    :func:`_subtree` once per run, and each forest, the root's other
-    children, its fold state from :func:`_siblings`, keyed by the forest
-    itself (a table entry of :func:`~treereg.trees.forest_runs`, so the
-    cache holds no copy and each hashes once) and built one sibling at a
-    time.  A root with no forest has one child, and so is a pendant.  Each
-    distinct block and forest is folded once until the caches are cleared
-    (``census.run_verify`` clears both at the start of every sweep).  The
-    recurrences are those of :func:`~treereg.invariants._level_pass`,
-    which stays the reference and the witness path.  Nothing is validated.
-    The fold recurses once per level and once per sibling, which suits
+    It is memoized over rooted subtrees in a block cache and a sibling
+    cache of its own, which live exactly as long as it does: the root's
+    first child, whose block follows its level-1 byte in ``head``, has its
+    summary once per run, and each forest, the root's other children, its
+    fold state keyed by the forest itself (a table entry of
+    :func:`~treereg.trees.forest_runs`, so the cache holds no copy and each
+    hashes once) and built one sibling at a time.  A root with no forest
+    has one child, and so is a pendant.  Each distinct block and forest is
+    folded once per kernel, so a sweep makes one.  Its closures refer to
+    one another, so the cyclic garbage collector frees them.  The
+    recurrences are those of :func:`~treereg.invariants._level_pass`, which
+    stays the reference and the witness path.  Nothing is validated.  The
+    fold recurses once per level and once per sibling, which suits
     every order a sweep reaches; a vertex with more than about 300
     children passes Python's default recursion limit, and
     :func:`record_for_code` takes such a tree.
     """
-    if len(head) == 1:
-        return [(1, 0, 0, 0, 1)]
-    n = len(head) + len(forests[0])
-    first = _subtree(head[2:])
-    keys = []
-    for forest in forests:
-        _, _, im, inc, exc, _, d, leaves = _finish(_step(_siblings(forest), first))
-        keys.append((n, leaves + (not forest), d, im, inc if inc > exc else exc))
-    return keys
+
+    def fold(forest: bytes) -> tuple:
+        # a non-empty forest is children's blocks, each one byte at the
+        # children's level, then that child's descendants: its state is its
+        # first child's summary folded onto its siblings' cached state
+        end = forest.find(forest[0], 1)
+        if end < 0:
+            end = len(forest)
+        return _step(siblings(forest[end:]), subtree(forest[1:end]))
+
+    @cache
+    def siblings(forest: bytes) -> tuple:  # what follows a first child
+        return fold(forest) if forest else _NO_CHILD
+
+    @cache
+    def subtree(block: bytes) -> tuple:
+        # the summary of the vertex whose descendants are ``block``, levels
+        # as in the code, so a non-empty block's bytes fix its depth and
+        # equal blocks are equal subtrees; the empty block is a leaf
+        return _finish(fold(block)) if block else _LEAF
+
+    def run_kernel(head: bytes, forests: list[bytes]) -> list[tuple]:
+        if len(head) == 1:
+            return [(1, 0, 0, 0, 1)]
+        n = len(head) + len(forests[0])
+        first = subtree(head[2:])
+        keys = []
+        for forest in forests:
+            _, _, im, inc, exc, _, d, leaves = _finish(_step(siblings(forest), first))
+            keys.append((n, leaves + (not forest), d, im, inc if inc > exc else exc))
+        return keys
+
+    return run_kernel
 
 
 def record_for_code(levels: Sequence[int], with_oracle: bool = False) -> InvariantRecord:
     """The record of the tree a level sequence encodes, in O(n) and no Graph.
 
     :func:`~treereg.invariants._level_pass` validates the sequence and
-    gives the invariants, by the recurrences :func:`run_kernel` folds, and
+    gives the invariants, by the recurrences :func:`kernel` folds, and
     the witnesses.  Vertex v is position v of the sequence, so the labels, and
     with them the witnesses, are those of
     :func:`~treereg.trees.graph_from_code`; ``tree_code`` is the input as
@@ -306,7 +300,7 @@ class Violation:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {"tree_code": self.tree_code, "check": self.check, "detail": self.detail}
+        return dict(vars(self))
 
 
 def verify_record(r: InvariantRecord) -> list[Violation]:

@@ -54,20 +54,22 @@ its CSV row after the code text, from a tail that depends only on its key,
 (n, p, d, im, alpha) and, at the oracle's orders, reg.  :func:`code_texts`
 joins a whole batch's texts straight from its runs in a few C-level byte
 operations (a batch with a two-digit level texts each code instead), and
-:func:`run_kernel` folds each key from its run's first rooted subtree,
-summarized once per run, and the cached state of its forest, each
+the sweep's :func:`kernel` folds each key from its run's first rooted
+subtree, summarized once per run, and the cached state of its forest, each
 distinct subtree and forest once per sweep; at the oracle's orders the
 forest DP's reg of the level sequence is appended to it.  Each distinct
 tail, with its violations and the names of the bounds it meets, is built
-once per run from an :class:`InvariantRecord` of the key, which derives
+once per sweep from an :class:`InvariantRecord` of the key, which derives
 its bounds and flags itself, by ``csv_row`` and :func:`verify_record`, so
 the row format and the inequalities each stay in one place.  The format
 picks only the line: a JSONL line, which carries witnesses, is the
 :func:`record_for_code` record, and at the oracle's orders the key takes
-its reg from that record.  A worker is a plain ``os.fork`` with one
-``os.pipe``, onto which it pickles its results, since a pickle frames
-itself; ``pickle`` and ``signal`` are imported only when a sweep starts
-workers.
+its reg from that record.  The kernel and the tails belong to the process
+that verifies batches, the sweep or each worker after it forks, and go
+with it, so nothing is cleared between runs and nothing outlives one.  A
+worker is a plain ``os.fork`` with one ``os.pipe``, onto which it pickles
+its results, since a pickle frames itself; ``pickle`` and ``signal`` are
+imported only when a sweep starts workers.
 """
 
 from __future__ import annotations
@@ -79,16 +81,14 @@ import zlib
 from dataclasses import dataclass, fields
 from itertools import chain, combinations, cycle, islice
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, get_origin, get_type_hints
+from typing import BinaryIO, Callable, Iterator, Optional, get_origin, get_type_hints
 
 from .bounds import (
     CSV_HEADER,
     InvariantRecord,
     Violation,
-    _siblings,
-    _subtree,
+    kernel,
     record_for_code,
-    run_kernel,
     verify_record,
 )
 from .homology import FOREST_BETTI_ORDER_CAP, forest_betti_table
@@ -359,16 +359,6 @@ def _tight_bucket() -> dict:
 # and the names in _TIGHT_KEYS of the bounds it meets.
 _Tail = tuple[str, list[tuple[str, str]], tuple[str, ...]]
 
-# (n, p, d, im, alpha), with the oracle's reg appended at the oracle's
-# orders, -> its _Tail.  run_verify empties it, and the kernel's subtree
-# and sibling caches, as a run starts and before any worker forks, so no
-# run reuses what another run's verify_record found; they stay filled after
-# it returns, and each worker fills its own copies.  The batch loop looks a
-# tail up inline: behind one bounds function, a call per tree, it gained
-# nothing (_verify_batch over orders 2-16, median of 10 alternating runs in
-# one process, 2-vCPU Xeon: 2.53 -> 2.77 us per tree, and 4.08 -> 4.21).
-_ROW_TAILS: dict[tuple, _Tail] = {}
-
 
 def _row_tail(key: tuple) -> _Tail:
     reg = key[5] if len(key) > 5 else None
@@ -382,17 +372,21 @@ def _jsonl(v: Violation) -> str:
 
 
 def _verify_batch(
-    runs: list[Run], oracle_up_to: int, fmt: str, summary: Optional[dict] = None
+    runs: list[Run], oracle_up_to: int, fmt: str, kernel: Callable[..., list[tuple]],
+    tails: dict[tuple, _Tail], summary: Optional[dict] = None,
 ) -> tuple[int, str, bytes, bytes]:
     """One batch of runs to its tree count, its last code's text, its
     output lines and its violations' JSONL lines, each joined, each line
     ending in a newline; in process, each tree is also counted in
     ``summary``.
 
-    A run is one order, so the oracle is decided once per run.  Every tree
-    takes one path: its :func:`run_kernel` key, with the forest DP's reg
-    appended at the oracle's orders, picks the row tail cached per key,
-    and its violations and the bounds it meets come from that tail.
+    ``kernel`` is the sweep's fold and ``tails`` its row tails, which the
+    process that verifies the sweep's batches makes once, so no sweep
+    reuses what another's :func:`verify_record` found.  A run is one order,
+    so the oracle is decided once per run.  Every tree takes one path: its
+    ``kernel`` key, with the forest DP's reg appended at the oracle's
+    orders, picks its tail in ``tails``, made once per key, and its
+    violations and the bounds it meets come from that tail.
     ``fmt`` picks only the line: the code text plus the tail for CSV, or
     for JSONL the :func:`record_for_code` record, which carries witnesses
     and, at the oracle's orders, the key's reg, so the DP runs once a tree.
@@ -410,16 +404,20 @@ def _verify_batch(
         if summary is not None:
             bucket = summary["orders"].setdefault(str(n), _tight_bucket())
             bucket["trees"] += len(forests)
-        for forest, code, key in zip(forests, texts, run_kernel(head, forests)):
+        for forest, code, key in zip(forests, texts, kernel(head, forests)):
             if jsonl:
                 record = record_for_code(head + forest, oracle)
                 if oracle:
                     key += (record.reg,)
             elif oracle:
                 key += (forest_betti_table((head + forest,)).regularity(),)
-            tail = _ROW_TAILS.get(key)
+            # inline: behind one bounds function, a call per tree, the
+            # lookup gained nothing (_verify_batch over orders 2-16, median
+            # of 10 alternating runs in one process, 2-vCPU Xeon: 2.53 ->
+            # 2.77 us per tree, and 4.08 -> 4.21)
+            tail = tails.get(key)
             if tail is None:
-                tail = _ROW_TAILS[key] = _row_tail(key)
+                tail = tails[key] = _row_tail(key)
             row, checks, tight = tail
             lines.append(record.to_jsonl() if jsonl else code + row)
             for check, detail in checks:
@@ -439,16 +437,18 @@ def _serve(w: int, parents: list[int], batches: Iterator[list[Run]], cfg: SweepC
     end ``w`` as its :func:`_verify_batch` result, in order, then ``None``;
     a batch that raises goes as its exception instead, and ends the worker.
     It first closes its copies of the parent's read ends, ``parents``, so
-    that a write fails once the parent is gone, and it then exits quietly."""
+    that a write fails once the parent is gone, and it then exits quietly.
+    It makes its own kernel and row tails, so the parent makes none."""
     import pickle  # loaded by the parent before it forked
 
     for fd in parents:
         os.close(fd)
+    fold, tails = kernel(), {}
     try:
         with open(w, "wb") as out:
             try:
                 for batch in batches:
-                    pickle.dump(_verify_batch(batch, cfg.oracle_up_to, cfg.fmt), out)
+                    pickle.dump(_verify_batch(batch, cfg.oracle_up_to, cfg.fmt, fold, tails), out)
                     out.flush()
                 result = None
             except Exception as exc:  # the parent raises it
@@ -504,15 +504,17 @@ def _results(
 ) -> Iterator[tuple[int, str, bytes, bytes]]:
     """Each batch's :func:`_verify_batch` result, in batch order.
 
-    In process without workers, and only then counted into ``summary``.
-    With them, batch ``i`` is read from worker ``i % len(workers)`` until
-    one sends ``None``.  A worker sends its own batches in order and
-    nothing else, so the one read from always has its next result coming,
-    and the others carry on meanwhile, each to one result ahead.
+    In process without workers, over one kernel and row tails made here,
+    and only then counted into ``summary``.  With them, batch ``i`` is
+    read from worker ``i % len(workers)`` until one sends ``None``.  A
+    worker sends its own batches in order and nothing else, so the one
+    read from always has its next result coming, and the others carry on
+    meanwhile, each to one result ahead.
     """
     if not workers:
+        fold, tails = kernel(), {}
         for batch in batches:
-            yield _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, summary)
+            yield _verify_batch(batch, cfg.oracle_up_to, cfg.fmt, fold, tails, summary)
         return
     for _, reader in cycle(workers):
         result = _received(reader)
@@ -552,9 +554,6 @@ def run_verify(cfg: SweepConfig) -> tuple[_Checkpoint, Optional[dict]]:
     written there: tree counts and the codes attaining each bound exactly.
     """
     cfg.validate()
-    _ROW_TAILS.clear()
-    _subtree.cache_clear()
-    _siblings.cache_clear()
     started = time.monotonic()
     # a fresh run resumes the empty checkpoint; the resumed order's runs
     # are enumerated once, to check the checkpoint and to cut its batches,

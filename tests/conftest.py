@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from treereg.bounds import run_kernel
+from treereg.bounds import kernel
 from treereg.census import _Checkpoint
 from treereg.graphs import (
     Graph,
@@ -431,5 +431,5 @@ def code_run(code: bytes) -> Run:
 
 def code_kernel(code: bytes) -> tuple[int, int, int, int, int]:
     """``(n, p, d, im, alpha)`` of the tree a ``bytes`` level sequence
-    encodes: ``bounds.run_kernel`` on its one-tree run."""
-    return run_kernel(*code_run(code))[0]
+    encodes: a fresh ``bounds.kernel()`` on its one-tree run."""
+    return kernel()(*code_run(code))[0]

@@ -1,7 +1,9 @@
 """The level-sequence record kernel against the Graph path it replaces."""
 
+import gc
 import json
 import random
+import weakref
 from collections import defaultdict
 
 import pytest
@@ -10,14 +12,7 @@ from hypothesis import given, settings, strategies as st
 import treereg.bounds as bounds_mod
 import treereg.census as census_mod
 from treereg import homology
-from treereg.bounds import (
-    Violation,
-    _siblings,
-    _subtree,
-    record_for_code,
-    record_for_tree,
-    run_kernel,
-)
+from treereg.bounds import Violation, kernel, record_for_code, record_for_tree
 from treereg.cli import main
 from treereg.graphs import Graph, TreeWitness
 from treereg.invariants import (
@@ -120,16 +115,17 @@ def test_code_witnesses_pass_the_certificate_checks(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fold_matches_the_array_pass(n):
-    _subtree.cache_clear()
-    _siblings.cache_clear()
+    # one kernel for the whole order, so each tree meets the others' caches
+    run_kernel = kernel()
     for code in code_bytes(n):
-        assert code_kernel(code) == _level_pass(code)[:5]
+        assert run_kernel(*code_run(code))[0] == _level_pass(code)[:5]
 
 
 def assert_run_keys_match_the_array_pass(n, step):
     # every step-th tree of order n, its key from its whole run's fold, so
-    # the run's first block is folded once for all of its forests
-    index = 0
+    # the run's first block is folded once for all of its forests, and one
+    # kernel folds the whole order
+    run_kernel, index = kernel(), 0
     for head, forests in forest_runs(n, {}):
         picked = range(-index % step, len(forests), step)
         if picked:
@@ -143,8 +139,6 @@ def assert_run_keys_match_the_array_pass(n, step):
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_run_fold_matches_the_array_pass(n):
-    _subtree.cache_clear()
-    _siblings.cache_clear()
     assert_run_keys_match_the_array_pass(n, 1)
 
 
@@ -161,23 +155,27 @@ def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
     assert code_kernel(bytes(levels)) == _level_pass(levels)[:5]
 
 
-def test_a_sweep_starts_with_an_empty_subtree_cache(tmp_path):
-    # A path rooted at one end: of its blocks, only the leaf's occurs in a
-    # tree of order <= 4, so the other 10 are folded again after the sweep;
-    # its one sibling state, that of no sibling, occurs there too.  A spider
-    # of three 5-vertex legs rooted at its center: the root's other two legs
-    # and its last leg alone are sibling states, and a leg's blocks below
-    # level 1 are four blocks, all too deep for order <= 4.
-    path = bytes(range(12))
-    spider = bytes([0] + [1, 2, 3, 4, 5] * 3)
-    for code, blocks, states in ((path, 10, 0), (spider, 4, 2)):
-        code_kernel(code)
-        census_mod.run_verify(census_mod.SweepConfig(
-            max_order=4, out_csv=tmp_path / "r.csv"))
-        misses = _subtree.cache_info().misses, _siblings.cache_info().misses
-        assert code_kernel(code) == _level_pass(code)[:5]
-        assert _subtree.cache_info().misses == misses[0] + blocks
-        assert _siblings.cache_info().misses == misses[1] + states
+def test_each_sweep_folds_with_its_own_kernel(tmp_path, monkeypatch):
+    # each in-process sweep makes one kernel, which is gone, caches and all,
+    # once the sweep has returned; a --jobs parent makes none, as each
+    # worker makes its own after it forks
+    made = []
+
+    def tracked():
+        run_kernel = kernel()
+        made.append(weakref.ref(run_kernel))
+        return run_kernel
+
+    monkeypatch.setattr(census_mod, "kernel", tracked)
+    cfg = census_mod.SweepConfig(max_order=6, out_csv=tmp_path / "r.csv")
+    for sweeps in (1, 2):
+        census_mod.run_verify(cfg)
+        gc.collect()
+        assert len(made) == sweeps
+        assert made[-1]() is None
+    cfg.jobs = 2
+    census_mod.run_verify(cfg)
+    assert len(made) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,7 +218,7 @@ def test_census_jsonl_bytes_match_the_graph_path(tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
-def assert_fast_row_matches_the_record_path(levels, oracle=False):
+def assert_fast_row_matches_the_record_path(levels, tails, oracle=False):
     slow = record_for_tree(tree_from_code(levels), with_oracle=oracle)
     oracle_up_to = len(levels) if oracle else 0
     run = code_run(bytes(levels))
@@ -231,7 +229,7 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
         bucket[key], bucket[key + "_codes"] = int(tight), [slow.tree_code] * tight
     summary = {"total": 0, "orders": {}}
     records, last_code, text, violations = census_mod._verify_batch(
-        [run], oracle_up_to, "csv", summary)
+        [run], oracle_up_to, "csv", kernel(), tails, summary)
     assert (records, last_code) == (1, slow.tree_code)
     assert text == (slow.csv_row() + "\n").encode()
     assert violations == b"".join(
@@ -243,7 +241,7 @@ def assert_fast_row_matches_the_record_path(levels, oracle=False):
     # CSV call's, from the same cached tail
     summary = {"total": 0, "orders": {}}
     _, _, line, jsonl_violations = census_mod._verify_batch(
-        [run], oracle_up_to, "jsonl", summary)
+        [run], oracle_up_to, "jsonl", kernel(), tails, summary)
     assert line == (slow.to_jsonl() + "\n").encode()
     assert jsonl_violations == violations
     assert summary == {"total": 0, "orders": {str(len(levels)): bucket}}
@@ -260,18 +258,19 @@ def test_a_jsonl_oracle_row_runs_the_betti_dp_once(n, monkeypatch):
 
     monkeypatch.setattr(census_mod, "forest_betti_table", counted)
     monkeypatch.setattr(bounds_mod, "forest_betti_table", counted)
-    monkeypatch.setattr(census_mod, "_ROW_TAILS", {})
+    run_kernel, tails = kernel(), {}
     for run in forest_runs(n, {}):
         calls.clear()
-        census_mod._verify_batch([run], n, "jsonl")
+        census_mod._verify_batch([run], n, "jsonl", run_kernel, tails)
         assert len(calls) == len(run[1])
 
 
 @pytest.fixture(params=["verify_record", "probe"])
-def checker(request, monkeypatch):
-    """The sweep's checker as it is, or with a probe violation on about half
-    the trees whose detail carries every field the row cache keys on and
-    the tight flags.  The row cache starts empty, as run_verify starts it."""
+def tails(request, monkeypatch):
+    """The row tails a test's batches share, empty as each sweep's start,
+    with the sweep's checker as it is, or with a probe violation on about
+    half the trees whose detail carries every field the tails are keyed on
+    and the tight flags."""
     real = census_mod.verify_record
 
     def probe(record):
@@ -288,23 +287,22 @@ def checker(request, monkeypatch):
 
     if request.param == "probe":
         monkeypatch.setattr(census_mod, "verify_record", probe)
-    monkeypatch.setattr(census_mod, "_ROW_TAILS", {})
+    return {}
 
 
 @pytest.mark.parametrize("n", range(1, 15))
-def test_fast_rows_match_the_record_path(n, checker):
+def test_fast_rows_match_the_record_path(n, tails):
     # oracle rows share the row cache with plain ones, as they do in a
     # sweep that stops the oracle below its top order
     for oracle in (False, True) if n <= 11 else (False,):
         for code in code_bytes(n):
-            assert_fast_row_matches_the_record_path(code, oracle)
+            assert_fast_row_matches_the_record_path(code, tails, oracle)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
 def test_random_fast_rows_match_the_record_path(n, seed):
-    census_mod._ROW_TAILS.clear()
-    assert_fast_row_matches_the_record_path(canonical_code(random_tree(n, seed)))
+    assert_fast_row_matches_the_record_path(canonical_code(random_tree(n, seed)), {})
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
