@@ -8,8 +8,9 @@ floor((2n+p-2)/3), ``w_lb`` is ceil(n/2) and ``w_ub_triv`` is n-1.
 
 The trees of a first-block run get their invariants from a sweep's own
 :func:`kernel`, a fold that visits each distinct rooted subtree and each
-distinct forest once and feeds the sweep's CSV rows, and a tree's full
-record, witnesses included, from :func:`record_for_code`.  A labeled tree
+distinct forest once, over one cache that goes with it, and feeds the
+sweep's CSV rows; a tree's full record, witnesses included, comes from
+:func:`record_for_code`.  A labeled tree
 takes :func:`record_for_tree`, a thin adapter over
 :func:`record_for_code` on the tree's preorder.  So every record gets n,
 p, d, im, alpha and both witnesses from one linear pass over a level
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .graphs import TreeWitness
@@ -215,57 +215,52 @@ def _finish(state: tuple) -> tuple:
     return s0, s1, b2 if b2 > s1 else s1, inc, exc, h1, dia, leaves
 
 
+def _fold(forest: bytes, states: dict) -> tuple:
+    """The state over the children a non-empty ``forest`` encodes, each a
+    byte at their level, then its descendants: its first child's summary
+    folded onto its siblings' state, each cached in ``states``."""
+    end = forest.find(forest[0], 1)
+    if end < 0:
+        end = len(forest)
+    block, rest = forest[1:end], forest[end:]
+    child = _finish(states.get(block) or _fold(block, states)) if block else _LEAF
+    state = states[forest] = _step(states.get(rest) or _fold(rest, states), child)
+    return state
+
+
 def kernel() -> Callable[[bytes, list[bytes]], list[tuple]]:
     """A fresh fold, ``run_kernel(head, forests)``, giving ``(n, p, d, im,
     alpha)`` of each tree ``head + forest`` of a run of
     :func:`~treereg.trees.forest_runs`.
 
-    It is memoized over rooted subtrees in a block cache and a sibling
-    cache of its own, which live exactly as long as it does: the root's
-    first child, whose block follows its level-1 byte in ``head``, has its
-    summary once per run, and each forest, the root's other children, its
-    fold state keyed by the forest itself (a table entry of
-    :func:`~treereg.trees.forest_runs`, so the cache holds no copy and each
-    hashes once) and built one sibling at a time.  A root with no forest
-    has one child, and so is a pendant.  Each distinct block and forest is
-    folded once per kernel, so a sweep makes one.  Its closures refer to
-    one another, so the cyclic garbage collector frees them.  The
+    It caches the fold's state over each distinct child sequence in one
+    dict of its own, keyed by the sequence's bytes: a forest, the root's
+    children after its first, is a table entry of
+    :func:`~treereg.trees.forest_runs`, so the dict holds no copy and each
+    hashes once, and a block, a vertex's descendants, is its children's
+    sequence one level down.  The root's first child, whose block follows
+    its level-1 byte in ``head``, has its summary once per run; a root with
+    no forest has one child, and so is a pendant.  Each distinct block and
+    forest is folded once per kernel, so a sweep makes one, and nothing
+    refers back to the dict, so it is freed with the kernel.  The
     recurrences are those of :func:`~treereg.invariants._level_pass`, which
     stays the reference and the witness path.  Nothing is validated.  The
-    fold recurses once per level and once per sibling, which suits
-    every order a sweep reaches; a vertex with more than about 300
-    children passes Python's default recursion limit, and
+    fold recurses once per level and once per sibling: a vertex with more
+    than about 990 children passes Python's default recursion limit, and
     :func:`record_for_code` takes such a tree.
     """
-
-    def fold(forest: bytes) -> tuple:
-        # a non-empty forest is children's blocks, each one byte at the
-        # children's level, then that child's descendants: its state is its
-        # first child's summary folded onto its siblings' cached state
-        end = forest.find(forest[0], 1)
-        if end < 0:
-            end = len(forest)
-        return _step(siblings(forest[end:]), subtree(forest[1:end]))
-
-    @cache
-    def siblings(forest: bytes) -> tuple:  # what follows a first child
-        return fold(forest) if forest else _NO_CHILD
-
-    @cache
-    def subtree(block: bytes) -> tuple:
-        # the summary of the vertex whose descendants are ``block``, levels
-        # as in the code, so a non-empty block's bytes fix its depth and
-        # equal blocks are equal subtrees; the empty block is a leaf
-        return _finish(fold(block)) if block else _LEAF
+    states = {b"": _NO_CHILD}
 
     def run_kernel(head: bytes, forests: list[bytes]) -> list[tuple]:
         if len(head) == 1:
             return [(1, 0, 0, 0, 1)]
         n = len(head) + len(forests[0])
-        first = subtree(head[2:])
+        block = head[2:]
+        first = _finish(states.get(block) or _fold(block, states)) if block else _LEAF
         keys = []
         for forest in forests:
-            _, _, im, inc, exc, _, d, leaves = _finish(_step(siblings(forest), first))
+            state = states.get(forest) or _fold(forest, states)
+            _, _, im, inc, exc, _, d, leaves = _finish(_step(state, first))
             keys.append((n, leaves + (not forest), d, im, inc if inc > exc else exc))
         return keys
 

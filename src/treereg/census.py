@@ -55,8 +55,8 @@ its CSV row after the code text, from a tail that depends only on its key,
 joins a whole batch's texts straight from its runs in a few C-level byte
 operations (a batch with a two-digit level texts each code instead), and
 the sweep's :func:`kernel` folds each key from its run's first rooted
-subtree, summarized once per run, and the cached state of its forest, each
-distinct subtree and forest once per sweep; at the oracle's orders the
+subtree, summarized once per run, and its forest's state, one cache holding
+each distinct subtree and forest once per sweep; at the oracle's orders the
 forest DP's reg of the level sequence is appended to it.  Each distinct
 tail, with its violations and the names of the bounds it meets, is built
 once per sweep from an :class:`InvariantRecord` of the key, which derives
@@ -65,8 +65,8 @@ the row format and the inequalities each stay in one place.  The format
 picks only the line: a JSONL line, which carries witnesses, is the
 :func:`record_for_code` record, and at the oracle's orders the key takes
 its reg from that record.  The kernel and the tails belong to the process
-that verifies batches, the sweep or each worker after it forks, and go
-with it, so nothing is cleared between runs and nothing outlives one.  A
+that verifies batches, the sweep or each worker after it forks, and are
+freed with it, so nothing is cleared between runs or outlives one.  A
 worker is a plain ``os.fork`` with one ``os.pipe``, onto which it pickles
 its results, since a pickle frames itself; ``pickle`` and ``signal`` are
 imported only when a sweep starts workers.
@@ -474,7 +474,12 @@ def _start_workers(cfg: SweepConfig, workers: list, batches: Iterator[list[Run]]
     for k in range(cfg.jobs):
         r, w = os.pipe()
         share = islice(batches, k, None, cfg.jobs)
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
         if pid == 0:
             try:
                 _serve(w, [reader.fileno() for _, reader in workers] + [r], share, cfg)

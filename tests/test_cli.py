@@ -1425,6 +1425,29 @@ class TestWorkerPool:
         assert len(forked) == 2
         assert [pid for pid in forked if not self.reaped(pid)] == []
 
+    def test_a_failed_fork_leaks_no_pipe(self, tmp_path, monkeypatch, capsys, forked):
+        fds = next((d for d in ("/proc/self/fd", "/dev/fd") if os.path.isdir(d)), None)
+        if fds is None:
+            pytest.skip("no directory lists this process's open fds")
+        fork = census_mod.os.fork  # the fixture's, which records each pid
+        calls = []
+
+        def fails_second():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("no second worker")
+            return fork()
+
+        monkeypatch.setattr(census_mod.os, "fork", fails_second)
+        open_fds = len(os.listdir(fds))
+        assert run_cli("verify", "--max-order", "9", "--jobs", "2",
+                       "--out", str(tmp_path / "x.csv"),
+                       "--violations", str(tmp_path / "x.jsonl")) == 2
+        assert capsys.readouterr().err == "treereg: error: no second worker\n"
+        assert len(forked) == 1
+        assert [pid for pid in forked if not self.reaped(pid)] == []
+        assert len(os.listdir(fds)) == open_fds
+
     def dies_on_order_8(self, tmp_path, monkeypatch, capfd, forked, die) -> None:
         """A ``--jobs 2`` sweep whose workers ``die()`` at their first tree
         of order 8 exits 2 with the dead-worker error line and nothing

@@ -156,9 +156,10 @@ def test_fold_matches_the_array_pass_at_any_root(n, seed, root):
 
 
 def test_each_sweep_folds_with_its_own_kernel(tmp_path, monkeypatch):
-    # each in-process sweep makes one kernel, which is gone, caches and all,
-    # once the sweep has returned; a --jobs parent makes none, as each
-    # worker makes its own after it forks
+    # each in-process sweep makes one kernel, which is gone, cache and all,
+    # as the sweep returns, with the cyclic collector off and nothing left
+    # for it; a --jobs parent makes none, as each worker makes its own
+    # after it forks
     made = []
 
     def tracked():
@@ -168,14 +169,25 @@ def test_each_sweep_folds_with_its_own_kernel(tmp_path, monkeypatch):
 
     monkeypatch.setattr(census_mod, "kernel", tracked)
     cfg = census_mod.SweepConfig(max_order=6, out_csv=tmp_path / "r.csv")
-    for sweeps in (1, 2):
-        census_mod.run_verify(cfg)
-        gc.collect()
-        assert len(made) == sweeps
-        assert made[-1]() is None
+    gc.collect()
+    gc.disable()
+    try:
+        for sweeps in (1, 2):
+            census_mod.run_verify(cfg)
+            assert len(made) == sweeps
+            assert made[-1]() is None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
     cfg.jobs = 2
     census_mod.run_verify(cfg)
     assert len(made) == 2
+
+
+def test_a_500_vertex_star_folds():
+    # a vertex with 499 children: the fold recurses once per sibling
+    star = b"\0" + b"\1" * 499
+    assert kernel()(star[:2], [star[2:]]) == [_level_pass(star)[:5]]
 
 
 @settings(max_examples=200, deadline=None)
